@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .factorization import (
     HIGH_END,
@@ -23,10 +22,12 @@ from .factorization import (
     factor_lifting,
 )
 from .laurent import EXACT, ModeError, format_scalar, parse_scalar
-from .normalization import AnalysisReport, analyze
+from .normalization import AnalysisReport, analyze, check_part2
 from .rescaling import EQUIVALENT, IDENTICAL, find_rescaling, rescale_cascade
 from .specio import (
     SpecFormatError,
+    _scalar_to_json,
+    _taps_to_json,
     load_spec,
     parse_matrix,
     read_signal,
@@ -34,24 +35,6 @@ from .specio import (
     format_sample,
 )
 from .transform import SubbandPair, analyze_signal, synthesize_signal
-
-
-def _scalar_text(x) -> str:
-    return format_scalar(x)
-
-
-def _scalar_json(x):
-    return format_scalar(x) if isinstance(x, Fraction) else float(x)
-
-
-def _taps_json(p):
-    return [{"n": n, "c": _scalar_json(c)} for n, c in p.items()]
-
-
-def _center_json(center):
-    if center is None:
-        return None
-    return _scalar_json(center)
 
 
 def _write_text(text: str, path) -> None:
@@ -67,29 +50,29 @@ def render_text_report(report: AnalysisReport) -> str:
     lines = [
         f"arithmetic:    {report.mode}",
         f"type:          {'reversible' if report.reversible else 'irreversible'}",
-        f"k:             {_scalar_text(report.k)}",
+        f"k:             {format_scalar(report.k)}",
         f"steps:         {len(report.b_sequence) - 2}"
         + (f" (m_init = {report.m_init})" if report.m_init is not None else ""),
         f"lowpass:       {report.filters.lowpass}",
         f"highpass:      {report.filters.highpass}",
-        f"dc gain:       lowpass {_scalar_text(report.dc_lowpass)}, "
-        f"highpass {_scalar_text(report.dc_highpass)}",
-        f"nyquist gain:  lowpass {_scalar_text(report.nyquist_lowpass)}, "
-        f"highpass {_scalar_text(report.nyquist_highpass)}",
+        f"dc gain:       lowpass {format_scalar(report.dc_lowpass)}, "
+        f"highpass {format_scalar(report.dc_highpass)}",
+        f"nyquist gain:  lowpass {format_scalar(report.nyquist_lowpass)}, "
+        f"highpass {format_scalar(report.nyquist_highpass)}",
         f"determinant:   {report.determinant}",
         "b sequence:    "
         + ", ".join(
-            f"B_{i - 2} = {_scalar_text(b)}" for i, b in enumerate(report.b_sequence)
+            f"B_{i - 2} = {format_scalar(b)}" for i, b in enumerate(report.b_sequence)
         ),
         f"lowpass sym:   {report.lowpass_symmetry.kind}"
         + (
-            f" about {_scalar_text(report.lowpass_symmetry.center)}"
+            f" about {format_scalar(report.lowpass_symmetry.center)}"
             if report.lowpass_symmetry.center is not None
             else ""
         ),
         f"highpass sym:  {report.highpass_symmetry.kind}"
         + (
-            f" about {_scalar_text(report.highpass_symmetry.center)}"
+            f" about {format_scalar(report.highpass_symmetry.center)}"
             if report.highpass_symmetry.center is not None
             else ""
         ),
@@ -106,39 +89,37 @@ def render_json_report(report: AnalysisReport) -> str:
     doc = {
         "arithmetic": report.mode,
         "reversible": report.reversible,
-        "k": _scalar_json(report.k),
+        "k": _scalar_to_json(report.k),
         "steps": len(report.b_sequence) - 2,
         "m_init": report.m_init,
-        "lowpass": _taps_json(report.filters.lowpass),
-        "highpass": _taps_json(report.filters.highpass),
+        "lowpass": _taps_to_json(report.filters.lowpass),
+        "highpass": _taps_to_json(report.filters.highpass),
         "dc_gain": {
-            "lowpass": _scalar_json(report.dc_lowpass),
-            "highpass": _scalar_json(report.dc_highpass),
+            "lowpass": _scalar_to_json(report.dc_lowpass),
+            "highpass": _scalar_to_json(report.dc_highpass),
         },
         "nyquist_gain": {
-            "lowpass": _scalar_json(report.nyquist_lowpass),
-            "highpass": _scalar_json(report.nyquist_highpass),
+            "lowpass": _scalar_to_json(report.nyquist_lowpass),
+            "highpass": _scalar_to_json(report.nyquist_highpass),
         },
-        "determinant": _taps_json(report.determinant),
-        "b_sequence": [_scalar_json(b) for b in report.b_sequence],
+        "determinant": _taps_to_json(report.determinant),
+        "b_sequence": [_scalar_to_json(b) for b in report.b_sequence],
         "symmetry": {
             "lowpass": {
                 "kind": report.lowpass_symmetry.kind,
-                "center": _center_json(report.lowpass_symmetry.center),
+                "center": _scalar_to_json(report.lowpass_symmetry.center),
             },
             "highpass": {
                 "kind": report.highpass_symmetry.kind,
-                "center": _center_json(report.highpass_symmetry.center),
+                "center": _scalar_to_json(report.highpass_symmetry.center),
             },
         },
         "linear_phase": report.linear_phase,
         "group_lifting": report.group_lifting,
         "compliance": {
             "verdict": c.verdict,
-            "required_value": None
-            if c.required_value is None
-            else _scalar_json(c.required_value),
-            "actual_b": None if c.actual_b is None else _scalar_json(c.actual_b),
+            "required_value": _scalar_to_json(c.required_value),
+            "actual_b": _scalar_to_json(c.actual_b),
             "selected_index": c.selected_index,
             "tolerance_qualified": c.tolerance_qualified,
             "reasons": list(c.reasons),
@@ -157,7 +138,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    report = analyze(load_spec(args.spec)).compliance
+    report = check_part2(load_spec(args.spec))
     print(report.verdict)
     for reason in report.reasons:
         print(reason, file=sys.stderr)
@@ -183,7 +164,7 @@ def _cmd_compare(args) -> int:
         print("identical")
         return 0
     if witness.relation == EQUIVALENT:
-        print(f"equivalent modulo rescaling, kappa = {_scalar_text(witness.kappa)}")
+        print(f"equivalent modulo rescaling, kappa = {format_scalar(witness.kappa)}")
         return 0
     print("inequivalent")
     return 1

@@ -94,7 +94,7 @@ def factor_lifting(
     """
     if matrix.mode != EXACT:
         raise ModeError("factorization requires exact arithmetic")
-    if matrix.determinant() != LaurentPoly.one():
+    if not matrix.is_unimodular():
         raise FactorizationError(
             f"matrix is not unimodular: det = {matrix.determinant()}"
         )
@@ -164,8 +164,8 @@ def factor_lifting(
         apply_lower(-c)
         apply_upper(h01.scaled(-1))  # h01 is still w here; clear it with -w
 
-    for p in (h01, h10):
-        assert p.is_zero, "reduction failed to diagonalize"
+    if not (h01.is_zero and h10.is_zero):
+        raise FactorizationError("reduction failed to diagonalize")
 
     if not _is_monomial(h00):
         raise FactorizationError(

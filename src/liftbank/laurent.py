@@ -20,6 +20,7 @@ transforms and for factorization.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, isfinite
 from typing import Iterator, Mapping, Union
 
 EXACT = "exact"
@@ -46,43 +47,51 @@ def as_scalar(value, mode: str = EXACT) -> Scalar:
 
     Exact mode accepts ints, Fractions and strings ("3", "-1/2", "0.25");
     floats are rejected so binary rounding never sneaks into exact data.
-    Float mode accepts any real number or numeric string.
+    Float mode accepts any real number or numeric string whose double is
+    finite: NaN, infinities and overflows are rejected here, once.
     """
+    if mode == FLOAT:
+        if type(value) is float:  # the per-sample case, checked first
+            x = value
+        elif isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+            try:
+                x = float(value)
+            except OverflowError:
+                x = inf
+        elif isinstance(value, str):
+            return parse_scalar(value, FLOAT)
+        else:
+            raise TypeError(f"cannot use {type(value).__name__} as a float scalar")
+        if not isfinite(x):
+            raise ValueError(f"float scalars must be finite, got {x!r}")
+        return x
     _check_mode(mode)
-    if mode == EXACT:
-        if isinstance(value, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
-            return parse_scalar(value, EXACT)
-        if isinstance(value, float):
-            raise ModeError(
-                "float given in exact mode; use an int, Fraction or 'p/q' string"
-            )
-        raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(value, (int, float, Fraction)):
-        return float(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     if isinstance(value, str):
-        return parse_scalar(value, FLOAT)
-    raise TypeError(f"cannot use {type(value).__name__} as a float scalar")
+        return parse_scalar(value, EXACT)
+    if isinstance(value, float):
+        raise ModeError(
+            "float given in exact mode; write non-integer values as strings "
+            "('-1/2', '0.25') or Fractions"
+        )
+    raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse a scalar literal: "p/q", an integer, or a decimal.
 
     In exact mode decimals parse exactly ("0.25" -> 1/4); in float mode
-    everything collapses to a double.
+    everything collapses to a finite double.
     """
     _check_mode(mode)
-    t = text.strip()
     try:
-        value = Fraction(t)
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid scalar literal {text!r}") from exc
-    return value if mode == EXACT else float(value)
+    return value if mode == EXACT else as_scalar(value, FLOAT)
 
 
 def format_scalar(x: Scalar) -> str:
@@ -272,7 +281,7 @@ class LaurentPoly:
             raise TypeError("approx_eq expects a LaurentPoly")
         self._require_same_mode(other)
         for n in set(self._taps) | set(other._taps):
-            if abs(self.coeff(n) - other.coeff(n)) > tol:
+            if not abs(self.coeff(n) - other.coeff(n)) <= tol:  # NaN fails
                 return False
         return True
 

@@ -21,16 +21,25 @@ B_{-1} = B_{-2} = 1).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar
 from .polyphase import FilterPair, PolyphaseMatrix
 
-#: Tolerance used to admit float-mode base matrices as unimodular.
-BASE_DET_TOL = 1e-9
+
+class CascadeError(ValueError):
+    """A lifting step or cascade refused one of its arguments.
+
+    ``field`` is the path to the offending argument in attribute names,
+    e.g. ``("k",)`` or ``("steps", 2, "filter")``, so that callers reading
+    a document can point at the part at fault; it is empty when the fault
+    is the whole cascade's (a base with det != 1).
+    """
+
+    def __init__(self, message: str, *field):
+        super().__init__(message)
+        self.field = field
 
 
 # ---------------------------------------------------------------------------
@@ -41,31 +50,12 @@ BASE_DET_TOL = 1e-9
 class RoundingRule:
     """A deterministic map from dyadic rationals to integers.
 
-    ``apply`` does the general job on a Fraction.  ``apply_shifted``, when
-    present, is an integer fast path: it receives a numerator and a shift d
-    and must return the same value as ``apply(Fraction(num, 2**d))``.
+    ``apply_shifted(num, d)`` rounds the dyadic rational num / 2**d using
+    integer arithmetic only.
     """
 
     name: str
-    apply: Callable[[Fraction], int]
-    apply_shifted: Optional[Callable[[int, int], int]] = field(
-        default=None, compare=False
-    )
-
-    def __call__(self, x: Fraction) -> int:
-        return self.apply(x)
-
-
-def _half_up(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
-
-def _half_down(x: Fraction) -> int:
-    return math.ceil(x - Fraction(1, 2))
-
-
-def _half_even(x: Fraction) -> int:
-    return round(x)
+    apply_shifted: Callable[[int, int], int]
 
 
 def _shift_half_up(num: int, d: int) -> int:
@@ -95,11 +85,11 @@ def _shift_half_even(num: int, d: int) -> int:
     return q
 
 
-ROUND_HALF_UP = RoundingRule("half-up", _half_up, _shift_half_up)
-ROUND_HALF_DOWN = RoundingRule("half-down", _half_down, _shift_half_down)
-ROUND_FLOOR = RoundingRule("floor", math.floor, _shift_floor)
-ROUND_CEILING = RoundingRule("ceiling", math.ceil, _shift_ceil)
-ROUND_HALF_EVEN = RoundingRule("half-even", _half_even, _shift_half_even)
+ROUND_HALF_UP = RoundingRule("half-up", _shift_half_up)
+ROUND_HALF_DOWN = RoundingRule("half-down", _shift_half_down)
+ROUND_FLOOR = RoundingRule("floor", _shift_floor)
+ROUND_CEILING = RoundingRule("ceiling", _shift_ceil)
+ROUND_HALF_EVEN = RoundingRule("half-even", _shift_half_even)
 
 ROUNDING_RULES = {
     r.name: r
@@ -128,10 +118,10 @@ class LiftingStep:
     filter: LaurentPoly
 
     def __post_init__(self):
-        if self.update not in (0, 1):
-            raise ValueError(f"update characteristic must be 0 or 1, got {self.update}")
+        if type(self.update) is not int or self.update not in (0, 1):
+            raise CascadeError(f"update must be 0 or 1, got {self.update!r}", "update")
         if self.filter.is_zero:
-            raise ValueError("lifting filter must be nonzero")
+            raise CascadeError("zero lifting filter", "filter")
 
     @property
     def mode(self) -> str:
@@ -146,11 +136,6 @@ class LiftingStep:
 
     def dc_gain(self) -> Scalar:
         return self.filter.evaluate(1)
-
-
-def step_matrix(step: LiftingStep) -> PolyphaseMatrix:
-    """Free-function spelling of :meth:`LiftingStep.matrix`."""
-    return step.matrix()
 
 
 @dataclass(frozen=True)
@@ -199,7 +184,8 @@ class LiftingCascade:
     Invariants enforced at construction: a reversible cascade has K = 1, no
     base, exact arithmetic and dyadic filters; all parts share one
     arithmetic mode; K is nonzero; a base, when present, is unimodular so
-    that det(evaluate()) = 1 holds by construction.
+    that det(evaluate()) = 1 holds by construction.  A broken invariant
+    raises :class:`CascadeError`, a mode mismatch :class:`ModeError`.
     """
 
     __slots__ = ("steps", "k", "base", "mode", "reversible", "rounding")
@@ -221,33 +207,33 @@ class LiftingCascade:
                 raise ModeError(
                     f"step filter mode {s.mode!r} does not match cascade mode {mode!r}"
                 )
-        kk = as_scalar(k, mode)
-        if kk == 0:
-            raise ValueError("gain K must be nonzero")
-        if base is not None:
-            if base.mode != mode:
-                raise ModeError("base matrix mode does not match cascade mode")
-            det = base.determinant()
-            one = LaurentPoly.one(mode)
-            if mode == EXACT:
-                if det != one:
-                    raise ValueError(f"base matrix must have det 1, got {det}")
-            elif not det.approx_eq(one, BASE_DET_TOL):
-                raise ValueError(f"base matrix must have det 1, got {det}")
         if not isinstance(rounding, RoundingRule):
             raise TypeError("rounding must be a RoundingRule")
+        if reversible and mode != EXACT:
+            raise CascadeError("reversible cascades require exact arithmetic", "mode")
+        kk = as_scalar(k, mode)
+        if kk == 0:
+            raise CascadeError("gain K must be nonzero", "k")
+        if reversible and kk != 1:
+            raise CascadeError(f"reversible cascades require K = 1, got {kk}", "k")
+        if base is not None:
+            if reversible:
+                raise CascadeError(
+                    "reversible cascades cannot carry a base matrix", "base"
+                )
+            if base.mode != mode:
+                raise ModeError("base matrix mode does not match cascade mode")
+            if not base.is_unimodular():
+                raise CascadeError(
+                    f"base matrix must have det 1, got {base.determinant()}"
+                )
         if reversible:
-            if mode != EXACT:
-                raise ModeError("reversible cascades require exact arithmetic")
-            if kk != 1:
-                raise ValueError("reversible cascades require K = 1")
-            if base is not None:
-                raise ValueError("reversible cascades cannot carry a base matrix")
             for i, s in enumerate(steps):
                 if not s.filter.is_dyadic():
-                    raise ValueError(
+                    raise CascadeError(
                         f"step {i} filter is not dyadic; reversible cascades "
-                        "need power-of-two denominators"
+                        "need power-of-two denominators",
+                        "steps", i, "filter",
                     )
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "k", kk)
@@ -384,25 +370,10 @@ class LiftingCascade:
             return LiftingCascade(
                 inv_steps, inv_k, None, self.mode, self.reversible, self.rounding
             )
-        target = self.evaluate().inverse(BASE_DET_TOL)
+        target = self.evaluate().inverse()
         partial = LiftingCascade(inv_steps, inv_k, None, self.mode).evaluate()
-        inv_base = partial.inverse(BASE_DET_TOL) @ target
+        inv_base = partial.inverse() @ target
         return LiftingCascade(
             inv_steps, inv_k, inv_base, self.mode, False, self.rounding
         )
 
-
-def cascade_evaluate(c: LiftingCascade) -> PolyphaseMatrix:
-    return c.evaluate()
-
-
-def cascade_partial(c: LiftingCascade, n: int) -> PolyphaseMatrix:
-    return c.partial_product(n)
-
-
-def dc_trace(c: LiftingCascade) -> DCTrace:
-    return c.dc_trace()
-
-
-def cascade_synthesis(c: LiftingCascade) -> LiftingCascade:
-    return c.synthesis()

@@ -29,6 +29,9 @@ from .laurent import (
     as_scalar,
 )
 
+#: Tolerance admitting float-mode matrices as unimodular (det = 1).
+BASE_DET_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FilterPair:
@@ -127,17 +130,20 @@ class PolyphaseMatrix:
     def determinant(self) -> LaurentPoly:
         return self.h00 * self.h11 - self.h01 * self.h10
 
-    def inverse(self, tol: float = DEFAULT_FLOAT_TOL) -> "PolyphaseMatrix":
-        """Adjugate inverse, valid only for unimodular (det = 1) matrices."""
+    def is_unimodular(self) -> bool:
+        """det = 1: exactly, or for float matrices within ``BASE_DET_TOL``."""
         det = self.determinant()
         one = LaurentPoly.one(self.mode)
         if self.mode == EXACT:
-            ok = det == one
-        else:
-            ok = det.approx_eq(one, tol)
-        if not ok:
+            return det == one
+        return det.approx_eq(one, BASE_DET_TOL)
+
+    def inverse(self) -> "PolyphaseMatrix":
+        """Adjugate inverse, valid only for unimodular (det = 1) matrices."""
+        if not self.is_unimodular():
             raise ValueError(
-                f"matrix is not unimodular (det = {det}); no FIR inverse taken"
+                f"matrix is not unimodular (det = {self.determinant()}); "
+                "no FIR inverse taken"
             )
         return PolyphaseMatrix(self.h11, -self.h01, -self.h10, self.h00)
 

@@ -27,13 +27,13 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .laurent import EXACT, FLOAT, LaurentPoly, Scalar
+from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar, parse_scalar
 from .lifting import (
     DEFAULT_ROUNDING,
     ROUNDING_RULES,
+    CascadeError,
     LiftingCascade,
     LiftingStep,
-    RoundingRule,
 )
 from .polyphase import PolyphaseMatrix
 
@@ -50,37 +50,17 @@ class SpecFormatError(ValueError):
 
 
 def _scalar_from_json(value: Any, mode: str, where: str) -> Scalar:
-    if isinstance(value, bool):
-        raise SpecFormatError("scalar must be a number or string", where)
-    if mode == EXACT:
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return Fraction(value.strip())
-            except (ValueError, ZeroDivisionError):
-                raise SpecFormatError(f"invalid rational literal {value!r}", where)
-        if isinstance(value, float):
-            raise SpecFormatError(
-                "exact documents must write non-integer scalars as strings "
-                f"(got JSON float {value!r})",
-                where,
-            )
-        raise SpecFormatError(f"cannot read {type(value).__name__} as a scalar", where)
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise SpecFormatError(f"invalid numeric literal {value!r}", where)
-    raise SpecFormatError(f"cannot read {type(value).__name__} as a scalar", where)
+    try:
+        return as_scalar(value, mode)
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(str(exc), where) from None
 
 
-def _scalar_to_json(value: Scalar) -> Any:
+def _scalar_to_json(value: Scalar | None) -> Any:
+    """Exact scalars as strings, float scalars as numbers, None as null."""
     if isinstance(value, Fraction):
         return str(value)
-    return float(value)
+    return None if value is None else float(value)
 
 
 def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
@@ -104,8 +84,23 @@ def _taps_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
     return [{"n": n, "c": _scalar_to_json(c)} for n, c in p.items()]
 
 
+#: Spec keys for the cascade attribute names that differ from them.
+_SPEC_KEYS = {"mode": "arithmetic", "filter": "taps"}
+
+
+def _spec_path(field: tuple) -> str:
+    """JSON path of a cascade attribute path, e.g. ("steps", 2, "filter")."""
+    return "$" + "".join(
+        f"[{p}]" if isinstance(p, int) else "." + _SPEC_KEYS.get(p, p) for p in field
+    )
+
+
 def document_to_cascade(doc: Any) -> LiftingCascade:
-    """Build and validate a cascade from a parsed JSON document."""
+    """Build a cascade from a parsed JSON document.
+
+    This function checks the document's shape and keys only; the cascade
+    invariants are the constructors', whose refusals come back located.
+    """
     if not isinstance(doc, dict):
         raise SpecFormatError("spec document must be a JSON object", "$")
 
@@ -120,7 +115,6 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
             f'"mode" must be "{REVERSIBLE}" or "{IRREVERSIBLE}", got {mode_txt!r}',
             "$.mode",
         )
-    reversible = mode_txt == REVERSIBLE
 
     arithmetic = doc.get("arithmetic", EXACT)
     if arithmetic not in (EXACT, FLOAT):
@@ -128,73 +122,36 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
             f'"arithmetic" must be "{EXACT}" or "{FLOAT}", got {arithmetic!r}',
             "$.arithmetic",
         )
-    if reversible and arithmetic != EXACT:
-        raise SpecFormatError(
-            "reversible cascades require exact arithmetic", "$.arithmetic"
-        )
 
     k = _scalar_from_json(doc.get("k", 1), arithmetic, "$.k")
-    if reversible and k != 1:
-        raise SpecFormatError(f"reversible cascades require k = 1, got {k}", "$.k")
-    if k == 0:
-        raise SpecFormatError("k must be nonzero", "$.k")
 
-    rounding: RoundingRule = DEFAULT_ROUNDING
-    if "rounding" in doc:
-        name = doc["rounding"]
-        if name not in ROUNDING_RULES:
-            raise SpecFormatError(
-                f"unknown rounding rule {name!r}; known: "
-                + ", ".join(sorted(ROUNDING_RULES)),
-                "$.rounding",
-            )
-        rounding = ROUNDING_RULES[name]
+    name = doc.get("rounding", DEFAULT_ROUNDING.name)
+    if not isinstance(name, str) or name not in ROUNDING_RULES:
+        raise SpecFormatError(
+            f"unknown rounding rule {name!r}; known: "
+            + ", ".join(sorted(ROUNDING_RULES)),
+            "$.rounding",
+        )
 
     base = None
-    if "base" in doc and doc["base"] is not None:
-        if reversible:
-            raise SpecFormatError(
-                "reversible cascades cannot carry a base matrix", "$.base"
-            )
-        rows = doc["base"]
-        if (
-            not isinstance(rows, list)
-            or len(rows) != 2
-            or any(not isinstance(r, list) or len(r) != 2 for r in rows)
-        ):
-            raise SpecFormatError("base must be a 2x2 array of tap lists", "$.base")
-        entries = [
-            _taps_from_json(rows[i][j], arithmetic, f"$.base[{i}][{j}]")
-            for i in range(2)
-            for j in range(2)
-        ]
-        try:
-            base = PolyphaseMatrix(*entries)
-        except ValueError as exc:
-            raise SpecFormatError(str(exc), "$.base")
+    if doc.get("base") is not None:
+        base = _matrix_from_json(doc["base"], arithmetic, "$.base")
 
     steps_doc = doc.get("steps")
     if not isinstance(steps_doc, list):
         raise SpecFormatError('"steps" must be a list', "$.steps")
     steps = []
     for i, sd in enumerate(steps_doc):
-        spot = f"$.steps[{i}]"
         if not isinstance(sd, dict) or set(sd) != {"update", "taps"}:
             raise SpecFormatError(
-                'step must be an object with keys "update" and "taps"', spot
+                'step must be an object with keys "update" and "taps"',
+                f"$.steps[{i}]",
             )
-        update = sd["update"]
-        if update not in (0, 1) or isinstance(update, bool):
-            raise SpecFormatError(f"update must be 0 or 1, got {update!r}", spot)
-        filt = _taps_from_json(sd["taps"], arithmetic, f"{spot}.taps")
-        if filt.is_zero:
-            raise SpecFormatError("zero lifting filter", f"{spot}.taps")
-        if reversible and not filt.is_dyadic():
-            raise SpecFormatError(
-                "reversible cascades need dyadic taps (power-of-two denominators)",
-                f"{spot}.taps",
-            )
-        steps.append(LiftingStep(update, filt))
+        filt = _taps_from_json(sd["taps"], arithmetic, f"$.steps[{i}].taps")
+        try:
+            steps.append(LiftingStep(sd["update"], filt))
+        except CascadeError as exc:
+            raise SpecFormatError(str(exc), _spec_path(("steps", i) + exc.field))
 
     try:
         return LiftingCascade(
@@ -202,11 +159,11 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
             k=k,
             base=base,
             mode=arithmetic,
-            reversible=reversible,
-            rounding=rounding,
+            reversible=mode_txt == REVERSIBLE,
+            rounding=ROUNDING_RULES[name],
         )
-    except ValueError as exc:
-        raise SpecFormatError(str(exc), "$")
+    except CascadeError as exc:
+        raise SpecFormatError(str(exc), _spec_path(exc.field))
 
 
 def cascade_to_document(cascade: LiftingCascade) -> dict:
@@ -219,25 +176,27 @@ def cascade_to_document(cascade: LiftingCascade) -> dict:
     if cascade.reversible:
         doc["rounding"] = cascade.rounding.name
     if cascade.base is not None:
-        b = cascade.base
-        doc["base"] = [
-            [_taps_to_json(b.h00), _taps_to_json(b.h01)],
-            [_taps_to_json(b.h10), _taps_to_json(b.h11)],
-        ]
+        doc["base"] = _matrix_to_json(cascade.base)
     doc["steps"] = [
         {"update": s.update, "taps": _taps_to_json(s.filter)} for s in cascade.steps
     ]
     return doc
 
 
-def parse_spec(text: str) -> LiftingCascade:
+def _json_loads(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         )
-    return document_to_cascade(doc)
+    except (ValueError, RecursionError) as exc:
+        # e.g. an integer literal beyond Python's int-conversion digit limit
+        raise SpecFormatError(f"invalid JSON: {exc}", "$") from None
+
+
+def parse_spec(text: str) -> LiftingCascade:
+    return document_to_cascade(_json_loads(text))
 
 
 def serialize_spec(cascade: LiftingCascade) -> str:
@@ -257,34 +216,36 @@ def save_spec(cascade: LiftingCascade, path) -> None:
 # -- matrix files -------------------------------------------------------------
 
 
+def _matrix_from_json(rows: Any, mode: str, where: str) -> PolyphaseMatrix:
+    if (
+        not isinstance(rows, list)
+        or len(rows) != 2
+        or any(not isinstance(r, list) or len(r) != 2 for r in rows)
+    ):
+        raise SpecFormatError("expected a 2x2 array of tap lists", where)
+    return PolyphaseMatrix(
+        *(
+            _taps_from_json(rows[i][j], mode, f"{where}[{i}][{j}]")
+            for i in range(2)
+            for j in range(2)
+        )
+    )
+
+
 def parse_matrix(text: str, mode: str = EXACT) -> PolyphaseMatrix:
     """A matrix file is a JSON 2x2 array of tap lists."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(
-            f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
-        )
-    if (
-        not isinstance(doc, list)
-        or len(doc) != 2
-        or any(not isinstance(r, list) or len(r) != 2 for r in doc)
-    ):
-        raise SpecFormatError("matrix file must be a 2x2 array of tap lists", "$")
-    entries = [
-        _taps_from_json(doc[i][j], mode, f"$[{i}][{j}]")
-        for i in range(2)
-        for j in range(2)
+    return _matrix_from_json(_json_loads(text), mode, "$")
+
+
+def _matrix_to_json(m: PolyphaseMatrix) -> list:
+    return [
+        [_taps_to_json(m.h00), _taps_to_json(m.h01)],
+        [_taps_to_json(m.h10), _taps_to_json(m.h11)],
     ]
-    return PolyphaseMatrix(*entries)
 
 
 def serialize_matrix(matrix: PolyphaseMatrix) -> str:
-    doc = [
-        [_taps_to_json(matrix.h00), _taps_to_json(matrix.h01)],
-        [_taps_to_json(matrix.h10), _taps_to_json(matrix.h11)],
-    ]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_matrix_to_json(matrix), indent=2) + "\n"
 
 
 # -- signal files -------------------------------------------------------------
@@ -337,10 +298,9 @@ def parse_sample(text: str, mode: str, reversible: bool, where: str):
                 f"reversible signals need integer samples, got {t!r}", where
             )
     try:
-        value = Fraction(t)
-    except (ValueError, ZeroDivisionError):
-        raise SpecFormatError(f"invalid sample {t!r}", where)
-    return value if mode == EXACT else float(value)
+        return parse_scalar(t, mode)
+    except ValueError:
+        raise SpecFormatError(f"invalid sample {t!r}", where) from None
 
 
 def read_signal(path, mode: str = EXACT, reversible: bool = False) -> list:

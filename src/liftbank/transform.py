@@ -17,11 +17,10 @@ binary floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .laurent import EXACT, LaurentPoly, Scalar, as_scalar
-from .lifting import LiftingCascade, RoundingRule
+from .laurent import LaurentPoly, Scalar, as_scalar
+from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
 
@@ -36,22 +35,16 @@ class SubbandPair:
         return len(self.lowpass) + len(self.highpass)
 
 
-def _check_signal(cascade: LiftingCascade, samples: Sequence) -> list:
-    n = len(samples)
-    if n == 0 or n % 2 != 0:
-        raise ValueError(
-            f"signal length must be even and nonzero, got {n} "
-            "(periodic extension needs whole sample pairs)"
-        )
+def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> list:
+    """Samples as the cascade's scalars; reversible cascades take ints only."""
     if cascade.reversible:
-        for s in samples:
-            if not isinstance(s, int) or isinstance(s, bool):
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(
-                    "reversible transforms take integer samples, got "
-                    f"{s!r}"
+                    f"reversible transforms take integer {what}, got {v!r}"
                 )
-        return list(samples)
-    return [as_scalar(s, cascade.mode) for s in samples]
+        return list(values)
+    return [as_scalar(v, cascade.mode) for v in values]
 
 
 def _circular(taps: list[tuple[int, Scalar]], x: list, L: int) -> list:
@@ -91,27 +84,46 @@ def _reversible_pass(
     cascade: LiftingCascade, x0: list[int], x1: list[int], inverse: bool
 ) -> tuple[list[int], list[int]]:
     L = len(x0)
-    rule: RoundingRule = cascade.rounding
+    rnd = cascade.rounding.apply_shifted
     plans = [(s.update,) + _shifted_taps(s.filter) for s in cascade.steps]
     order = reversed(plans) if inverse else plans
     sign = -1 if inverse else 1
     for update, taps, shift in order:
         src = x1 if update == 0 else x0
         dst = x0 if update == 0 else x1
-        if rule.apply_shifted is not None:
-            rnd = rule.apply_shifted
-            for i in range(L):
-                acc = 0
-                for n, c in taps:
-                    acc += c * src[(i - n) % L]
-                dst[i] += sign * rnd(acc, shift)
+        for i in range(L):
+            acc = 0
+            for n, c in taps:
+                acc += c * src[(i - n) % L]
+            dst[i] += sign * rnd(acc, shift)
+    return x0, x1
+
+
+def _irreversible_pass(
+    cascade: LiftingCascade, x0: list, x1: list, inverse: bool
+) -> tuple[list, list]:
+    """Base, steps, gain; or, inverted, their inverses in reverse order.
+
+    An inverse step adds the update of its negated filter, so the taps are
+    negated once per step instead of once per sample.
+    """
+    L = len(x0)
+    k = cascade.k
+    if inverse:
+        x0 = [v * k for v in x0]
+        x1 = [v / k for v in x1]
+    elif cascade.base is not None:
+        x0, x1 = _apply_base(cascade.base, x0, x1, L)
+    for step in reversed(cascade.steps) if inverse else cascade.steps:
+        taps = list((-step.filter if inverse else step.filter).items())
+        if step.update == 0:
+            x0 = [a + u for a, u in zip(x0, _circular(taps, x1, L))]
         else:
-            denom = 1 << shift
-            for i in range(L):
-                acc = 0
-                for n, c in taps:
-                    acc += c * src[(i - n) % L]
-                dst[i] += sign * rule.apply(Fraction(acc, denom))
+            x1 = [a + u for a, u in zip(x1, _circular(taps, x0, L))]
+    if not inverse:
+        return [v / k for v in x0], [v * k for v in x1]
+    if cascade.base is not None:
+        x0, x1 = _apply_base(cascade.base.inverse(), x0, x1, L)
     return x0, x1
 
 
@@ -139,30 +151,16 @@ def analyze_signal(
     """
     if boundary != "periodic":
         raise ValueError(f"unsupported boundary handling {boundary!r}")
-    x = _check_signal(cascade, samples)
-    x0 = x[0::2]
-    x1 = x[1::2]
-    L = len(x0)
-
-    if cascade.reversible:
-        x0, x1 = _reversible_pass(cascade, x0, x1, inverse=False)
-        return SubbandPair(tuple(x0), tuple(x1))
-
-    if cascade.base is not None:
-        x0, x1 = _apply_base(cascade.base, x0, x1, L)
-    for step in cascade.steps:
-        taps = list(step.filter.items())
-        if step.update == 0:
-            upd = _circular(taps, x1, L)
-            x0 = [a + u for a, u in zip(x0, upd)]
-        else:
-            upd = _circular(taps, x0, L)
-            x1 = [a + u for a, u in zip(x1, upd)]
-    k = cascade.k
-    return SubbandPair(
-        tuple(v / k for v in x0),
-        tuple(v * k for v in x1),
-    )
+    n = len(samples)
+    if n == 0 or n % 2 != 0:
+        raise ValueError(
+            f"signal length must be even and nonzero, got {n} "
+            "(periodic extension needs whole sample pairs)"
+        )
+    x = _coerce(cascade, samples, "samples")
+    run = _reversible_pass if cascade.reversible else _irreversible_pass
+    x0, x1 = run(cascade, x[0::2], x[1::2], inverse=False)
+    return SubbandPair(tuple(x0), tuple(x1))
 
 
 def synthesize_signal(
@@ -176,41 +174,18 @@ def synthesize_signal(
     """
     if boundary != "periodic":
         raise ValueError(f"unsupported boundary handling {boundary!r}")
-    y0 = list(subbands.lowpass)
-    y1 = list(subbands.highpass)
-    if len(y0) != len(y1):
+    L = len(subbands.lowpass)
+    if L != len(subbands.highpass):
         raise ValueError(
-            f"subband lengths differ: {len(y0)} vs {len(y1)}"
+            f"subband lengths differ: {L} vs {len(subbands.highpass)}"
         )
-    if len(y0) == 0:
+    if L == 0:
         raise ValueError("empty subbands")
-    L = len(y0)
-
-    if cascade.reversible:
-        for v in y0 + y1:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(
-                    f"reversible synthesis takes integer subbands, got {v!r}"
-                )
-        y0, y1 = _reversible_pass(cascade, y0, y1, inverse=True)
-    else:
-        k = cascade.k
-        y0 = [as_scalar(v, cascade.mode) * k for v in y0]
-        y1 = [as_scalar(v, cascade.mode) / k for v in y1]
-        for step in reversed(cascade.steps):
-            taps = list(step.filter.items())
-            if step.update == 0:
-                upd = _circular(taps, y1, L)
-                y0 = [a - u for a, u in zip(y0, upd)]
-            else:
-                upd = _circular(taps, y0, L)
-                y1 = [a - u for a, u in zip(y1, upd)]
-        if cascade.base is not None:
-            inv = cascade.base.inverse()
-            y0, y1 = _apply_base(inv, y0, y1, L)
-
-    out = []
-    for a, b in zip(y0, y1):
-        out.append(a)
-        out.append(b)
+    y0 = _coerce(cascade, subbands.lowpass, "subbands")
+    y1 = _coerce(cascade, subbands.highpass, "subbands")
+    run = _reversible_pass if cascade.reversible else _irreversible_pass
+    y0, y1 = run(cascade, y0, y1, inverse=True)
+    out = [None] * (2 * L)
+    out[0::2] = y0
+    out[1::2] = y1
     return out

@@ -164,3 +164,41 @@ def test_rescale_bad_kappa_exits_two(capsys):
 def test_rescale_reversible_exits_one(capsys):
     assert main(["rescale", spec("fivethree.json"), "--kappa", "2"]) == 1
     assert "reversible" in capsys.readouterr().err
+
+
+_STEPS = '"steps": [{"update": 0, "taps": [{"n": 0, "c": 1}]}]'
+_FLOAT = '{"mode": "irreversible", "arithmetic": "float", %s, ' + _STEPS + "}"
+_EXACT = '{"mode": "irreversible", %s, ' + _STEPS + "}"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_FLOAT % '"k": NaN', "$.k"),
+        (_FLOAT % '"k": 1e400', "$.k"),
+        (_EXACT % ('"k": ' + "7" * 5000), "$"),
+        (_EXACT % '"rounding": []', "$.rounding"),
+        (_EXACT % '"rounding": {}', "$.rounding"),
+        (
+            '{"mode": "irreversible", '
+            '"steps": [{"update": 1.0, "taps": [{"n": 0, "c": 1}]}]}',
+            "$.steps[0].update",
+        ),
+    ],
+    ids=[
+        "nan", "overflow", "5000-digit-int", "rounding-list", "rounding-object",
+        "update-float",
+    ],
+)
+def test_malformed_spec_exits_two_with_a_path(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for command in ("analyze", "validate"):
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
+
+
+def test_rescale_overflowing_kappa_exits_two(capsys):
+    assert main(["rescale", spec("cdf97.json"), "--kappa", "1e400"]) == 2
+    assert "--kappa: " in capsys.readouterr().err

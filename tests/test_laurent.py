@@ -162,3 +162,21 @@ def test_immutability():
     p = lp({0: 1})
     with pytest.raises(AttributeError):
         p.taps_ = {}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 10**400, F(10**400), "1e400"],
+    ids=["nan", "inf", "-inf", "big-int", "big-fraction", "big-string"],
+)
+def test_float_scalars_must_be_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        as_scalar(value, FLOAT)
+
+
+def test_approx_eq_fails_closed_on_nan():
+    big = LaurentPoly({0: 1e200}, FLOAT)
+    nan = big * big - big * big  # inf - inf
+    one = LaurentPoly({0: 1.0}, FLOAT)
+    assert not nan.approx_eq(one)
+    assert not one.approx_eq(nan)

@@ -5,6 +5,7 @@ out by hand before this module existed; reproducing the identity exactly is
 the strongest single check on step ordering and the matrix conventions.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,13 +18,13 @@ from liftbank import (
     FLOAT,
     DEFAULT_ROUNDING,
     ROUND_FLOOR,
+    ROUNDING_RULES,
+    CascadeError,
     LaurentPoly,
     LiftingCascade,
     LiftingStep,
     PolyphaseMatrix,
-    cascade_synthesis,
     scalar_dc_recursion,
-    step_matrix,
 )
 from liftbank.banks import (
     cdf97,
@@ -41,9 +42,9 @@ from conftest import lp, random_alternating_cascade, step
 
 def test_step_matrices():
     s = lp({0: F(1, 2), 1: F(1, 2)})
-    u = step_matrix(LiftingStep(0, s))
+    u = LiftingStep(0, s).matrix()
     assert u.h00 == lp({0: 1}) and u.h01 == s and u.h10.is_zero
-    l = step_matrix(LiftingStep(1, s))
+    l = LiftingStep(1, s).matrix()
     assert l.h10 == s and l.h01.is_zero
 
 
@@ -133,7 +134,7 @@ def test_scalar_recursion_seed_values():
 
 
 def test_haar_synthesis_shape():
-    s = cascade_synthesis(haar())
+    s = haar().synthesis()
     assert [st_.update for st_ in s.steps] == [0, 1]
     assert s.steps[0].filter == lp({0: F(-1, 2)})
     assert s.steps[1].filter == lp({0: 1})
@@ -144,23 +145,23 @@ def test_synthesis_inverts_exact():
     rng = random.Random(7)
     for _ in range(60):
         c = random_alternating_cascade(rng, max_steps=6, max_taps=4)
-        p = cascade_synthesis(c).evaluate() @ c.evaluate()
+        p = c.synthesis().evaluate() @ c.evaluate()
         assert p.is_identity()
 
 
 def test_synthesis_inverts_with_base():
     c = wa_lifted_haar()
-    p = cascade_synthesis(c).evaluate() @ c.evaluate()
+    p = c.synthesis().evaluate() @ c.evaluate()
     assert p.is_identity()
 
 
 def test_synthesis_inverts_float():
-    p = cascade_synthesis(cdf97()).evaluate() @ cdf97().evaluate()
+    p = cdf97().synthesis().evaluate() @ cdf97().evaluate()
     assert p.approx_eq(PolyphaseMatrix.identity(FLOAT), 1e-9)
 
 
 def test_synthesis_preserves_reversibility():
-    s = cascade_synthesis(five_three())
+    s = five_three().synthesis()
     assert s.reversible
     assert s.k == 1
 
@@ -168,7 +169,7 @@ def test_synthesis_preserves_reversibility():
 def test_synthesis_nontrivial_gain():
     # K != 1 exercises the gamma scaling of the reversed steps
     c = haar().replace(k=F(3, 2))
-    p = cascade_synthesis(c).evaluate() @ c.evaluate()
+    p = c.synthesis().evaluate() @ c.evaluate()
     assert p.is_identity()
 
 
@@ -222,3 +223,53 @@ def test_equality_includes_rounding():
     assert five_three() == five_three()
     assert five_three() != five_three(rounding=ROUND_FLOOR)
     assert haar() != haar(reversible=True)
+
+
+# -- rounding kernels against Fraction references ------------------------------
+
+REFERENCE_ROUNDING = {
+    "half-up": lambda x: math.floor(x + F(1, 2)),
+    "half-down": lambda x: math.ceil(x - F(1, 2)),
+    "floor": math.floor,
+    "ceiling": math.ceil,
+    "half-even": round,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_RULES))
+def test_rounding_kernel_matches_fraction_reference(name):
+    assert set(REFERENCE_ROUNDING) == set(ROUNDING_RULES)
+    kernel = ROUNDING_RULES[name].apply_shifted
+    ref = REFERENCE_ROUNDING[name]
+    for shift in range(6):
+        # every residue, ties (num = odd * 2**(shift-1)) and negatives included
+        for num in range(-(3 << shift) - 1, (3 << shift) + 2):
+            assert kernel(num, shift) == ref(F(num, 1 << shift)), (num, shift)
+    big = (1 << 70) + (1 << 9)  # a tie far beyond float precision
+    assert kernel(big, 10) == ref(F(big, 1 << 10))
+    assert kernel(-big, 10) == ref(F(-big, 1 << 10))
+
+
+# -- constructor validation: one check, one place -------------------------------
+
+
+@pytest.mark.parametrize("update", [True, False, 1.0, 0.0, "0"])
+def test_step_update_must_be_int_zero_or_one(update):
+    with pytest.raises(ValueError, match="update must be 0 or 1"):
+        LiftingStep(update, lp({0: 1}))
+
+
+def test_nan_base_rejected():
+    big = LaurentPoly({0: 1e200}, FLOAT)
+    base = PolyphaseMatrix(big, big, big, big)  # det = inf - inf = NaN
+    with pytest.raises(ValueError, match="det 1"):
+        LiftingCascade([], base=base, mode=FLOAT)
+
+
+def test_cascade_errors_name_the_field():
+    with pytest.raises(CascadeError) as info:
+        LiftingCascade([step(0, {0: 1}), step(1, {0: F(1, 3)})], reversible=True)
+    assert info.value.field == ("steps", 1, "filter")
+    with pytest.raises(CascadeError) as info:
+        LiftingCascade([], k=0)
+    assert info.value.field == ("k",)

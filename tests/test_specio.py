@@ -7,6 +7,8 @@ import os
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftbank import (
     EXACT,
@@ -237,3 +239,99 @@ def test_signal_file_error_names_line(tmp_path):
     with pytest.raises(SpecFormatError) as info:
         read_signal(path, reversible=True)
     assert info.value.where.endswith(":3")
+
+
+# -- non-finite floats and malformed documents: located errors, never tracebacks
+
+
+def _float_doc(k=1.0, c=0.5):
+    return {
+        "mode": "irreversible",
+        "arithmetic": "float",
+        "k": k,
+        "steps": [{"update": 0, "taps": [{"n": 0, "c": c}]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (_float_doc(k=float("nan")), "$.k"),
+        (_float_doc(k=float("inf")), "$.k"),
+        (_float_doc(c=float("-inf")), "$.steps[0].taps[0].c"),
+        (_float_doc(c=float("nan")), "$.steps[0].taps[0].c"),
+    ],
+)
+def test_float_documents_reject_non_finite(doc, where):
+    err = spec_error(json.dumps(doc))  # json.dumps writes NaN / Infinity
+    assert "finite" in str(err) and err.where == where
+
+
+def test_float_overflow_rejected():
+    err = spec_error(json.dumps(_float_doc(k=10**400)))  # an integer literal
+    assert "finite" in str(err) and err.where == "$.k"
+
+
+def test_float_samples_reject_non_finite():
+    with pytest.raises(SpecFormatError, match="invalid sample"):
+        parse_sample("1e400", FLOAT, False, "x")
+
+
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["1/2", "1/0", "nan", "1e400", "floor", ""])
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "c", "update", "taps"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(valid, junk=_json):
+    """Draws from ``valid`` seven times in eight, otherwise from ``junk``."""
+    return st.integers(0, 7).flatmap(lambda i: junk if i == 0 else valid)
+
+
+_scalar = _mostly(st.sampled_from([1, -1, 2, "1/2", "-1/4", "3/8", "1/3", 0.5, -0.25]))
+_taps = _mostly(
+    st.lists(
+        st.fixed_dictionaries({"n": _mostly(st.integers(-2, 2)), "c": _scalar}),
+        min_size=1,
+        max_size=3,
+    )
+)
+_step = _mostly(
+    st.fixed_dictionaries({"update": _mostly(st.sampled_from([0, 1])), "taps": _taps})
+)
+_base = st.lists(st.lists(_taps, min_size=2, max_size=2), min_size=2, max_size=2)
+_documents = _mostly(
+    st.fixed_dictionaries(
+        {
+            "mode": _mostly(st.sampled_from(["reversible", "irreversible"])),
+            "steps": _mostly(st.lists(_step, max_size=4)),
+        },
+        optional={
+            "arithmetic": _mostly(st.sampled_from(["exact", "float"])),
+            "k": _scalar,
+            "rounding": _mostly(st.sampled_from(["half-up", "floor", "half-even"])),
+            "base": _mostly(st.just(None) | _base),
+        },
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_fuzzed_documents_parse_to_a_fixed_point_or_a_located_error(doc):
+    try:
+        cascade = parse_spec(json.dumps(doc))
+    except SpecFormatError as exc:
+        assert exc.where
+        return
+    text = serialize_spec(cascade)
+    assert serialize_spec(parse_spec(text)) == text

@@ -7,7 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from liftbank import (
+    FLOAT,
     ROUNDING_RULES,
+    LaurentPoly,
+    LiftingCascade,
+    LiftingStep,
+    PolyphaseMatrix,
     SubbandPair,
     analyze_signal,
     synthesize_signal,
@@ -129,3 +134,26 @@ def test_only_periodic_boundary():
         analyze_signal(haar(), [1, 2], boundary="symmetric")
     with pytest.raises(ValueError, match="boundary"):
         synthesize_signal(haar(), SubbandPair((1,), (1,)), boundary="zero")
+
+
+def test_float_transforms_reject_non_finite_samples():
+    with pytest.raises(ValueError, match="finite"):
+        analyze_signal(cdf97(), [1.0, float("nan")])
+    with pytest.raises(ValueError, match="finite"):
+        synthesize_signal(cdf97(), SubbandPair((float("inf"),), (0.0,)))
+
+
+def test_float_base_admitted_by_the_cascade_is_invertible():
+    # det = 1 + 1e-10 is within the cascade's tolerance; synthesis must agree
+    base = PolyphaseMatrix(
+        LaurentPoly({0: 1.0 + 1e-10}, FLOAT),
+        LaurentPoly({}, FLOAT),
+        LaurentPoly({0: 0.5}, FLOAT),
+        LaurentPoly({0: 1.0}, FLOAT),
+    )
+    cascade = LiftingCascade(
+        [LiftingStep(0, LaurentPoly({0: 0.25, 1: -0.5}, FLOAT))], base=base, mode=FLOAT
+    )
+    sig = [1.0, -2.0, 3.5, 0.25]
+    recovered = synthesize_signal(cascade, analyze_signal(cascade, sig))
+    assert max(abs(a - b) for a, b in zip(recovered, sig)) <= 1e-9
