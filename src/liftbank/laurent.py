@@ -31,6 +31,12 @@ DEFAULT_FLOAT_TOL = 1e-12
 
 Scalar = Union[Fraction, float]
 
+#: Most characters a decimal scalar literal's mantissa plus the size of its
+#: exponent may add up to.  ``Fraction`` expands the exponent eagerly
+#: ("1e4000000" costs seconds of CPU), and a value with more digits than
+#: Python's default int->str limit (4300) could not be written back out.
+MAX_SCALAR_DIGITS = 4300
+
 
 class ModeError(ValueError):
     """Raised when exact and float arithmetic would be mixed."""
@@ -66,6 +72,8 @@ def as_scalar(value, mode: str = EXACT) -> Scalar:
             raise ValueError(f"float scalars must be finite, got {x!r}")
         return x
     _check_mode(mode)
+    if type(value) is Fraction:  # immutable: shared, not rebuilt
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, (int, Fraction)):
@@ -84,11 +92,23 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse a scalar literal: "p/q", an integer, or a decimal.
 
     In exact mode decimals parse exactly ("0.25" -> 1/4); in float mode
-    everything collapses to a finite double.
+    everything collapses to a finite double.  A decimal whose mantissa and
+    exponent need more than :data:`MAX_SCALAR_DIGITS` digits is refused.
     """
     _check_mode(mode)
+    t = text.strip()
+    if ("e" in t or "E" in t or len(t) > MAX_SCALAR_DIGITS) and "/" not in t:
+        mantissa, _, exponent = t.lower().partition("e")
+        try:
+            size = len(mantissa) + abs(int(exponent or 0))
+        except ValueError:
+            size = 0  # not a literal; Fraction refuses it below
+        if size > MAX_SCALAR_DIGITS:
+            raise ValueError(
+                f"decimal scalar literal needs more than {MAX_SCALAR_DIGITS} digits"
+            )
     try:
-        value = Fraction(text.strip())
+        value = Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid scalar literal {text!r}") from exc
     return value if mode == EXACT else as_scalar(value, FLOAT)

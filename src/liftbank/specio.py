@@ -125,6 +125,11 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
 
     k = _scalar_from_json(doc.get("k", 1), arithmetic, "$.k")
 
+    if "rounding" in doc and mode_txt != REVERSIBLE:
+        # irreversible cascades never round; serialization would drop the key
+        raise SpecFormatError(
+            '"rounding" applies to reversible cascades only', "$.rounding"
+        )
     name = doc.get("rounding", DEFAULT_ROUNDING.name)
     if not isinstance(name, str) or name not in ROUNDING_RULES:
         raise SpecFormatError(

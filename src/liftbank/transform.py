@@ -6,20 +6,31 @@ x1 to x0, update-1 steps the other way around), then scales the channels by
 1/K and K.  All filtering is circular at the subband rate: tap n of a
 lifting filter reads the neighbor (i - n) mod L.
 
+Both exact paths run on integer numerators - never on binary floats or
+per-sample ``Fraction`` arithmetic.  A filter becomes integer taps over the
+least common denominator of its coefficients.
+
 Reversible cascades keep every intermediate as an exact dyadic rational and
 round each update to an integer before adding it; the synthesis side
 recomputes the identical rounded update and subtracts it, which is what
-makes the transform bit-exact on integers.  Internally the dyadic
-arithmetic runs on integer numerators with a power-of-two shift - never on
-binary floats.
+makes the transform bit-exact on integers.  Their taps share a power-of-two
+denominator, so the rounding is a shift.
+
+Exact irreversible cascades hold each channel as integer numerators over
+one positive common denominator.  A step puts the destination and the
+filtered source over the lcm of their denominators and reduces by one gcd
+over the whole channel; ``Fraction`` objects are built only for the output
+samples.  Float cascades run the same lifting order on floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from .laurent import LaurentPoly, Scalar, as_scalar
+from .laurent import EXACT, LaurentPoly, Scalar, as_scalar
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -57,27 +68,14 @@ def _circular(taps: list[tuple[int, Scalar]], x: list, L: int) -> list:
     return out
 
 
-def _apply_base(matrix: PolyphaseMatrix, x0: list, x1: list, L: int) -> tuple[list, list]:
-    t00 = list(matrix.h00.items())
-    t01 = list(matrix.h01.items())
-    t10 = list(matrix.h10.items())
-    t11 = list(matrix.h11.items())
-    y0 = [a + b for a, b in zip(_circular(t00, x0, L), _circular(t01, x1, L))]
-    y1 = [a + b for a, b in zip(_circular(t10, x0, L), _circular(t11, x1, L))]
-    return y0, y1
+# -- exact paths: integer numerators ----------------------------------------
 
 
-# -- reversible integer path -------------------------------------------------
-
-
-def _shifted_taps(filt: LaurentPoly) -> tuple[list[tuple[int, int]], int]:
-    """Taps as integer numerators over a common power-of-two denominator."""
+def _int_taps(filt: LaurentPoly) -> tuple[list[tuple[int, int]], int]:
+    """Taps as integer numerators over the lcm of their denominators."""
     items = list(filt.items())
-    shift = 0
-    for _, c in items:
-        shift = max(shift, c.denominator.bit_length() - 1)
-    scale = 1 << shift
-    return [(n, int(c * scale)) for n, c in items], shift
+    den = lcm(*(c.denominator for _, c in items))
+    return [(n, c.numerator * (den // c.denominator)) for n, c in items], den
 
 
 def _reversible_pass(
@@ -85,10 +83,11 @@ def _reversible_pass(
 ) -> tuple[list[int], list[int]]:
     L = len(x0)
     rnd = cascade.rounding.apply_shifted
-    plans = [(s.update,) + _shifted_taps(s.filter) for s in cascade.steps]
+    plans = [(s.update,) + _int_taps(s.filter) for s in cascade.steps]
     order = reversed(plans) if inverse else plans
     sign = -1 if inverse else 1
-    for update, taps, shift in order:
+    for update, taps, den in order:
+        shift = den.bit_length() - 1  # den is a power of two: the taps are dyadic
         src = x1 if update == 0 else x0
         dst = x0 if update == 0 else x1
         for i in range(L):
@@ -99,13 +98,99 @@ def _reversible_pass(
     return x0, x1
 
 
+#: An exact channel: integer numerators over one positive denominator.
+_Channel = tuple[list[int], int]
+
+
+def _channel(values: list[Fraction]) -> _Channel:
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _filtered(taps: list[tuple[int, int]], q: int, x: _Channel, L: int) -> _Channel:
+    """Channel ``x`` filtered by integer taps over the denominator ``q``."""
+    nums, den = x
+    return _circular(taps, nums, L), q * den
+
+
+def _sum(a: _Channel, b: _Channel) -> _Channel:
+    """a + b over the lcm of their denominators, reduced by one gcd."""
+    (na, da), (nb, db) = a, b
+    den = lcm(da, db)
+    sa, sb = den // da, den // db
+    nums = [u * sa + v * sb for u, v in zip(na, nb)]
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = [v // g for v in nums]
+    return nums, den
+
+
+def _scaled(x: _Channel, r: Fraction) -> _Channel:
+    # a Fraction's denominator is positive, so a negative gain keeps den > 0
+    nums, den = x
+    return [v * r.numerator for v in nums], den * r.denominator
+
+
+def _exact_base(
+    matrix: PolyphaseMatrix, x0: _Channel, x1: _Channel, L: int
+) -> tuple[_Channel, _Channel]:
+    rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
+    y0, y1 = (
+        _sum(_filtered(*_int_taps(a), x0, L), _filtered(*_int_taps(b), x1, L))
+        for a, b in rows
+    )
+    return y0, y1
+
+
+def _exact_pass(
+    cascade: LiftingCascade, x0: list[Fraction], x1: list[Fraction], inverse: bool
+) -> tuple[list[Fraction], list[Fraction]]:
+    """The irreversible lifting order of :func:`_irreversible_pass`, exactly."""
+    L = len(x0)
+    k = cascade.k
+    c0, c1 = _channel(x0), _channel(x1)
+    if inverse:
+        c0, c1 = _scaled(c0, k), _scaled(c1, 1 / k)
+    elif cascade.base is not None:
+        c0, c1 = _exact_base(cascade.base, c0, c1, L)
+    for step in reversed(cascade.steps) if inverse else cascade.steps:
+        taps, q = _int_taps(step.filter)
+        if inverse:
+            taps = [(n, -c) for n, c in taps]
+        if step.update == 0:
+            c0 = _sum(c0, _filtered(taps, q, c1, L))
+        else:
+            c1 = _sum(c1, _filtered(taps, q, c0, L))
+    if not inverse:
+        c0, c1 = _scaled(c0, 1 / k), _scaled(c1, k)
+    elif cascade.base is not None:
+        c0, c1 = _exact_base(cascade.base.inverse(), c0, c1, L)
+    (n0, d0), (n1, d1) = c0, c1
+    return [Fraction(v, d0) for v in n0], [Fraction(v, d1) for v in n1]
+
+
+# -- float path ----------------------------------------------------------------
+
+
+def _apply_base(matrix: PolyphaseMatrix, x0: list, x1: list, L: int) -> tuple[list, list]:
+    t00 = list(matrix.h00.items())
+    t01 = list(matrix.h01.items())
+    t10 = list(matrix.h10.items())
+    t11 = list(matrix.h11.items())
+    y0 = [a + b for a, b in zip(_circular(t00, x0, L), _circular(t01, x1, L))]
+    y1 = [a + b for a, b in zip(_circular(t10, x0, L), _circular(t11, x1, L))]
+    return y0, y1
+
+
 def _irreversible_pass(
     cascade: LiftingCascade, x0: list, x1: list, inverse: bool
 ) -> tuple[list, list]:
     """Base, steps, gain; or, inverted, their inverses in reverse order.
 
-    An inverse step adds the update of its negated filter, so the taps are
-    negated once per step instead of once per sample.
+    Serves float cascades; exact ones run :func:`_exact_pass`.  An inverse
+    step adds the update of its negated filter, so the taps are negated once
+    per step instead of once per sample.
     """
     L = len(x0)
     k = cascade.k
@@ -125,6 +210,12 @@ def _irreversible_pass(
     if cascade.base is not None:
         x0, x1 = _apply_base(cascade.base.inverse(), x0, x1, L)
     return x0, x1
+
+
+def _pass_for(cascade: LiftingCascade):
+    if cascade.reversible:
+        return _reversible_pass
+    return _exact_pass if cascade.mode == EXACT else _irreversible_pass
 
 
 # -- public API ----------------------------------------------------------------
@@ -158,7 +249,7 @@ def analyze_signal(
             "(periodic extension needs whole sample pairs)"
         )
     x = _coerce(cascade, samples, "samples")
-    run = _reversible_pass if cascade.reversible else _irreversible_pass
+    run = _pass_for(cascade)
     x0, x1 = run(cascade, x[0::2], x[1::2], inverse=False)
     return SubbandPair(tuple(x0), tuple(x1))
 
@@ -183,7 +274,7 @@ def synthesize_signal(
         raise ValueError("empty subbands")
     y0 = _coerce(cascade, subbands.lowpass, "subbands")
     y1 = _coerce(cascade, subbands.highpass, "subbands")
-    run = _reversible_pass if cascade.reversible else _irreversible_pass
+    run = _pass_for(cascade)
     y0, y1 = run(cascade, y0, y1, inverse=True)
     out = [None] * (2 * L)
     out[0::2] = y0

@@ -179,6 +179,8 @@ _EXACT = '{"mode": "irreversible", %s, ' + _STEPS + "}"
         (_EXACT % ('"k": ' + "7" * 5000), "$"),
         (_EXACT % '"rounding": []', "$.rounding"),
         (_EXACT % '"rounding": {}', "$.rounding"),
+        (_EXACT % '"rounding": "floor"', "$.rounding"),
+        (_EXACT % '"k": "1e4000000"', "$.k"),
         (
             '{"mode": "irreversible", '
             '"steps": [{"update": 1.0, "taps": [{"n": 0, "c": 1}]}]}',
@@ -187,7 +189,7 @@ _EXACT = '{"mode": "irreversible", %s, ' + _STEPS + "}"
     ],
     ids=[
         "nan", "overflow", "5000-digit-int", "rounding-list", "rounding-object",
-        "update-float",
+        "rounding-irreversible", "huge-exponent", "update-float",
     ],
 )
 def test_malformed_spec_exits_two_with_a_path(tmp_path, capsys, text, where):
@@ -202,3 +204,15 @@ def test_malformed_spec_exits_two_with_a_path(tmp_path, capsys, text, where):
 def test_rescale_overflowing_kappa_exits_two(capsys):
     assert main(["rescale", spec("cdf97.json"), "--kappa", "1e400"]) == 2
     assert "--kappa: " in capsys.readouterr().err
+
+
+def test_rescale_huge_exponent_kappa_exits_two(capsys):
+    assert main(["rescale", spec("haar.json"), "--kappa", "1e4000000"]) == 2
+    assert "--kappa: " in capsys.readouterr().err
+
+
+def test_transform_huge_exponent_sample_exits_two(tmp_path, capsys):
+    sig = tmp_path / "sig.txt"
+    sig.write_text("1\n1e4000000\n")
+    assert main(["transform", spec("haar.json"), str(sig)]) == 2
+    assert f"{sig}:2: " in capsys.readouterr().err

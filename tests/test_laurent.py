@@ -20,6 +20,7 @@ from liftbank import (
     parse_scalar,
     scalar_is_dyadic,
 )
+from liftbank.laurent import MAX_SCALAR_DIGITS
 
 from conftest import lp
 
@@ -137,6 +138,19 @@ def test_parse_scalar_forms():
         parse_scalar("1/0")
     with pytest.raises(ValueError):
         parse_scalar("pi")
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_parse_scalar_bounds_the_decimal_size(mode):
+    for text in ("1e4000000", "-2.5E-4000000", "1" * 3000 + "." + "1" * 3000):
+        with pytest.raises(ValueError, match="digits"):
+            parse_scalar(text, mode)
+
+
+def test_largest_accepted_literals_serialize():
+    for text in ("1e4299", "1e-4299", "9" * MAX_SCALAR_DIGITS, "7/" + "3" * 4300):
+        x = parse_scalar(text)
+        assert parse_scalar(format_scalar(x)) == x
 
 
 def test_approx_eq():

@@ -112,6 +112,39 @@ def test_unknown_rounding_rule():
     assert err.where == "$.rounding"
 
 
+@pytest.mark.parametrize(
+    "mode, rounding, message",
+    [
+        ("irreversible", "floor", "reversible cascades only"),
+        ("reversible", [], "unknown rounding rule"),
+    ],
+    ids=["irreversible-floor", "reversible-list"],
+)
+def test_rounding_key_only_in_reversible_documents(mode, rounding, message):
+    # an irreversible cascade never rounds, and serialization drops the key,
+    # so accepting it would break parse(serialize(c)) == c
+    err = spec_error(json.dumps({
+        "mode": mode,
+        "rounding": rounding,
+        "steps": [{"update": 0, "taps": [{"n": 0, "c": 1}]}],
+    }))
+    assert message in str(err) and err.where == "$.rounding"
+
+
+def test_huge_decimal_exponent_located():
+    err = spec_error(json.dumps({
+        "mode": "irreversible",
+        "k": "1e4000000",
+        "steps": [{"update": 0, "taps": [{"n": 0, "c": "-1e-5000"}]}],
+    }))
+    assert "digits" in str(err) and err.where == "$.k"
+    err = spec_error(json.dumps({
+        "mode": "irreversible",
+        "steps": [{"update": 0, "taps": [{"n": 0, "c": "-1e-5000"}]}],
+    }))
+    assert err.where == "$.steps[0].taps[0].c"
+
+
 def test_unknown_top_level_key():
     err = spec_error(json.dumps({"mode": "reversible", "steps": [], "color": "red"}))
     assert "unknown key" in str(err) and err.where == "$"
@@ -239,6 +272,15 @@ def test_signal_file_error_names_line(tmp_path):
     with pytest.raises(SpecFormatError) as info:
         read_signal(path, reversible=True)
     assert info.value.where.endswith(":3")
+
+
+def test_signal_file_huge_exponent_names_line(tmp_path):
+    path = tmp_path / "sig.txt"
+    path.write_text("1\n1e4000000\n")
+    for mode in (EXACT, FLOAT):
+        with pytest.raises(SpecFormatError) as info:
+            read_signal(path, mode)
+        assert info.value.where == f"{path}:2"
 
 
 # -- non-finite floats and malformed documents: located errors, never tracebacks

@@ -1,10 +1,14 @@
 """Signal-domain transforms: reversible bit-exactness, float accuracy,
 and agreement with direct filtering."""
 
+import functools
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftbank import (
     FLOAT,
@@ -21,6 +25,7 @@ from liftbank.banks import cdf97, five_three, haar, wa_lifted_haar
 
 from conftest import (
     direct_filter,
+    lp,
     random_alternating_cascade,
     random_float_cascade,
     random_reversible_cascade,
@@ -157,3 +162,76 @@ def test_float_base_admitted_by_the_cascade_is_invertible():
     sig = [1.0, -2.0, 3.5, 0.25]
     recovered = synthesize_signal(cascade, analyze_signal(cascade, sig))
     assert max(abs(a - b) for a, b in zip(recovered, sig)) <= 1e-9
+
+
+# -- properties over random cascades -------------------------------------------
+
+# denominators 3, 5 and 7 keep the exact kernel off the dyadic special case
+_coeffs = st.builds(
+    F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 7])
+)
+_gains = st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 7))
+_filters = st.dictionaries(st.integers(-2, 2), _coeffs, min_size=1, max_size=3).map(lp)
+_steps = st.builds(LiftingStep, st.integers(0, 1), _filters)
+
+
+def _diagonal(a, b):
+    return PolyphaseMatrix(a, lp({}), lp({}), b)
+
+
+# unimodular base factors: a lifting step, diag(c, 1/c), diag(z^-d, z^d)
+_base_factors = (
+    _steps.map(LiftingStep.matrix)
+    | _gains.map(lambda c: _diagonal(lp({0: c}), lp({0: 1 / c})))
+    | st.integers(-2, 2).map(lambda d: _diagonal(lp({d: 1}), lp({-d: 1})))
+)
+_exact_cascades = st.builds(
+    LiftingCascade,
+    st.lists(_steps, max_size=4),
+    k=_gains,
+    base=st.none()
+    | st.lists(_base_factors, min_size=1, max_size=2).map(
+        lambda ms: functools.reduce(operator.matmul, ms)
+    ),
+)
+
+
+def _signals(samples):
+    """Even-length signals of 2 to 32 samples."""
+    return st.integers(1, 16).flatmap(
+        lambda n: st.lists(samples, min_size=2 * n, max_size=2 * n)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _exact_cascades,
+    _signals(st.integers(-999, 999) | st.fractions(-999, 999, max_denominator=60)),
+)
+def test_exact_transform_matches_direct_filtering_and_inverts(cascade, sig):
+    bands = analyze_signal(cascade, sig)
+    assert bands == direct_filter(cascade, sig)
+    assert all(type(v) is F for v in bands.lowpass + bands.highpass)
+    assert synthesize_signal(cascade, bands) == sig
+
+
+_float_filters = st.dictionaries(
+    st.integers(-2, 2), st.floats(-1.5, 1.5).filter(bool), min_size=1, max_size=3
+).map(lambda taps: LaurentPoly(taps, FLOAT))
+_float_cascades = st.builds(
+    lambda steps, k: LiftingCascade(steps, k=k, mode=FLOAT),
+    st.lists(st.builds(LiftingStep, st.integers(0, 1), _float_filters), max_size=4),
+    st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _float_cascades,
+    # no magnitudes where products underflow and round-off stops being relative
+    _signals(st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) >= 1e-6)),
+)
+def test_float_round_trip_within_amplitude(cascade, sig):
+    recovered = synthesize_signal(cascade, analyze_signal(cascade, sig))
+    amplitude = max(abs(v) for v in sig)
+    assert max(abs(a - b) for a, b in zip(recovered, sig)) <= 1e-9 * amplitude
