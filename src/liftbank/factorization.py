@@ -99,70 +99,42 @@ def factor_lifting(
             f"matrix is not unimodular: det = {matrix.determinant()}"
         )
 
-    h00, h01, h10, h11 = matrix.entries()
+    m = matrix
     # ops hold (update, g): the applied left factor had off-diagonal filter g
     ops: list[tuple[int, LaurentPoly]] = []
 
-    def apply_upper(g: LaurentPoly) -> None:
-        # row0 += g * row1
-        nonlocal h00, h01
-        if g.is_zero:
-            return
-        h00 = h00 + g * h10
-        h01 = h01 + g * h11
-        ops.append((0, g))
-
-    def apply_lower(g: LaurentPoly) -> None:
-        # row1 += g * row0
-        nonlocal h10, h11
-        if g.is_zero:
-            return
-        h10 = h10 + g * h00
-        h11 = h11 + g * h01
-        ops.append((1, g))
-
     # Euclidean phase: shrink the first column until one entry dies.
-    while not h00.is_zero and not h10.is_zero:
-        span0, span1 = h00.span(), h10.span()
-        if span0 > span1:
-            reduce_low = True
-        elif span0 < span1:
-            reduce_low = False
+    column = (m.h00, m.h10)
+    while not column[0].is_zero and not column[1].is_zero:
+        span0, span1 = column[0].span(), column[1].span()
+        if span0 != span1:
+            u = 0 if span0 > span1 else 1
         else:
-            reduce_low = strategy.first_channel == LOWPASS_FIRST
-        if reduce_low:
-            quotient = LaurentPoly.zero()
-            while not h00.is_zero and h00.span() >= h10.span():
-                m = _monomial_quotient(h00, h10, strategy.reduction)
-                quotient = quotient + m
-                h00 = h00 - m * h10
-                h01 = h01 - m * h11
-            if not quotient.is_zero:
-                ops.append((0, -quotient))
-        else:
-            quotient = LaurentPoly.zero()
-            while not h10.is_zero and h10.span() >= h00.span():
-                m = _monomial_quotient(h10, h00, strategy.reduction)
-                quotient = quotient + m
-                h10 = h10 - m * h00
-                h11 = h11 - m * h01
-            if not quotient.is_zero:
-                ops.append((1, -quotient))
+            u = 0 if strategy.first_channel == LOWPASS_FIRST else 1
+        quotient = LaurentPoly.zero()
+        while not column[u].is_zero and column[u].span() >= column[1 - u].span():
+            q = _monomial_quotient(column[u], column[1 - u], strategy.reduction)
+            quotient = quotient + q
+            m = m.lifted(u, -q)
+            column = (m.h00, m.h10)
+        if not quotient.is_zero:
+            ops.append((u, -quotient))
 
     # Cleanup phase: clear the remaining off-diagonal entry.
+    h00, h01, h10, h11 = m.entries()
     if h10.is_zero:
-        # det = h00 * h11 = 1, so h00 is a unit (a monomial)
-        if not h01.is_zero:
-            apply_upper(-(h01 * h00))  # h11 = 1/h00
+        # det = h00 * h11 = 1, so h00 is a unit (a monomial) and h11 = 1/h00
+        cleanup = [(0, -(h01 * h00))]
     else:
-        # first column is (0, h10); det forces h01 = -1/h10
-        if not h11.is_zero:
-            apply_lower(h11 * h10)
-        # now antidiagonal [[0, w], [c, 0]] with w*c = -1: lift the swap away
-        c = h10
-        apply_upper(h01.scaled(-1))  # -w = 1/c
-        apply_lower(-c)
-        apply_upper(h01.scaled(-1))  # h01 is still w here; clear it with -w
+        # first column is (0, h10); det forces h01 = -1/h10.  Clearing h11
+        # leaves the antidiagonal [[0, w], [c, 0]] with w*c = -1, and three
+        # steps lift the swap away; the first two leave h01 = w untouched.
+        cleanup = [(1, h11 * h10), (0, -h01), (1, -h10), (0, -h01)]
+    for u, g in cleanup:
+        if not g.is_zero:
+            m = m.lifted(u, g)
+            ops.append((u, g))
+    h00, h01, h10, h11 = m.entries()
 
     if not (h01.is_zero and h10.is_zero):
         raise FactorizationError("reduction failed to diagonalize")

@@ -38,6 +38,18 @@ Scalar = Union[Fraction, float]
 MAX_SCALAR_DIGITS = 4300
 
 
+#: Most characters of an offending input that an error message echoes.
+MAX_ECHO_CHARS = 64
+
+
+def clip_repr(value) -> str:
+    """``repr(value)`` cut to :data:`MAX_ECHO_CHARS` characters for a message."""
+    text = repr(value)
+    if len(text) <= MAX_ECHO_CHARS:
+        return text
+    return text[: MAX_ECHO_CHARS - 3] + "..."
+
+
 class ModeError(ValueError):
     """Raised when exact and float arithmetic would be mixed."""
 
@@ -71,7 +83,8 @@ def as_scalar(value, mode: str = EXACT) -> Scalar:
         if not isfinite(x):
             raise ValueError(f"float scalars must be finite, got {x!r}")
         return x
-    _check_mode(mode)
+    if mode != EXACT:  # FLOAT returned above
+        _check_mode(mode)
     if type(value) is Fraction:  # immutable: shared, not rebuilt
         return value
     if isinstance(value, bool):
@@ -110,7 +123,7 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     try:
         value = Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid scalar literal {text!r}") from exc
+        raise ValueError(f"invalid scalar literal {clip_repr(text)}") from exc
     return value if mode == EXACT else as_scalar(value, FLOAT)
 
 

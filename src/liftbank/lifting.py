@@ -310,13 +310,16 @@ class LiftingCascade:
             raise IndexError(f"partial product index {n} out of range")
         acc = self.base if self.base is not None else PolyphaseMatrix.identity(self.mode)
         for s in self.steps[: n + 1]:
-            acc = s.matrix() @ acc
+            acc = acc.lifted(s.update, s.filter)
         return acc
 
     def evaluate(self) -> PolyphaseMatrix:
         """The analysis polyphase matrix diag(1/K, K) * steps * base."""
-        e = self.partial_product(len(self.steps) - 1)
-        return PolyphaseMatrix.gain(self.k, self.mode) @ e
+        h00, h01, h10, h11 = self.partial_product(len(self.steps) - 1).entries()
+        inv_k = 1 / self.k
+        return PolyphaseMatrix(
+            h00.scaled(inv_k), h01.scaled(inv_k), h10.scaled(self.k), h11.scaled(self.k)
+        )
 
     def to_filters(self) -> FilterPair:
         return self.evaluate().to_filters()

@@ -10,8 +10,11 @@ in the DC recursion:
 * reversible: the same value must equal 1 (and K is 1 by construction).
 
 Either way the selected B equals the unnormalized lowpass DC gain E_0(1),
-so compliance is exactly "lowpass DC gain of the full bank is 1".  For
-N = 1 with m_init = 1 the selected value is B_{-1} = 1, which forces K = 1.
+the lowpass entry of the last DC vector, so compliance is exactly "lowpass
+DC gain of the full bank is 1", and the verdict is decided on E_0(1).  For
+N = 1 with m_init = 1 the selected value is B_{-1} = 1, which forces K = 1;
+over a base, B_{-1} is the scalar recursion's 1 while E_0(1) is the base's
+lowpass DC gain, and the verdict follows E_0(1).
 
 Cascades whose steps do not alternate are outside the recursion's premises
 and get the verdict "not-applicable".
@@ -100,7 +103,8 @@ def check_part2(cascade: LiftingCascade) -> ComplianceReport:
     m_init = cascade.m_init()
     trace = cascade.dc_trace()
     idx = _selected_b_index(cascade.n_steps, m_init)
-    actual = trace.b_at(idx)
+    actual = trace.vector_at(cascade.n_steps - 1)[0]  # E_0(1)
+    name = f"B_{idx}" if actual == trace.b_at(idx) else "E_0(1)"
     required = as_scalar(1, cascade.mode) if cascade.reversible else cascade.k
 
     if cascade.mode == EXACT:
@@ -117,7 +121,7 @@ def check_part2(cascade: LiftingCascade) -> ComplianceReport:
         kind = "reversible" if cascade.reversible else "irreversible"
         reasons.insert(
             0,
-            f"B_{idx} = {format_scalar(actual)} != {format_scalar(required)}"
+            f"{name} = {format_scalar(actual)} != {format_scalar(required)}"
             f" ({kind} requirement)",
         )
 

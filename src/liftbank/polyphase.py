@@ -26,7 +26,6 @@ from .laurent import (
     LaurentPoly,
     ModeError,
     Scalar,
-    as_scalar,
 )
 
 #: Tolerance admitting float-mode matrices as unimodular (det = 1).
@@ -87,14 +86,6 @@ class PolyphaseMatrix:
         )
 
     @classmethod
-    def gain(cls, k, mode: str = EXACT) -> "PolyphaseMatrix":
-        """The scaling matrix diag(1/K, K)."""
-        kk = as_scalar(k, mode)
-        if kk == 0:
-            raise ValueError("gain K must be nonzero")
-        return cls.diagonal(1 / kk, kk, mode)
-
-    @classmethod
     def from_filters(cls, pair: FilterPair) -> "PolyphaseMatrix":
         """Invert the scalar-filter correspondence (exact round-trip)."""
         mode = pair.mode
@@ -126,6 +117,18 @@ class PolyphaseMatrix:
             c * e + d * g,
             c * f + d * h,
         )
+
+    def lifted(self, update: int, g: LaurentPoly) -> "PolyphaseMatrix":
+        """``LiftingStep(update, g).matrix() @ self`` as one row update.
+
+        Row ``update`` gains ``g`` times the other row: 2 polynomial products
+        instead of the 8 of a full ``@``.  The operands keep the order of
+        that product, so float results are bit-identical to it.
+        """
+        a, b, c, d = self.entries()
+        if update == 0:
+            return PolyphaseMatrix(a + g * c, b + g * d, c, d)
+        return PolyphaseMatrix(a, b, g * a + c, g * b + d)
 
     def determinant(self) -> LaurentPoly:
         return self.h00 * self.h11 - self.h01 * self.h10

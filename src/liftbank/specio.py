@@ -27,7 +27,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar, parse_scalar
+from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar, clip_repr, parse_scalar
 from .lifting import (
     DEFAULT_ROUNDING,
     ROUNDING_RULES,
@@ -73,7 +73,7 @@ def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
             raise SpecFormatError('tap must be an object with keys "n" and "c"', spot)
         n = item["n"]
         if not isinstance(n, int) or isinstance(n, bool):
-            raise SpecFormatError(f"tap index must be an integer, got {n!r}", spot)
+            raise SpecFormatError(f"tap index must be an integer, got {clip_repr(n)}", spot)
         if n in taps:
             raise SpecFormatError(f"duplicate tap index {n}", spot)
         taps[n] = _scalar_from_json(item["c"], mode, f"{spot}.c")
@@ -107,19 +107,19 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
     known = {"mode", "arithmetic", "k", "rounding", "base", "steps"}
     for key in doc:
         if key not in known:
-            raise SpecFormatError(f"unknown key {key!r}", "$")
+            raise SpecFormatError(f"unknown key {clip_repr(key)}", "$")
 
     mode_txt = doc.get("mode")
     if mode_txt not in (REVERSIBLE, IRREVERSIBLE):
         raise SpecFormatError(
-            f'"mode" must be "{REVERSIBLE}" or "{IRREVERSIBLE}", got {mode_txt!r}',
+            f'"mode" must be "{REVERSIBLE}" or "{IRREVERSIBLE}", got {clip_repr(mode_txt)}',
             "$.mode",
         )
 
     arithmetic = doc.get("arithmetic", EXACT)
     if arithmetic not in (EXACT, FLOAT):
         raise SpecFormatError(
-            f'"arithmetic" must be "{EXACT}" or "{FLOAT}", got {arithmetic!r}',
+            f'"arithmetic" must be "{EXACT}" or "{FLOAT}", got {clip_repr(arithmetic)}',
             "$.arithmetic",
         )
 
@@ -133,7 +133,7 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
     name = doc.get("rounding", DEFAULT_ROUNDING.name)
     if not isinstance(name, str) or name not in ROUNDING_RULES:
         raise SpecFormatError(
-            f"unknown rounding rule {name!r}; known: "
+            f"unknown rounding rule {clip_repr(name)}; known: "
             + ", ".join(sorted(ROUNDING_RULES)),
             "$.rounding",
         )
@@ -300,12 +300,12 @@ def parse_sample(text: str, mode: str, reversible: bool, where: str):
             return int(t)
         except ValueError:
             raise SpecFormatError(
-                f"reversible signals need integer samples, got {t!r}", where
+                f"reversible signals need integer samples, got {clip_repr(t)}", where
             )
     try:
         return parse_scalar(t, mode)
     except ValueError:
-        raise SpecFormatError(f"invalid sample {t!r}", where) from None
+        raise SpecFormatError(f"invalid sample {clip_repr(t)}", where) from None
 
 
 def read_signal(path, mode: str = EXACT, reversible: bool = False) -> list:

@@ -6,13 +6,16 @@ x1 to x0, update-1 steps the other way around), then scales the channels by
 1/K and K.  All filtering is circular at the subband rate: tap n of a
 lifting filter reads the neighbor (i - n) mod L.
 
-Both exact paths run on integer numerators - never on binary floats or
-per-sample ``Fraction`` arithmetic.  A filter becomes integer taps over the
-least common denominator of its coefficients.
+Every transform runs one lifting order: base, steps, gain; the synthesis
+side undoes the gain, then each step in reverse by subtracting the update
+that step added, then the base.  Only the channel arithmetic differs, and it
+is picked once per transform.  Neither exact arithmetic touches binary
+floats or per-sample ``Fraction`` arithmetic: a filter becomes integer taps
+over the least common denominator of its coefficients.
 
 Reversible cascades keep every intermediate as an exact dyadic rational and
-round each update to an integer before adding it; the synthesis side
-recomputes the identical rounded update and subtracts it, which is what
+round each update to an integer before adding it in place; the synthesis
+side recomputes the identical rounded update and subtracts it, which is what
 makes the transform bit-exact on integers.  Their taps share a power-of-two
 denominator, so the rounding is a shift.
 
@@ -20,7 +23,7 @@ Exact irreversible cascades hold each channel as integer numerators over
 one positive common denominator.  A step puts the destination and the
 filtered source over the lcm of their denominators and reduces by one gcd
 over the whole channel; ``Fraction`` objects are built only for the output
-samples.  Float cascades run the same lifting order on floats.
+samples.  Float cascades hold plain lists of floats.
 """
 
 from __future__ import annotations
@@ -78,26 +81,6 @@ def _int_taps(filt: LaurentPoly) -> tuple[list[tuple[int, int]], int]:
     return [(n, c.numerator * (den // c.denominator)) for n, c in items], den
 
 
-def _reversible_pass(
-    cascade: LiftingCascade, x0: list[int], x1: list[int], inverse: bool
-) -> tuple[list[int], list[int]]:
-    L = len(x0)
-    rnd = cascade.rounding.apply_shifted
-    plans = [(s.update,) + _int_taps(s.filter) for s in cascade.steps]
-    order = reversed(plans) if inverse else plans
-    sign = -1 if inverse else 1
-    for update, taps, den in order:
-        shift = den.bit_length() - 1  # den is a power of two: the taps are dyadic
-        src = x1 if update == 0 else x0
-        dst = x0 if update == 0 else x1
-        for i in range(L):
-            acc = 0
-            for n, c in taps:
-                acc += c * src[(i - n) % L]
-            dst[i] += sign * rnd(acc, shift)
-    return x0, x1
-
-
 #: An exact channel: integer numerators over one positive denominator.
 _Channel = tuple[list[int], int]
 
@@ -105,12 +88,6 @@ _Channel = tuple[list[int], int]
 def _channel(values: list[Fraction]) -> _Channel:
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _filtered(taps: list[tuple[int, int]], q: int, x: _Channel, L: int) -> _Channel:
-    """Channel ``x`` filtered by integer taps over the denominator ``q``."""
-    nums, den = x
-    return _circular(taps, nums, L), q * den
 
 
 def _sum(a: _Channel, b: _Channel) -> _Channel:
@@ -132,90 +109,81 @@ def _scaled(x: _Channel, r: Fraction) -> _Channel:
     return [v * r.numerator for v in nums], den * r.denominator
 
 
-def _exact_base(
-    matrix: PolyphaseMatrix, x0: _Channel, x1: _Channel, L: int
-) -> tuple[_Channel, _Channel]:
-    rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
-    y0, y1 = (
-        _sum(_filtered(*_int_taps(a), x0, L), _filtered(*_int_taps(b), x1, L))
-        for a, b in rows
-    )
-    return y0, y1
-
-
-def _exact_pass(
-    cascade: LiftingCascade, x0: list[Fraction], x1: list[Fraction], inverse: bool
-) -> tuple[list[Fraction], list[Fraction]]:
-    """The irreversible lifting order of :func:`_irreversible_pass`, exactly."""
-    L = len(x0)
-    k = cascade.k
-    c0, c1 = _channel(x0), _channel(x1)
-    if inverse:
-        c0, c1 = _scaled(c0, k), _scaled(c1, 1 / k)
-    elif cascade.base is not None:
-        c0, c1 = _exact_base(cascade.base, c0, c1, L)
-    for step in reversed(cascade.steps) if inverse else cascade.steps:
-        taps, q = _int_taps(step.filter)
-        if inverse:
-            taps = [(n, -c) for n, c in taps]
-        if step.update == 0:
-            c0 = _sum(c0, _filtered(taps, q, c1, L))
-        else:
-            c1 = _sum(c1, _filtered(taps, q, c0, L))
-    if not inverse:
-        c0, c1 = _scaled(c0, 1 / k), _scaled(c1, k)
-    elif cascade.base is not None:
-        c0, c1 = _exact_base(cascade.base.inverse(), c0, c1, L)
-    (n0, d0), (n1, d1) = c0, c1
-    return [Fraction(v, d0) for v in n0], [Fraction(v, d1) for v in n1]
-
-
-# -- float path ----------------------------------------------------------------
-
-
-def _apply_base(matrix: PolyphaseMatrix, x0: list, x1: list, L: int) -> tuple[list, list]:
-    t00 = list(matrix.h00.items())
-    t01 = list(matrix.h01.items())
-    t10 = list(matrix.h10.items())
-    t11 = list(matrix.h11.items())
-    y0 = [a + b for a, b in zip(_circular(t00, x0, L), _circular(t01, x1, L))]
-    y1 = [a + b for a, b in zip(_circular(t10, x0, L), _circular(t11, x1, L))]
-    return y0, y1
-
-
-def _irreversible_pass(
+def _lift(
     cascade: LiftingCascade, x0: list, x1: list, inverse: bool
 ) -> tuple[list, list]:
     """Base, steps, gain; or, inverted, their inverses in reverse order.
 
-    Serves float cascades; exact ones run :func:`_exact_pass`.  An inverse
-    step adds the update of its negated filter, so the taps are negated once
-    per step instead of once per sample.
+    This is the lifting order of every transform.  The channel arithmetic
+    is picked once: ``update(dst, filt, src, sign)`` returns ``dst`` plus
+    ``sign`` times ``src`` filtered by ``filt``, and ``mul``/``div`` scale
+    a channel by K.  An inverse step subtracts its forward step's update.
     """
     L = len(x0)
-    k = cascade.k
+    load = out = lambda x: x
+    if cascade.reversible:  # K = 1 and no base, by the cascade invariant
+        rnd = cascade.rounding.apply_shifted
+
+        def update(
+            dst: list[int], filt: LaurentPoly, src: list[int], sign: int
+        ) -> list[int]:
+            # in place: the inverse recomputes the same rounded update
+            taps, den = _int_taps(filt)
+            shift = den.bit_length() - 1  # den is a power of two: the taps are dyadic
+            for i in range(L):
+                acc = 0
+                for n, c in taps:
+                    acc += c * src[(i - n) % L]
+                dst[i] += sign * rnd(acc, shift)
+            return dst
+
+        mul = div = lambda x, k: x
+    elif cascade.mode == EXACT:
+
+        def update(
+            dst: _Channel, filt: LaurentPoly, src: _Channel, sign: int
+        ) -> _Channel:
+            taps, q = _int_taps(filt)
+            nums, den = src
+            signed = [(n, sign * c) for n, c in taps]
+            return _sum(dst, (_circular(signed, nums, L), q * den))
+
+        load, zero = _channel, ([0] * L, 1)
+        out = lambda x: [Fraction(v, x[1]) for v in x[0]]
+        mul, div = _scaled, lambda x, k: _scaled(x, 1 / k)
+    else:
+
+        def update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
+            signed = [(n, sign * c) for n, c in filt.items()]
+            return [a + u for a, u in zip(dst, _circular(signed, src, L))]
+
+        zero = [0] * L
+        mul = lambda x, k: [v * k for v in x]
+        div = lambda x, k: [v / k for v in x]
+
+    def apply_base(matrix: PolyphaseMatrix, c0, c1) -> tuple:
+        # each row sums two updates of a zero channel; 0 + u is exactly u,
+        # as a circular sum is never -0.0
+        rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
+        return tuple(update(update(zero, a, c0, 1), b, c1, 1) for a, b in rows)
+
+    k, base = cascade.k, cascade.base
+    c0, c1 = load(x0), load(x1)
     if inverse:
-        x0 = [v * k for v in x0]
-        x1 = [v / k for v in x1]
-    elif cascade.base is not None:
-        x0, x1 = _apply_base(cascade.base, x0, x1, L)
+        c0, c1 = mul(c0, k), div(c1, k)
+    elif base is not None:
+        c0, c1 = apply_base(base, c0, c1)
+    sign = -1 if inverse else 1
     for step in reversed(cascade.steps) if inverse else cascade.steps:
-        taps = list((-step.filter if inverse else step.filter).items())
         if step.update == 0:
-            x0 = [a + u for a, u in zip(x0, _circular(taps, x1, L))]
+            c0 = update(c0, step.filter, c1, sign)
         else:
-            x1 = [a + u for a, u in zip(x1, _circular(taps, x0, L))]
+            c1 = update(c1, step.filter, c0, sign)
     if not inverse:
-        return [v / k for v in x0], [v * k for v in x1]
-    if cascade.base is not None:
-        x0, x1 = _apply_base(cascade.base.inverse(), x0, x1, L)
-    return x0, x1
-
-
-def _pass_for(cascade: LiftingCascade):
-    if cascade.reversible:
-        return _reversible_pass
-    return _exact_pass if cascade.mode == EXACT else _irreversible_pass
+        c0, c1 = div(c0, k), mul(c1, k)
+    elif base is not None:
+        c0, c1 = apply_base(base.inverse(), c0, c1)
+    return out(c0), out(c1)
 
 
 # -- public API ----------------------------------------------------------------
@@ -249,8 +217,7 @@ def analyze_signal(
             "(periodic extension needs whole sample pairs)"
         )
     x = _coerce(cascade, samples, "samples")
-    run = _pass_for(cascade)
-    x0, x1 = run(cascade, x[0::2], x[1::2], inverse=False)
+    x0, x1 = _lift(cascade, x[0::2], x[1::2], inverse=False)
     return SubbandPair(tuple(x0), tuple(x1))
 
 
@@ -274,8 +241,7 @@ def synthesize_signal(
         raise ValueError("empty subbands")
     y0 = _coerce(cascade, subbands.lowpass, "subbands")
     y1 = _coerce(cascade, subbands.highpass, "subbands")
-    run = _pass_for(cascade)
-    y0, y1 = run(cascade, y0, y1, inverse=True)
+    y0, y1 = _lift(cascade, y0, y1, inverse=True)
     out = [None] * (2 * L)
     out[0::2] = y0
     out[1::2] = y1

@@ -216,3 +216,46 @@ def test_transform_huge_exponent_sample_exits_two(tmp_path, capsys):
     sig.write_text("1\n1e4000000\n")
     assert main(["transform", spec("haar.json"), str(sig)]) == 2
     assert f"{sig}:2: " in capsys.readouterr().err
+
+
+_LONG = "1e" + "9" * 5000  # a 5002-character literal
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_EXACT % f'"k": "{_LONG}"', "$.k"),
+        (_FLOAT % f'"k": "{_LONG}"', "$.k"),
+        (_EXACT % f'"k": "{"x" * 4000}"', "$.k"),
+        (_EXACT % f'"{"x" * 5000}": 1', "$"),
+        ('{"mode": "%s", %s}' % ("x" * 5000, _STEPS), "$.mode"),
+    ],
+    ids=["exact-k", "float-k", "garbage-k", "key", "mode"],
+)
+def test_long_spec_literal_gives_a_bounded_error(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: "), err[:200]
+    assert len(err) < 200, err[:200]
+
+
+@pytest.mark.parametrize(
+    "name, literal",
+    [("haar.json", _LONG), ("cdf97.json", _LONG), ("fivethree.json", "9" * 5000 + "x")],
+    ids=["exact", "float", "reversible"],
+)
+def test_long_sample_gives_a_bounded_error(tmp_path, capsys, name, literal):
+    sig = tmp_path / "sig.txt"
+    sig.write_text(f"1\n{literal}\n")
+    assert main(["transform", spec(name), str(sig)]) == 2
+    err = capsys.readouterr().err
+    assert f"{sig}:2: " in err
+    assert len(err) < 200 + len(str(sig)), err[:200]
+
+
+def test_long_kappa_gives_a_bounded_error(capsys):
+    assert main(["rescale", spec("haar.json"), "--kappa", _LONG]) == 2
+    err = capsys.readouterr().err
+    assert "--kappa: " in err and len(err) < 200, err[:200]

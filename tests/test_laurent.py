@@ -20,7 +20,7 @@ from liftbank import (
     parse_scalar,
     scalar_is_dyadic,
 )
-from liftbank.laurent import MAX_SCALAR_DIGITS
+from liftbank.laurent import MAX_ECHO_CHARS, MAX_SCALAR_DIGITS
 
 from conftest import lp
 
@@ -145,6 +145,22 @@ def test_parse_scalar_bounds_the_decimal_size(mode):
     for text in ("1e4000000", "-2.5E-4000000", "1" * 3000 + "." + "1" * 3000):
         with pytest.raises(ValueError, match="digits"):
             parse_scalar(text, mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_invalid_literal_error_is_bounded(mode):
+    with pytest.raises(ValueError) as info:
+        parse_scalar("1e" + "9" * 5000, mode)
+    assert str(info.value).startswith("invalid scalar literal '1e999")
+    assert len(str(info.value)) <= len("invalid scalar literal ") + MAX_ECHO_CHARS
+    with pytest.raises(ValueError, match="^invalid scalar literal 'pi'$"):
+        parse_scalar("pi", mode)
+
+
+@pytest.mark.parametrize("value", [F(1, 2), 3, "1/2", 0.5])
+def test_unknown_mode_is_refused_for_every_value(value):
+    with pytest.raises(ModeError, match="unknown arithmetic mode"):
+        as_scalar(value, "decimal")
 
 
 def test_largest_accepted_literals_serialize():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,12 +11,13 @@ from liftbank import (
     LaurentPoly,
     LiftingCascade,
     LiftingStep,
+    PolyphaseMatrix,
     analyze,
     check_part2,
 )
 from liftbank.banks import cdf97, dc_counterexample, five_three, haar, wa_lifted_haar
 
-from conftest import lp, step
+from conftest import lp, random_alternating_cascade, step
 
 
 def test_haar_compliant():
@@ -72,6 +74,31 @@ def test_single_highpass_step_pins_b_minus_one():
     r = check_part2(c)
     assert r.selected_index == -1 and r.compliant
     assert not check_part2(c.replace(k=F(2))).compliant
+
+
+def test_single_highpass_step_over_a_base_decides_on_lowpass_dc():
+    # the step leaves the lowpass entry at the base's DC gain 2, not B_{-1} = 1
+    base = PolyphaseMatrix.diagonal(2, F(1, 2))
+    c = LiftingCascade([step(1, {0: -1})], base=base)
+    assert analyze(c).dc_lowpass == 2
+    r = check_part2(c)
+    assert r.verdict == NON_COMPLIANT
+    assert r.selected_index == -1 and r.actual_b == 2
+    assert r.reasons == ("E_0(1) = 2 != 1 (irreversible requirement)",)
+    assert check_part2(c.replace(k=2)).compliant
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_verdict_is_lowpass_dc_gain_over_a_base(seed):
+    rng = random.Random(seed)
+    c = random_alternating_cascade(rng, max_steps=3)
+    scale = rng.choice((F(1), F(2), F(-1, 3)))
+    c = c.replace(base=PolyphaseMatrix.diagonal(scale, 1 / scale))
+    e0 = analyze(c).dc_lowpass * c.k  # the unnormalized lowpass DC gain
+    for k in (c.k, e0) if e0 else (c.k,):
+        r = check_part2(c.replace(k=k))
+        assert r.actual_b == e0
+        assert r.compliant == (analyze(c.replace(k=k)).dc_lowpass == 1)
 
 
 def test_non_alternating_not_applicable():

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liftbank import EXACT, FLOAT, FilterPair, LaurentPoly, PolyphaseMatrix
+from liftbank import (
+    EXACT,
+    FLOAT,
+    FilterPair,
+    LaurentPoly,
+    LiftingCascade,
+    LiftingStep,
+    PolyphaseMatrix,
+)
 from liftbank.banks import haar_base
 
 from conftest import lp
@@ -12,6 +20,13 @@ from conftest import lp
 coeffs = st.fractions(min_value=-32, max_value=32, max_denominator=32)
 polys = st.dictionaries(st.integers(-4, 4), coeffs, max_size=4).map(LaurentPoly)
 matrices = st.tuples(polys, polys, polys, polys).map(lambda t: PolyphaseMatrix(*t))
+float_coeffs = st.floats(-32, 32, allow_nan=False).filter(lambda x: x != 0)
+float_polys = st.dictionaries(st.integers(-4, 4), float_coeffs, max_size=4).map(
+    lambda d: LaurentPoly(d, FLOAT)
+)
+float_matrices = st.tuples(float_polys, float_polys, float_polys, float_polys).map(
+    lambda t: PolyphaseMatrix(*t)
+)
 
 
 def test_haar_matrix_entries():
@@ -26,11 +41,13 @@ def test_haar_matrix_entries():
 def test_identity_and_gain():
     i = PolyphaseMatrix.identity()
     assert i.is_identity()
-    g = PolyphaseMatrix.gain(F(2))
+    # the gain diag(1/K, K) is what a cascade without steps evaluates to
+    g = LiftingCascade([], k=F(2)).evaluate()
+    assert g == PolyphaseMatrix.diagonal(F(1, 2), 2)
     assert g.h00 == lp({0: F(1, 2)}) and g.h11 == lp({0: 2})
     assert g.h01.is_zero and g.h10.is_zero
     with pytest.raises(ValueError):
-        PolyphaseMatrix.gain(0)
+        LiftingCascade([], k=0)
 
 
 @given(matrices, matrices)
@@ -59,6 +76,25 @@ def test_matmul_oracle():
     assert p.h01 == s
     assert p.h10 == t
     assert p.h11 == lp({0: 1})
+
+
+@given(
+    st.one_of(
+        st.tuples(matrices, polys),
+        st.tuples(float_matrices, float_polys),
+    ).filter(lambda t: not t[1].is_zero),
+    st.sampled_from((0, 1)),
+)
+def test_lifted_is_the_step_matrix_product(pair, update):
+    m, g = pair
+    ref = LiftingStep(update, g).matrix() @ m
+    out = m.lifted(update, g)
+    assert out == ref
+    # same taps inserted in the same order: later float sums accumulate
+    # their terms in that order, so this is what keeps them bit-identical
+    assert [list(e.taps().items()) for e in out.entries()] == [
+        list(e.taps().items()) for e in ref.entries()
+    ]
 
 
 def test_filter_extraction_oracle():

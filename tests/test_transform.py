@@ -21,7 +21,7 @@ from liftbank import (
     analyze_signal,
     synthesize_signal,
 )
-from liftbank.banks import cdf97, five_three, haar, wa_lifted_haar
+from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
 
 from conftest import (
     direct_filter,
@@ -162,6 +162,63 @@ def test_float_base_admitted_by_the_cascade_is_invertible():
     sig = [1.0, -2.0, 3.5, 0.25]
     recovered = synthesize_signal(cascade, analyze_signal(cascade, sig))
     assert max(abs(a - b) for a, b in zip(recovered, sig)) <= 1e-9
+
+
+def _float_reference(cascade, x0, x1, inverse):
+    """Float lifting written out sample by sample, one IEEE operation order.
+
+    An update sums ``c * src[i - n]`` over ascending taps starting from 0;
+    an inverse step subtracts the update its forward step added.
+    """
+    L = len(x0)
+
+    def filtered(filt, src):
+        out = []
+        for i in range(L):
+            acc = 0
+            for n, c in filt.items():
+                acc += c * src[(i - n) % L]
+            out.append(acc)
+        return out
+
+    def based(m, a, b):
+        return tuple(
+            [u + v for u, v in zip(filtered(p, a), filtered(q, b))]
+            for p, q in ((m.h00, m.h01), (m.h10, m.h11))
+        )
+
+    k, base = cascade.k, cascade.base
+    if inverse:
+        x0, x1 = [v * k for v in x0], [v / k for v in x1]
+        for s in reversed(cascade.steps):
+            if s.update == 0:
+                x0 = [a - u for a, u in zip(x0, filtered(s.filter, x1))]
+            else:
+                x1 = [a - u for a, u in zip(x1, filtered(s.filter, x0))]
+        return based(base.inverse(), x0, x1) if base is not None else (x0, x1)
+    if base is not None:
+        x0, x1 = based(base, x0, x1)
+    for s in cascade.steps:
+        if s.update == 0:
+            x0 = [a + u for a, u in zip(x0, filtered(s.filter, x1))]
+        else:
+            x1 = [a + u for a, u in zip(x1, filtered(s.filter, x0))]
+    return [v / k for v in x0], [v * k for v in x1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_float_transform_is_bit_identical_to_the_written_out_order(seed):
+    rng = random.Random(seed)
+    cascade = cdf97() if seed == 0 else random_float_cascade(rng)
+    if seed % 2:
+        cascade = cascade.replace(base=haar_base(FLOAT))
+    sig = [rng.uniform(-100.0, 100.0) for _ in range(2 * rng.randrange(1, 20))]
+    bands = analyze_signal(cascade, sig)
+    ref = _float_reference(cascade, sig[0::2], sig[1::2], inverse=False)
+    assert (list(bands.lowpass), list(bands.highpass)) == ref
+    y0, y1 = _float_reference(cascade, sig[0::2], sig[1::2], inverse=True)
+    out = synthesize_signal(cascade, SubbandPair(tuple(sig[0::2]), tuple(sig[1::2])))
+    assert out[0::2] == y0 and out[1::2] == y1
 
 
 # -- properties over random cascades -------------------------------------------
