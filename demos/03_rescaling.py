@@ -31,8 +31,9 @@ print(f"find_rescaling: {witness.relation}, kappa = {witness.kappa}")
 print("rescale_cascade(a, kappa) == b:",
       rescale_cascade(a, witness.kappa) == b)
 
-# Inequivalence is detected, not assumed: the needed kappa^2 = 2 has no
-# rational square root, so these two single-step cascades cannot be related.
+# Inequivalence is detected, not assumed: rescaling multiplies K by kappa,
+# so equal gains force kappa = 1, while the taps would need kappa^2 = 2;
+# these two single-step cascades cannot be related.
 from liftbank import LiftingCascade, LiftingStep, LaurentPoly
 
 c1 = LiftingCascade([LiftingStep(0, LaurentPoly({0: 1}))])

@@ -3,13 +3,14 @@
 The factorizer runs a Euclidean reduction on the first column: each
 division kills the extreme tap of one entry with a monomial multiple of
 the other.  Strategy choices (which support end to attack, which channel
-wins ties) produce genuinely different factorizations of the same bank.
+wins ties) produce genuinely different factorizations of the same bank,
+and a reduction that ends in a delayed diagonal returns the delay as the
+cascade's base.
 
 Run:  python3 demos/05_factorization.py
 """
 
 from liftbank import (
-    FactorizationError,
     FactorStrategy,
     HIGH_END,
     HIGHPASS_FIRST,
@@ -39,10 +40,17 @@ cascade = factor_lifting(swap)
 print(f"antidiagonal swap matrix: {cascade.n_steps} steps, "
       f"round trip {cascade.evaluate() == swap}\n")
 
-# Not every unimodular matrix factors in this shape.  When the reduction
-# bottoms out in diag(c z^-d, c^-1 z^d) with d != 0 the bank needs a delay
-# normalization first, and the factorizer says so rather than guessing.
-try:
-    factor_lifting(five_three().evaluate())
-except FactorizationError as exc:
-    print(f"5/3 analysis matrix as-is: {exc}")
+# Every unimodular matrix factors.  When the reduction bottoms out in
+# diag(c z^-d, z^d/c) with d != 0, that residual is diag(1/K, K) times the
+# delay diag(z^-d, z^d): K = 1/c, and the delay becomes the cascade's base.
+# The 5/3 analysis matrix is such a bank, and its two reductions give two
+# different factorizations of it: lifting factorizations are not unique.
+matrix = five_three().evaluate()
+print("Factoring the 5/3 analysis matrix (two steps and K = 1 as built):\n")
+for reduction in (HIGH_END, LOW_END):
+    cascade = factor_lifting(matrix, FactorStrategy(reduction=reduction))
+    print(f"reduction {reduction}: {cascade.n_steps} steps, K = {cascade.k}, "
+          f"base diag({cascade.base.h00}, {cascade.base.h11})")
+    for s in cascade.steps:
+        print(f"    update={s.update}  filter {s.filter}")
+    print(f"    evaluates back to the input: {cascade.evaluate() == matrix}\n")

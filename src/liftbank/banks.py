@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .laurent import EXACT, FLOAT, LaurentPoly
 from .lifting import DEFAULT_ROUNDING, LiftingCascade, LiftingStep, RoundingRule
+from .normalization import renormalize
 from .polyphase import PolyphaseMatrix
 
 
@@ -114,8 +115,8 @@ def cdf97() -> LiftingCascade:
     """The irrational 9/7 bank in float mode, gain normalized.
 
     Coefficients are the widely tabulated lifting constants; the gain is
-    set from the cascade's own DC recursion so the lowpass DC gain is 1 to
-    double precision.
+    set by :func:`renormalize` so the lowpass DC gain is 1 to double
+    precision.
     """
     alpha = -1.586134342059924
     beta = -0.052980118572961
@@ -127,6 +128,4 @@ def cdf97() -> LiftingCascade:
         LiftingStep(1, _lp({-1: gamma, 0: gamma}, FLOAT)),
         LiftingStep(0, _lp({0: delta, 1: delta}, FLOAT)),
     ]
-    provisional = LiftingCascade(steps, k=1.0, mode=FLOAT)
-    k = provisional.dc_trace().vector_at(3)[0]
-    return LiftingCascade(steps, k=k, mode=FLOAT)
+    return renormalize(LiftingCascade(steps, k=1.0, mode=FLOAT)).cascade

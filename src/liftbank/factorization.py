@@ -11,12 +11,12 @@ the remaining off-diagonal entry.
 
 Terminal shapes:
 
-* diag(1/K, K) with scalar K - done; recorded ops invert and gamma-scale
-  into lifting steps S_i with the gain on the left.
+* diag(c*z^-d, z^d/c) = diag(1/K, K) @ diag(z^-d, z^d) with K = 1/c - done;
+  recorded ops invert and gamma-scale into lifting steps S_i with the gain
+  on the left, and the delay diag(z^-d, z^d) stays on the right as the
+  cascade's base (none when d = 0).
 * an antidiagonal [[0, -1/c], [c, 0]] - converted exactly into three more
   lifting steps (the classical swap lifting), leaving the identity.
-* diag(c*z^d, ...) with d != 0 - rejected: such a bank needs delay
-  normalization, which is out of scope here.
 
 Exact (rational) arithmetic only; floats have no well-defined support.
 """
@@ -78,25 +78,22 @@ def _monomial_quotient(
     return LaurentPoly.monomial(coeff, tap, p.mode)
 
 
-def _is_monomial(p: LaurentPoly) -> bool:
-    return p.span() == 1
-
-
 def factor_lifting(
     matrix: PolyphaseMatrix, strategy: FactorStrategy = DEFAULT_STRATEGY
 ) -> LiftingCascade:
     """Factor an exact unimodular polyphase matrix into a lifting cascade.
 
-    The result is an irreversible identity-base cascade whose evaluation
-    reproduces ``matrix`` exactly.  The identity factors into zero steps.
-    Raises :class:`FactorizationError` for non-unimodular input or when the
-    reduction terminates in a delayed diagonal.
+    The result is an irreversible cascade whose evaluation reproduces
+    ``matrix`` exactly; its base is the residual delay diag(z^-d, z^d), or
+    None when the reduction ends in a scalar diagonal.  The identity factors
+    into zero steps.  Raises :class:`FactorizationError` for non-unimodular
+    input.
     """
     if matrix.mode != EXACT:
         raise ModeError("factorization requires exact arithmetic")
     if not matrix.is_unimodular():
         raise FactorizationError(
-            f"matrix is not unimodular: det = {matrix.determinant()}"
+            f"matrix is not unimodular: det {matrix.describe_determinant()}"
         )
 
     m = matrix
@@ -139,59 +136,19 @@ def factor_lifting(
     if not (h01.is_zero and h10.is_zero):
         raise FactorizationError("reduction failed to diagonalize")
 
-    if not _is_monomial(h00):
-        raise FactorizationError(
-            f"residual diagonal entry {h00} is not a monomial"
-        )
+    # det = 1 makes the residual diag(c z^-d, z^d/c) = diag(1/K, K) @ delay
     (tap, coeff), = h00.items()
+    k = 1 / coeff
+    base = None
     if tap != 0:
-        raise FactorizationError(
-            f"residual diagonal diag({h00}, {h11}) carries a delay: "
-            "requires delay normalization (out of scope)"
+        zero = LaurentPoly.zero()
+        base = PolyphaseMatrix(
+            LaurentPoly.monomial(1, tap), zero, zero, LaurentPoly.monomial(1, -tap)
         )
-    k = 1 / coeff  # residual is diag(1/K, K)
 
     k2 = k * k
-    steps = []
-    for update, g in reversed(ops):
-        filt = (-g).scaled(k2 if update == 0 else 1 / k2)
-        if not filt.is_zero:
-            steps.append(LiftingStep(update, filt))
-    return LiftingCascade(steps, k=k, mode=EXACT)
-
-
-@dataclass(frozen=True)
-class RenormalizationResult:
-    cascade: LiftingCascade
-    changed: bool
-    note: str | None
-
-
-def renormalize(cascade: LiftingCascade) -> RenormalizationResult:
-    """Set K to the unnormalized lowpass DC gain E_0(1) so compliance holds.
-
-    Reversible cascades come back unchanged with a note (their gain is
-    pinned to 1); a vanishing E_0(1) is an error since no gain can fix it.
-    """
-    if cascade.n_steps == 0:
-        raise ValueError("renormalize needs at least one lifting step")
-    if not cascade.is_alternating():
-        raise ValueError(
-            "renormalize applies to alternating cascades only; "
-            "the DC recursion does not select a B value otherwise"
-        )
-    if cascade.base is not None:
-        raise ValueError("renormalize applies to identity-base cascades only")
-    if cascade.reversible:
-        return RenormalizationResult(
-            cascade, False, "reversible cascade: gain is fixed at 1"
-        )
-    e0_dc = cascade.dc_trace().vector_at(cascade.n_steps - 1)[0]
-    if e0_dc == 0:
-        raise ValueError(
-            "unnormalized lowpass DC gain is 0; no gain choice can "
-            "normalize this cascade"
-        )
-    if e0_dc == cascade.k:
-        return RenormalizationResult(cascade, False, None)
-    return RenormalizationResult(cascade.replace(k=e0_dc), True, None)
+    steps = [
+        LiftingStep(update, (-g).scaled(k2 if update == 0 else 1 / k2))
+        for update, g in reversed(ops)
+    ]
+    return LiftingCascade(steps, k=k, base=base, mode=EXACT)

@@ -15,8 +15,9 @@ The DC trace follows the lowpass/highpass DC gains through the cascade:
 starting from the vector B(1) @ [1, 1]^T, each step multiplies by its matrix
 evaluated at z = 1.  The running value B_n is the entry most recently
 modified, which for alternating cascades coincides with the two-term scalar
-recursion B_n = D_n * B_{n-1} + B_{n-2} (D_n the step's DC gain,
-B_{-1} = B_{-2} = 1).
+recursion B_n = D_n * B_{n-1} + B_{n-2} (D_n the step's DC gain).  The
+seeds are the initial vector's entries: B_{-2} the one step 0 modifies,
+B_{-1} the other, so B_{-1} = B_{-2} = 1 without a base.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ class DCTrace:
     """DC vectors and running normalization values along a cascade.
 
     ``vectors[i]`` is the DC vector after step i-1 (``vectors[0]`` is the
-    initial vector, before any step).  ``b[i]`` is B_{i-2}, so the list
-    starts with B_{-2} = B_{-1} = 1.  ``d[i]`` is the DC gain of step i.
+    initial vector, before any step).  ``b[i]`` is B_{i-2}: the list starts
+    with the initial vector's entry that step 0 modifies (B_{-2}) and then
+    the other entry (B_{-1}), both 1 without a base.  ``d[i]`` is the DC
+    gain of step i.
     """
 
     vectors: tuple[tuple[Scalar, Scalar], ...]
@@ -225,7 +228,7 @@ class LiftingCascade:
                 raise ModeError("base matrix mode does not match cascade mode")
             if not base.is_unimodular():
                 raise CascadeError(
-                    f"base matrix must have det 1, got {base.determinant()}"
+                    f"base matrix must have det 1, got det {base.describe_determinant()}"
                 )
         if reversible:
             for i, s in enumerate(steps):
@@ -335,7 +338,9 @@ class LiftingCascade:
             one = as_scalar(1, self.mode)
             vec = (one, one)
         vectors = [vec]
-        bvals: list[Scalar] = [as_scalar(1, self.mode), as_scalar(1, self.mode)]
+        # B_-2 is the entry step 0 modifies, B_-1 the other one
+        first = self.steps[0].update if self.steps else 0
+        bvals: list[Scalar] = [vec[first], vec[1 - first]]
         dvals: list[Scalar] = []
         for s in self.steps:
             dcg = s.dc_gain()

@@ -11,10 +11,9 @@ in the DC recursion:
 
 Either way the selected B equals the unnormalized lowpass DC gain E_0(1),
 the lowpass entry of the last DC vector, so compliance is exactly "lowpass
-DC gain of the full bank is 1", and the verdict is decided on E_0(1).  For
-N = 1 with m_init = 1 the selected value is B_{-1} = 1, which forces K = 1;
-over a base, B_{-1} is the scalar recursion's 1 while E_0(1) is the base's
-lowpass DC gain, and the verdict follows E_0(1).
+DC gain of the full bank is 1".  For N = 1 with m_init = 1 the selected
+value is B_{-1}, the initial lowpass DC gain: 1 without a base, which
+forces K = 1.  :func:`renormalize` sets K to that value.
 
 Cascades whose steps do not alternate are outside the recursion's premises
 and get the verdict "not-applicable".
@@ -103,8 +102,7 @@ def check_part2(cascade: LiftingCascade) -> ComplianceReport:
     m_init = cascade.m_init()
     trace = cascade.dc_trace()
     idx = _selected_b_index(cascade.n_steps, m_init)
-    actual = trace.vector_at(cascade.n_steps - 1)[0]  # E_0(1)
-    name = f"B_{idx}" if actual == trace.b_at(idx) else "E_0(1)"
+    actual = trace.b_at(idx)  # = E_0(1)
     required = as_scalar(1, cascade.mode) if cascade.reversible else cascade.k
 
     if cascade.mode == EXACT:
@@ -121,7 +119,7 @@ def check_part2(cascade: LiftingCascade) -> ComplianceReport:
         kind = "reversible" if cascade.reversible else "irreversible"
         reasons.insert(
             0,
-            f"{name} = {format_scalar(actual)} != {format_scalar(required)}"
+            f"B_{idx} = {format_scalar(actual)} != {format_scalar(required)}"
             f" ({kind} requirement)",
         )
 
@@ -137,6 +135,42 @@ def check_part2(cascade: LiftingCascade) -> ComplianceReport:
         tolerance_qualified=qualified,
         reasons=tuple(reasons),
     )
+
+
+@dataclass(frozen=True)
+class RenormalizationResult:
+    cascade: LiftingCascade
+    changed: bool
+    note: str | None
+
+
+def renormalize(cascade: LiftingCascade) -> RenormalizationResult:
+    """Set K to the unnormalized lowpass DC gain E_0(1) so compliance holds.
+
+    Reversible cascades come back unchanged with a note (their gain is
+    pinned to 1); a vanishing E_0(1) is an error since no gain can fix it.
+    A base is kept, and E_0(1) starts from its DC vector.
+    """
+    if cascade.n_steps == 0:
+        raise ValueError("renormalize needs at least one lifting step")
+    if not cascade.is_alternating():
+        raise ValueError(
+            "renormalize applies to alternating cascades only; "
+            "the DC recursion does not select a B value otherwise"
+        )
+    if cascade.reversible:
+        return RenormalizationResult(
+            cascade, False, "reversible cascade: gain is fixed at 1"
+        )
+    e0_dc = check_part2(cascade).actual_b
+    if e0_dc == 0:
+        raise ValueError(
+            "unnormalized lowpass DC gain is 0; no gain choice can "
+            "normalize this cascade"
+        )
+    if e0_dc == cascade.k:
+        return RenormalizationResult(cascade, False, None)
+    return RenormalizationResult(cascade.replace(k=e0_dc), True, None)
 
 
 @dataclass(frozen=True)

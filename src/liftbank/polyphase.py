@@ -141,11 +141,29 @@ class PolyphaseMatrix:
             return det == one
         return det.approx_eq(one, BASE_DET_TOL)
 
+    def describe_determinant(self) -> str:
+        """det by its span and coefficient size, never by its digits.
+
+        Exact coefficients are sized by the longer bit length of numerator
+        and denominator, float ones by magnitude, so the text stays short
+        however large the entries are.
+        """
+        det = self.determinant()
+        if det.is_zero:
+            return "0"
+        coeffs = [c for _, c in det.items()]
+        if self.mode == EXACT:
+            bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in coeffs)
+            size = f"{bits}-bit coefficients"
+        else:
+            size = f"coefficients up to {max(abs(c) for c in coeffs):.3g} in magnitude"
+        return f"of span {det.span()} with {size}"
+
     def inverse(self) -> "PolyphaseMatrix":
         """Adjugate inverse, valid only for unimodular (det = 1) matrices."""
         if not self.is_unimodular():
             raise ValueError(
-                f"matrix is not unimodular (det = {self.determinant()}); "
+                f"matrix is not unimodular (det {self.describe_determinant()}); "
                 "no FIR inverse taken"
             )
         return PolyphaseMatrix(self.h11, -self.h01, -self.h10, self.h00)

@@ -14,9 +14,7 @@ the gain K by K*kappa.  Both cascades evaluate to the same analysis matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .laurent import EXACT, Scalar, as_scalar
@@ -77,41 +75,21 @@ class RescalingWitness:
         return self.relation in (IDENTICAL, EQUIVALENT)
 
 
-def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x <= 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _bases_equal(a: LiftingCascade, b: LiftingCascade, tol: float) -> bool:
+def _cascades_match(a: LiftingCascade, b: LiftingCascade, tol: float) -> bool:
+    """Structural equality, treating a missing base as the identity."""
     base_a = a.base if a.base is not None else PolyphaseMatrix.identity(a.mode)
     base_b = b.base if b.base is not None else PolyphaseMatrix.identity(b.mode)
     if a.mode == EXACT:
-        return base_a == base_b
-    return base_a.approx_eq(base_b, tol)
-
-
-def _cascades_match(a: LiftingCascade, b: LiftingCascade, tol: float) -> bool:
-    """Structural equality, treating a missing base as the identity."""
-    if a.n_steps != b.n_steps:
-        return False
-    if a.mode == EXACT:
-        if a.k != b.k:
-            return False
-        for sa, sb in zip(a.steps, b.steps):
-            if sa.update != sb.update or sa.filter != sb.filter:
-                return False
-    else:
-        if abs(a.k - b.k) > tol:
-            return False
-        for sa, sb in zip(a.steps, b.steps):
-            if sa.update != sb.update or not sa.filter.approx_eq(sb.filter, tol):
-                return False
-    return _bases_equal(a, b, tol)
+        return a.k == b.k and a.steps == b.steps and base_a == base_b
+    return (
+        a.n_steps == b.n_steps
+        and abs(a.k - b.k) <= tol
+        and all(
+            sa.update == sb.update and sa.filter.approx_eq(sb.filter, tol)
+            for sa, sb in zip(a.steps, b.steps)
+        )
+        and base_a.approx_eq(base_b, tol)
+    )
 
 
 def find_rescaling(
@@ -120,8 +98,9 @@ def find_rescaling(
     """Decide identical / equivalent-modulo-rescaling / inequivalent.
 
     The returned kappa satisfies ``rescale_cascade(a, kappa) == b`` (up to
-    tolerance in float mode).  Reversible cascades compare as identical when
-    structurally equal and inequivalent otherwise; the kappa search is an
+    tolerance in float mode); it is K_b / K_a, the only value that maps a's
+    gain to b's.  Reversible cascades compare as identical when
+    structurally equal and inequivalent otherwise; rescaling is an
     irreversible-only notion.
     """
     if a.mode != b.mode:
@@ -133,50 +112,11 @@ def find_rescaling(
         return RescalingWitness(IDENTICAL, as_scalar(1, a.mode))
     if a.reversible or b.reversible:
         return RescalingWitness(INEQUIVALENT, None)
-    if a.n_steps != b.n_steps:
-        return RescalingWitness(INEQUIVALENT, None)
-    if any(sa.update != sb.update for sa, sb in zip(a.steps, b.steps)):
-        return RescalingWitness(INEQUIVALENT, None)
 
-    kappa2: Optional[Scalar] = None
-    for sa, sb in zip(a.steps, b.steps):
-        if sa.filter == sb.filter:
-            continue
-        taps_a = sa.filter.taps()
-        taps_b = sb.filter.taps()
-        if set(taps_a) != set(taps_b):
-            return RescalingWitness(INEQUIVALENT, None)
-        n0 = min(taps_a)
-        ratio = taps_b[n0] / taps_a[n0]  # b = rescale(a, kappa)
-        if sa.update == 1:
-            if ratio == 0:
-                return RescalingWitness(INEQUIVALENT, None)
-            ratio = 1 / ratio
-        kappa2 = ratio
-        break
-    if kappa2 is None:
-        # steps all equal; a gain/base difference alone fixes kappa = K_b/K_a
-        kappa = b.k / a.k
-    else:
-        if kappa2 <= 0:
-            return RescalingWitness(INEQUIVALENT, None)
-        if a.mode == EXACT:
-            root = _exact_sqrt(kappa2)
-            if root is None:
-                return RescalingWitness(INEQUIVALENT, None)
-            kappa = root
-        else:
-            kappa = math.sqrt(kappa2)
-
-    if a.mode == EXACT:
-        if kappa <= 0:
-            return RescalingWitness(INEQUIVALENT, None)
-    elif not kappa > 0:
+    # rescaling multiplies K by kappa, so kappa can only be K_b / K_a
+    kappa = b.k / a.k
+    if not kappa > 0:
         return RescalingWitness(INEQUIVALENT, None)
-
-    candidate = rescale_cascade(a, kappa)
-    if _cascades_match(candidate, b, tol):
-        if kappa == 1:
-            return RescalingWitness(IDENTICAL, kappa)
+    if _cascades_match(rescale_cascade(a, kappa), b, tol):
         return RescalingWitness(EQUIVALENT, kappa)
     return RescalingWitness(INEQUIVALENT, None)

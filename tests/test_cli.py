@@ -7,8 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from liftbank import load_spec, parse_spec, write_signal
-from liftbank.banks import haar_base
+from liftbank import load_spec, parse_matrix, parse_spec, serialize_matrix, write_signal
+from liftbank.banks import five_three, haar_base
 from liftbank.cli import main
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -136,13 +136,52 @@ def test_factor_highpass_first(tmp_path):
     assert cascade.n_steps == 2 and cascade.k == 2
 
 
-def test_factor_delayed_diagonal_exits_one(tmp_path, capsys):
+def test_factor_delayed_diagonal_writes_a_delay_base(tmp_path, capsys):
     matrix = tmp_path / "delayed.json"
     matrix.write_text(json.dumps(
         [[[{"n": -1, "c": 1}], []], [[], [{"n": 1, "c": 1}]]]
     ))
+    assert main(["factor", str(matrix)]) == 0
+    cascade = parse_spec(capsys.readouterr().out)
+    assert cascade.n_steps == 0 and cascade.k == 1
+    assert cascade.base == parse_matrix(matrix.read_text())
+
+    # the 5/3 bank: K and a delay base under every strategy
+    matrix.write_text(serialize_matrix(five_three().evaluate()))
+    for options in ([], ["--first", "highpass"], ["--reduction", "low-end"]):
+        assert main(["factor", str(matrix), *options]) == 0
+        cascade = parse_spec(capsys.readouterr().out)
+        assert cascade.evaluate() == five_three().evaluate()
+        assert cascade.base is not None
+
+
+_BIG = "7" * 3000  # within MAX_SCALAR_DIGITS; its square has 6000 digits
+
+
+def _big_diagonal():
+    entry = [{"n": 0, "c": _BIG}]
+    return [[entry, []], [[], entry]]
+
+
+def test_base_with_a_huge_determinant_exits_two_at_the_document(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"mode": "irreversible", "base": _big_diagonal(), "steps": []}
+    ))
+    for command in ("analyze", "validate"):
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $: base matrix must have det 1, got det "), err[:200]
+        assert "span 1 with 19931-bit coefficients" in err and len(err) < 200
+
+
+def test_factor_huge_determinant_gives_a_bounded_error(tmp_path, capsys):
+    matrix = tmp_path / "big.json"
+    matrix.write_text(json.dumps(_big_diagonal()))
     assert main(["factor", str(matrix)]) == 1
-    assert "delay normalization" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix is not unimodular: det "), err[:200]
+    assert len(err) < 200
 
 
 def test_rescale_writes_equivalent_spec(tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftbank import (
     FLOAT,
@@ -14,6 +16,7 @@ from liftbank import (
     LOW_END,
     LOWPASS_FIRST,
     LiftingCascade,
+    LiftingStep,
     ModeError,
     PolyphaseMatrix,
     check_part2,
@@ -68,34 +71,75 @@ def test_constant_cascades_always_round_trip():
             assert factor_lifting(matrix, strategy).evaluate() == matrix
 
 
+def _is_delay(base):
+    """None, or diag(z^-d, z^d) with d != 0."""
+    if base is None:
+        return True
+    (d, c), = base.h00.items()
+    return d != 0 and c == 1 and base == PolyphaseMatrix(
+        lp({d: 1}), lp({}), lp({}), lp({-d: 1})
+    )
+
+
 def test_fir_cascades_round_trip_when_accepted():
-    """General FIR matrices may legitimately hit the delayed-diagonal wall;
-    every accepted one must still reproduce its input exactly."""
+    """Every FIR matrix factors: a reduction ending in a delayed diagonal
+    returns the delay as the base, and the result reproduces the input."""
     rng = random.Random(47)
-    accepted = 0
+    delayed = 0
     for _ in range(60):
         matrix = random_alternating_cascade(rng, max_steps=5, max_taps=4).evaluate()
         for strategy in ALL_STRATEGIES:
-            try:
-                out = factor_lifting(matrix, strategy)
-            except FactorizationError:
-                continue
+            out = factor_lifting(matrix, strategy)
             assert out.evaluate() == matrix
-            accepted += 1
-    assert accepted > 50  # the family is not degenerate
+            assert _is_delay(out.base)
+            delayed += out.base is not None
+    assert delayed > 0  # the family reaches the delayed diagonal
 
 
 def test_five_three_matrix_needs_delay_normalization():
+    # the 5/3 reduction ends in diag(c z^-d, z^d/c): K = 1/c, base the delay
     matrix = five_three().evaluate()
     for strategy in ALL_STRATEGIES:
-        with pytest.raises(FactorizationError, match="delay normalization"):
-            factor_lifting(matrix, strategy)
+        out = factor_lifting(matrix, strategy)
+        assert out.evaluate() == matrix
+        assert out.base is not None and _is_delay(out.base)
 
 
-def test_delayed_diagonal_rejected():
+def test_delayed_diagonal_becomes_the_base():
     matrix = PolyphaseMatrix(lp({-1: 1}), lp({}), lp({}), lp({1: 1}))
-    with pytest.raises(FactorizationError, match="delay"):
-        factor_lifting(matrix)
+    out = factor_lifting(matrix)
+    assert out.n_steps == 0 and out.k == 1 and out.base == matrix
+    scaled = PolyphaseMatrix(lp({2: F(-3, 2)}), lp({}), lp({}), lp({-2: F(-2, 3)}))
+    out = factor_lifting(scaled)
+    assert out.k == F(-2, 3) and out.base.h00 == lp({2: 1})
+    assert out.evaluate() == scaled
+
+
+_coeffs = st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 5]))
+_steps = st.builds(
+    LiftingStep,
+    st.integers(0, 1),
+    st.dictionaries(st.integers(-2, 2), _coeffs, min_size=1, max_size=3).map(lp),
+)
+_delayed_diagonals = st.builds(
+    lambda c, d: PolyphaseMatrix(lp({d: c}), lp({}), lp({}), lp({-d: 1 / c})),
+    _coeffs,
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_steps, max_size=5),
+    _coeffs,
+    _delayed_diagonals,
+    st.sampled_from(ALL_STRATEGIES),
+)
+def test_factor_round_trips_over_delayed_diagonal_bases(steps, k, base, strategy):
+    matrix = LiftingCascade(steps, k=k, base=base).evaluate()
+    out = factor_lifting(matrix, strategy)
+    assert out.evaluate() == matrix
+    assert _is_delay(out.base)
 
 
 def test_antidiagonal_swap():
@@ -155,10 +199,22 @@ def test_renormalize_error_cases():
         renormalize(LiftingCascade([]))
     with pytest.raises(ValueError, match="alternating"):
         renormalize(LiftingCascade([step(0, {0: 1}), step(0, {0: 1})]))
-    with pytest.raises(ValueError, match="identity-base"):
-        renormalize(LiftingCascade([step(0, {0: 1})], base=haar_base()))
     with pytest.raises(ValueError, match="DC gain is 0"):
         renormalize(LiftingCascade([step(0, {0: -1})]))
+
+
+def test_renormalize_over_a_base_is_compliant():
+    base = haar_base() @ PolyphaseMatrix.diagonal(F(-2, 3), F(-3, 2))
+    for c in (
+        LiftingCascade([step(0, {0: 1})], base=base),
+        LiftingCascade([step(1, {-1: 1, 0: 2})], base=base),
+        LiftingCascade([step(1, {0: -1}), step(0, {1: F(1, 3)})], k=5, base=base),
+    ):
+        assert not check_part2(c).compliant
+        out = renormalize(c)
+        assert out.changed and out.cascade.base == base
+        assert check_part2(out.cascade).compliant
+        assert out.cascade.evaluate().to_filters().lowpass.evaluate(1) == 1
 
 
 def test_factored_cascades_are_canonical_inputs():

@@ -77,14 +77,15 @@ def test_single_highpass_step_pins_b_minus_one():
 
 
 def test_single_highpass_step_over_a_base_decides_on_lowpass_dc():
-    # the step leaves the lowpass entry at the base's DC gain 2, not B_{-1} = 1
+    # the step leaves the lowpass entry at the base's DC gain 2, which seeds
+    # B_{-1} (the entry step 0 does not modify)
     base = PolyphaseMatrix.diagonal(2, F(1, 2))
     c = LiftingCascade([step(1, {0: -1})], base=base)
     assert analyze(c).dc_lowpass == 2
     r = check_part2(c)
     assert r.verdict == NON_COMPLIANT
     assert r.selected_index == -1 and r.actual_b == 2
-    assert r.reasons == ("E_0(1) = 2 != 1 (irreversible requirement)",)
+    assert r.reasons == ("B_-1 = 2 != 1 (irreversible requirement)",)
     assert check_part2(c.replace(k=2)).compliant
 
 

@@ -140,3 +140,16 @@ def test_haar_inverse_oracle():
     assert inv.h01 == lp({0: F(-1, 2)})
     assert inv.h10 == lp({0: 1})
     assert inv.h11 == lp({0: F(1, 2)})
+
+
+def test_determinant_is_described_by_size_not_digits():
+    big = 7 * 10**3000
+    m = PolyphaseMatrix.diagonal(big, big)
+    with pytest.raises(ValueError, match="span 1 with 19938-bit coefficients"):
+        m.inverse()
+    # det = 1/3 + (2/3) z^-2
+    skew = PolyphaseMatrix(lp({0: F(1, 3)}), lp({1: 5}), lp({}), lp({0: 1, 2: 2}))
+    assert skew.describe_determinant() == "of span 3 with 2-bit coefficients"
+    assert PolyphaseMatrix.diagonal(0, 1).describe_determinant() == "0"
+    flt = PolyphaseMatrix.diagonal(2.0, 1.5, FLOAT)
+    assert flt.describe_determinant() == "of span 1 with coefficients up to 3 in magnitude"
