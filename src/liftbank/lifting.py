@@ -23,10 +23,11 @@ B_{-1} the other, so B_{-1} = B_{-2} = 1 without a base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Iterable, Sequence
 
 from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar
-from .polyphase import FilterPair, PolyphaseMatrix
+from .polyphase import FilterPair, PolyphaseMatrix, gamma
 
 
 class CascadeError(ValueError):
@@ -123,6 +124,8 @@ class LiftingStep:
             raise CascadeError(f"update must be 0 or 1, got {self.update!r}", "update")
         if self.filter.is_zero:
             raise CascadeError("zero lifting filter", "filter")
+        if self.mode != EXACT and not all(map(isfinite, self.filter.taps().values())):
+            raise CascadeError("lifting filter has a non-finite tap", "filter")
 
     @property
     def mode(self) -> str:
@@ -361,9 +364,10 @@ class LiftingCascade:
 
         Steps come back reversed and negated; moving the gain matrix to the
         left of the inverted product additionally scales update-0 filters by
-        1/K^2 and update-1 filters by K^2.  A base, when present, cannot in
-        general commute to the right of the inverted steps, so the synthesis
-        base is solved exactly from the remaining factor.
+        1/K^2 and update-1 filters by K^2.  A base B becomes, in closed form,
+        adj(B) conjugated by the steps and the gain: (D S) adj(B) (D S)^-1
+        with D = diag(1/K, K) and S = M(S_{N-1}) * ... * M(S_0); a float
+        one has det 1 only up to rounding and is not checked again.
         """
         k2 = self.k * self.k
         inv_steps = tuple(
@@ -373,15 +377,11 @@ class LiftingCascade:
             )
             for s in reversed(self.steps)
         )
-        inv_k = 1 / self.k
-        if self.base is None:
-            return LiftingCascade(
-                inv_steps, inv_k, None, self.mode, self.reversible, self.rounding
-            )
-        target = self.evaluate().inverse()
-        partial = LiftingCascade(inv_steps, inv_k, None, self.mode).evaluate()
-        inv_base = partial.inverse() @ target
-        return LiftingCascade(
-            inv_steps, inv_k, inv_base, self.mode, False, self.rounding
-        )
-
+        inv = self.replace(steps=inv_steps, k=1 / self.k, base=None)
+        if self.base is not None:
+            x = self.base.inverse()
+            for s in self.steps:
+                x = x.lifted(s.update, s.filter) @ LiftingStep(s.update, -s.filter).matrix()
+            # det 1 by construction: a float tolerance check would measure rounding
+            object.__setattr__(inv, "base", gamma(x, self.k))
+        return inv

@@ -26,6 +26,7 @@ from .laurent import (
     LaurentPoly,
     ModeError,
     Scalar,
+    as_scalar,
 )
 
 #: Tolerance admitting float-mode matrices as unimodular (det = 1).
@@ -203,3 +204,17 @@ class PolyphaseMatrix:
 
     def __str__(self) -> str:
         return f"[[{self.h00}, {self.h01}], [{self.h10}, {self.h11}]]"
+
+
+def gamma(matrix: PolyphaseMatrix, k) -> PolyphaseMatrix:
+    """The inner automorphism D_K A D_K^-1."""
+    kk = as_scalar(k, matrix.mode)
+    if kk == 0:
+        raise ValueError("gamma requires a nonzero K")
+    k2 = kk * kk
+    return PolyphaseMatrix(
+        matrix.h00,
+        matrix.h01.scaled(1 / k2),
+        matrix.h10.scaled(k2),
+        matrix.h11,
+    )

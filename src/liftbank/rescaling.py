@@ -1,7 +1,7 @@
 """Rescaling equivalence between lifting factorizations.
 
 Conjugating by the gain matrix D_K = diag(1/K, K) is an inner automorphism
-of the polyphase matrix group:
+of the polyphase matrix group, :func:`liftbank.polyphase.gamma`:
 
     gamma_K(A) = D_K A D_K^-1,   [[a, b], [c, d]] -> [[a, b/K^2], [c*K^2, d]]
 
@@ -24,20 +24,6 @@ from .polyphase import PolyphaseMatrix
 IDENTICAL = "identical"
 EQUIVALENT = "equivalent-modulo-rescaling"
 INEQUIVALENT = "inequivalent"
-
-
-def gamma(matrix: PolyphaseMatrix, k) -> PolyphaseMatrix:
-    """The inner automorphism D_K A D_K^-1."""
-    kk = as_scalar(k, matrix.mode)
-    if kk == 0:
-        raise ValueError("gamma requires a nonzero K")
-    k2 = kk * kk
-    return PolyphaseMatrix(
-        matrix.h00,
-        matrix.h01.scaled(1 / k2),
-        matrix.h10.scaled(k2),
-        matrix.h11,
-    )
 
 
 def rescale_cascade(cascade: LiftingCascade, kappa) -> LiftingCascade:

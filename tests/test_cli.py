@@ -245,6 +245,16 @@ def test_rescale_overflowing_kappa_exits_two(capsys):
     assert "--kappa: " in capsys.readouterr().err
 
 
+def test_rescale_overflowing_taps_exits_one_and_writes_nothing(tmp_path, capsys):
+    # a finite kappa whose kappa^-2 overflows the 9/7's update-1 taps
+    out = tmp_path / "scaled.json"
+    argv = ["rescale", spec("cdf97.json"), "--kappa", "9e-155", "-o", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and len(err) < 200, err[:200]
+    assert not out.exists()
+
+
 def test_rescale_huge_exponent_kappa_exits_two(capsys):
     assert main(["rescale", spec("haar.json"), "--kappa", "1e4000000"]) == 2
     assert "--kappa: " in capsys.readouterr().err

@@ -39,7 +39,14 @@ from liftbank.banks import (
     wa_lifted_haar,
 )
 
-from conftest import lp, random_alternating_cascade, random_float_cascade, step
+from conftest import (
+    lp,
+    random_alternating_cascade,
+    random_dyadic,
+    random_filter,
+    random_float_cascade,
+    step,
+)
 
 
 def test_step_matrices():
@@ -192,6 +199,63 @@ def test_synthesis_inverts_with_base():
     assert p.is_identity()
 
 
+def _random_base(rng, kind):
+    if kind == "lifted":
+        base = PolyphaseMatrix.identity()
+        for _ in range(rng.randrange(1, 4)):
+            base = base.lifted(rng.randrange(2), random_filter(rng, max_taps=3))
+        return base
+    if kind == "diagonal":
+        c = random_dyadic(rng)
+        return PolyphaseMatrix.diagonal(c, 1 / c)
+    d = rng.choice([-2, -1, 1, 2, 3])  # diag(z^-d, z^d)
+    return PolyphaseMatrix(lp({d: 1}), lp({}), lp({}), lp({-d: 1}))
+
+
+def _based_cascades(kind, seed=23):
+    """Seeded exact cascades over one kind of base, with negative and
+    non-unit gains."""
+    rng = random.Random(seed)
+    for k in [F(-3, 2), F(-1), F(2, 5), F(7, 3), F(1)] * 4:
+        c = random_alternating_cascade(rng, max_steps=5, max_taps=3)
+        yield c.replace(k=k, base=_random_base(rng, kind))
+
+
+@pytest.mark.parametrize("kind", ["lifted", "diagonal", "delay"])
+def test_synthesis_inverts_over_random_bases(kind):
+    ident = PolyphaseMatrix.identity()
+    for c in _based_cascades(kind):
+        s = c.synthesis()
+        h, g = c.evaluate(), s.evaluate()
+        assert g @ h == ident and h @ g == ident
+        # reference: the base solved from the product, (inverted steps)^-1 @ H^-1
+        steps_only = LiftingCascade(s.steps, s.k)
+        assert s.base == steps_only.evaluate().inverse() @ h.inverse()
+
+
+def _float_filter(rng):
+    return LaurentPoly({n: rng.uniform(-2, 2) for n in (-1, 0, 1)}, FLOAT)
+
+
+def test_float_synthesis_over_a_lifted_base():
+    # the derived base's det is 1 only up to rounding: it must not be refused
+    rng = random.Random(61)
+    ident = PolyphaseMatrix.identity(FLOAT)
+    for _ in range(100):
+        base = ident.lifted(rng.randrange(2), _float_filter(rng))
+        m = rng.randrange(2)
+        steps = [LiftingStep((m + i) % 2, _float_filter(rng)) for i in range(6)]
+        c = LiftingCascade(steps, rng.uniform(0.5, 2), base, FLOAT)
+        h = c.evaluate()
+        p = c.synthesis().evaluate() @ h
+        worst = max(
+            (abs(x) for a, b in zip(p.entries(), ident.entries()) for _, x in (a - b).items()),
+            default=0.0,
+        )
+        scale = max(1.0, max(abs(x) for e in h.entries() for _, x in e.items()))
+        assert worst <= 1e-9 * scale**2
+
+
 def test_synthesis_inverts_float():
     p = cdf97().synthesis().evaluate() @ cdf97().evaluate()
     assert p.approx_eq(PolyphaseMatrix.identity(FLOAT), 1e-9)
@@ -301,6 +365,15 @@ def test_nan_base_rejected():
     base = PolyphaseMatrix(big, big, big, big)  # det = inf - inf = NaN
     with pytest.raises(ValueError, match="det 1"):
         LiftingCascade([], base=base, mode=FLOAT)
+
+
+def test_float_step_rejects_non_finite_taps():
+    big = LaurentPoly({0: 1e200, 1: 1.0}, FLOAT)
+    with pytest.raises(CascadeError, match="non-finite") as info:
+        LiftingStep(0, big * big)  # 1e400 overflows to inf
+    assert info.value.field == ("filter",)
+    with pytest.raises(CascadeError, match="non-finite"):
+        LiftingStep(1, big * big - big * big)  # inf - inf = NaN
 
 
 def test_cascade_errors_name_the_field():
