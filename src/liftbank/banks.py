@@ -88,13 +88,8 @@ def identity_six_step() -> LiftingCascade:
 
 def haar_base(mode: str = EXACT) -> PolyphaseMatrix:
     """The Haar polyphase matrix [[1/2, 1/2], [-1, 1]] as a base."""
-    if mode == FLOAT:
-        return PolyphaseMatrix(
-            _lp({0: 0.5}, FLOAT), _lp({0: 0.5}, FLOAT),
-            _lp({0: -1.0}, FLOAT), _lp({0: 1.0}, FLOAT),
-        )
     return PolyphaseMatrix(
-        _lp({0: "1/2"}), _lp({0: "1/2"}), _lp({0: -1}), _lp({0: 1})
+        _lp({0: "1/2"}, mode), _lp({0: "1/2"}, mode), _lp({0: -1}, mode), _lp({0: 1}, mode)
     )
 
 

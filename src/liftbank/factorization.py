@@ -11,10 +11,11 @@ the remaining off-diagonal entry.
 
 Terminal shapes:
 
-* diag(c*z^-d, z^d/c) = diag(1/K, K) @ diag(z^-d, z^d) with K = 1/c - done;
-  recorded ops invert and gamma-scale into lifting steps S_i with the gain
-  on the left, and the delay diag(z^-d, z^d) stays on the right as the
-  cascade's base (none when d = 0).
+* diag(c*z^-d, z^d/c) - done.  The recorded ops with gain c form the
+  reduction cascade R, with evaluate(R) @ matrix = diag(z^-d, z^d), so the
+  factorization is R's synthesis over the delay diag(z^-d, z^d) as its
+  base (none when d = 0): the inverted steps and K = 1/c come from
+  :meth:`LiftingCascade.synthesis`.
 * an antidiagonal [[0, -1/c], [c, 0]] - converted exactly into three more
   lifting steps (the classical swap lifting), leaving the identity.
 
@@ -97,8 +98,8 @@ def factor_lifting(
         )
 
     m = matrix
-    # ops hold (update, g): the applied left factor had off-diagonal filter g
-    ops: list[tuple[int, LaurentPoly]] = []
+    # the applied left factors, first-applied-first
+    ops: list[LiftingStep] = []
 
     # Euclidean phase: shrink the first column until one entry dies.
     column = (m.h00, m.h10)
@@ -115,7 +116,7 @@ def factor_lifting(
             m = m.lifted(u, -q)
             column = (m.h00, m.h10)
         if not quotient.is_zero:
-            ops.append((u, -quotient))
+            ops.append(LiftingStep(u, -quotient))
 
     # Cleanup phase: clear the remaining off-diagonal entry.
     h00, h01, h10, h11 = m.entries()
@@ -130,25 +131,18 @@ def factor_lifting(
     for u, g in cleanup:
         if not g.is_zero:
             m = m.lifted(u, g)
-            ops.append((u, g))
+            ops.append(LiftingStep(u, g))
     h00, h01, h10, h11 = m.entries()
 
     if not (h01.is_zero and h10.is_zero):
         raise FactorizationError("reduction failed to diagonalize")
 
-    # det = 1 makes the residual diag(c z^-d, z^d/c) = diag(1/K, K) @ delay
+    # det = 1 makes the residual diag(c z^-d, z^d/c); the gain c leaves the delay
     (tap, coeff), = h00.items()
-    k = 1 / coeff
     base = None
     if tap != 0:
         zero = LaurentPoly.zero()
         base = PolyphaseMatrix(
             LaurentPoly.monomial(1, tap), zero, zero, LaurentPoly.monomial(1, -tap)
         )
-
-    k2 = k * k
-    steps = [
-        LiftingStep(update, (-g).scaled(k2 if update == 0 else 1 / k2))
-        for update, g in reversed(ops)
-    ]
-    return LiftingCascade(steps, k=k, base=base, mode=EXACT)
+    return LiftingCascade(ops, k=coeff).synthesis().replace(base=base)

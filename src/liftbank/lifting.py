@@ -366,8 +366,8 @@ class LiftingCascade:
         left of the inverted product additionally scales update-0 filters by
         1/K^2 and update-1 filters by K^2.  A base B becomes, in closed form,
         adj(B) conjugated by the steps and the gain: (D S) adj(B) (D S)^-1
-        with D = diag(1/K, K) and S = M(S_{N-1}) * ... * M(S_0); a float
-        one has det 1 only up to rounding and is not checked again.
+        with D = diag(1/K, K) and S = M(S_{N-1}) * ... * M(S_0).  Its det is
+        1 up to rounding, which the constructor's scaled tolerance admits.
         """
         k2 = self.k * self.k
         inv_steps = tuple(
@@ -377,11 +377,10 @@ class LiftingCascade:
             )
             for s in reversed(self.steps)
         )
-        inv = self.replace(steps=inv_steps, k=1 / self.k, base=None)
+        base = None
         if self.base is not None:
-            x = self.base.inverse()
+            x = self.base.adjugate()
             for s in self.steps:
                 x = x.lifted(s.update, s.filter) @ LiftingStep(s.update, -s.filter).matrix()
-            # det 1 by construction: a float tolerance check would measure rounding
-            object.__setattr__(inv, "base", gamma(x, self.k))
-        return inv
+            base = gamma(x, self.k)
+        return self.replace(steps=inv_steps, k=1 / self.k, base=base)

@@ -19,6 +19,7 @@ left column entry, odd tap 2m-1 from tap m of the right column entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .laurent import (
     DEFAULT_FLOAT_TOL,
@@ -29,7 +30,8 @@ from .laurent import (
     as_scalar,
 )
 
-#: Tolerance admitting float-mode matrices as unimodular (det = 1).
+#: Tolerance admitting float-mode matrices as unimodular (det = 1), relative
+#: to the square of the largest coefficient magnitude (at least 1).
 BASE_DET_TOL = 1e-9
 
 
@@ -135,12 +137,19 @@ class PolyphaseMatrix:
         return self.h00 * self.h11 - self.h01 * self.h10
 
     def is_unimodular(self) -> bool:
-        """det = 1: exactly, or for float matrices within ``BASE_DET_TOL``."""
+        """det = 1: exactly, or for float matrices within a scaled tolerance.
+
+        Rounding in h00*h11 - h01*h10 grows with the products of the entries,
+        so the tolerance is ``BASE_DET_TOL`` * max(1, largest |coefficient|)^2;
+        a matrix whose scale squared overflows is refused.
+        """
         det = self.determinant()
         one = LaurentPoly.one(self.mode)
         if self.mode == EXACT:
             return det == one
-        return det.approx_eq(one, BASE_DET_TOL)
+        scale = max([1.0] + [abs(c) for e in self.entries() for _, c in e.items()])
+        tol = BASE_DET_TOL * scale * scale
+        return isfinite(tol) and det.approx_eq(one, tol)
 
     def describe_determinant(self) -> str:
         """det by its span and coefficient size, never by its digits.
@@ -160,6 +169,14 @@ class PolyphaseMatrix:
             size = f"coefficients up to {max(abs(c) for c in coeffs):.3g} in magnitude"
         return f"of span {det.span()} with {size}"
 
+    def adjugate(self) -> "PolyphaseMatrix":
+        """[[h11, -h01], [-h10, h00]]: the inverse of a det-1 matrix, unchecked.
+
+        For matrices whose det is 1 by construction, such as a cascade's
+        base; :meth:`inverse` checks the det first.
+        """
+        return PolyphaseMatrix(self.h11, -self.h01, -self.h10, self.h00)
+
     def inverse(self) -> "PolyphaseMatrix":
         """Adjugate inverse, valid only for unimodular (det = 1) matrices."""
         if not self.is_unimodular():
@@ -167,7 +184,7 @@ class PolyphaseMatrix:
                 f"matrix is not unimodular (det {self.describe_determinant()}); "
                 "no FIR inverse taken"
             )
-        return PolyphaseMatrix(self.h11, -self.h01, -self.h10, self.h00)
+        return self.adjugate()
 
     def evaluate(self, point) -> tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]:
         """Entry-wise evaluation at z = point."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isfinite
 from typing import Any
 
 from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar, clip_repr, parse_scalar
@@ -261,7 +262,8 @@ def format_sample(value) -> str:
 
     Exact rationals with a 2^a * 5^b denominator print as exact decimals;
     anything else falls back to "p/q".  Floats use repr (shortest
-    round-tripping form).
+    round-tripping form); a non-finite float is refused, as no sample
+    reader would take it back.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a sample")
@@ -289,6 +291,8 @@ def format_sample(value) -> str:
         head, tail = divmod(mag, 10**digits)
         return f"{sign}{head}.{str(tail).zfill(digits)}"
     if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"float sample is not finite: {value!r}")
         return repr(value)
     raise TypeError(f"cannot format {type(value).__name__} as a sample")
 
@@ -321,6 +325,6 @@ def read_signal(path, mode: str = EXACT, reversible: bool = False) -> list:
 
 
 def write_signal(samples, path) -> None:
+    text = "".join(format_sample(s) + "\n" for s in samples)  # refusals before any write
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in samples:
-            fh.write(format_sample(s) + "\n")
+        fh.write(text)

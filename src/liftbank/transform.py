@@ -182,16 +182,14 @@ def _lift(
     if not inverse:
         c0, c1 = div(c0, k), mul(c1, k)
     elif base is not None:
-        c0, c1 = apply_base(base.inverse(), c0, c1)
+        c0, c1 = apply_base(base.adjugate(), c0, c1)
     return out(c0), out(c1)
 
 
 # -- public API ----------------------------------------------------------------
 
 
-def analyze_signal(
-    cascade: LiftingCascade, samples: Sequence, boundary: str = "periodic"
-) -> SubbandPair:
+def analyze_signal(cascade: LiftingCascade, samples: Sequence) -> SubbandPair:
     """Forward transform: demultiplex, lift, scale.
 
     Parameters
@@ -200,16 +198,12 @@ def analyze_signal(
         Analysis cascade; reversible cascades require integer samples.
     samples : sequence
         Even-length signal.
-    boundary : str
-        Only "periodic" is implemented.
 
     Returns
     -------
     SubbandPair
         Lowpass and highpass bands, each of length len(samples) / 2.
     """
-    if boundary != "periodic":
-        raise ValueError(f"unsupported boundary handling {boundary!r}")
     n = len(samples)
     if n == 0 or n % 2 != 0:
         raise ValueError(
@@ -221,17 +215,13 @@ def analyze_signal(
     return SubbandPair(tuple(x0), tuple(x1))
 
 
-def synthesize_signal(
-    cascade: LiftingCascade, subbands: SubbandPair, boundary: str = "periodic"
-) -> list:
+def synthesize_signal(cascade: LiftingCascade, subbands: SubbandPair) -> list:
     """Inverse transform; exact inverse of :func:`analyze_signal`.
 
     Takes the *analysis* cascade and undoes it: gain first, then the steps
     in reverse with subtracted updates, then the base.  Reversible cascades
     reproduce the original integers bit for bit.
     """
-    if boundary != "periodic":
-        raise ValueError(f"unsupported boundary handling {boundary!r}")
     L = len(subbands.lowpass)
     if L != len(subbands.highpass):
         raise ValueError(

@@ -255,6 +255,24 @@ def test_rescale_overflowing_taps_exits_one_and_writes_nothing(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_transform_overflowing_output_exits_one_and_writes_nothing(tmp_path, capsys):
+    # 1 + 2*2 = 5 over K = 1e-308 overflows the float lowpass band
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(
+        '{"mode": "irreversible", "arithmetic": "float", "k": 1e-308,'
+        ' "steps": [{"update": 0, "taps": [{"n": 0, "c": 2}]}]}'
+    )
+    sig = tmp_path / "sig.txt"
+    sig.write_text("1\n2\n")
+    assert main(["transform", str(tiny), str(sig)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err and len(captured.err) < 200, captured.err[:200]
+    out = tmp_path / "bands.txt"
+    assert main(["transform", str(tiny), str(sig), "-o", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_rescale_huge_exponent_kappa_exits_two(capsys):
     assert main(["rescale", spec("haar.json"), "--kappa", "1e4000000"]) == 2
     assert "--kappa: " in capsys.readouterr().err

@@ -26,7 +26,11 @@ from liftbank import (
     LiftingCascade,
     LiftingStep,
     PolyphaseMatrix,
+    analyze_signal,
+    parse_spec,
     scalar_dc_recursion,
+    serialize_spec,
+    synthesize_signal,
 )
 from liftbank.banks import (
     cdf97,
@@ -254,6 +258,54 @@ def test_float_synthesis_over_a_lifted_base():
         )
         scale = max(1.0, max(abs(x) for e in h.entries() for _, x in e.items()))
         assert worst <= 1e-9 * scale**2
+
+
+@pytest.mark.parametrize("n_steps", [6, 10])
+def test_float_synthesis_cascades_rebuild_and_round_trip(n_steps):
+    # the derived base passes the constructor's det check, so the synthesis
+    # cascade survives replace(), a spec round trip and a transform
+    rng = random.Random(61)
+    ident = PolyphaseMatrix.identity(FLOAT)
+    x = [3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0] * 2
+    for _ in range(100):
+        base = ident.lifted(rng.randrange(2), _float_filter(rng))
+        m = rng.randrange(2)
+        steps = [LiftingStep((m + i) % 2, _float_filter(rng)) for i in range(n_steps)]
+        s = LiftingCascade(steps, rng.uniform(0.5, 2), base, FLOAT).synthesis()
+        assert s.replace() == s
+        assert parse_spec(serialize_spec(s)) == s
+        back = synthesize_signal(s, analyze_signal(s, x))
+        # rounding grows with the intermediate channels, i.e. the partial products
+        scale = max(
+            [1.0]
+            + [abs(c) for n in range(-1, s.n_steps) for e in s.partial_product(n).entries()
+               for _, c in e.items()]
+        )
+        assert max(abs(a - b) for a, b in zip(back, x)) <= 1e-9 * scale**2
+
+
+def test_synthesis_and_transforms_take_no_checked_inverse(monkeypatch):
+    # a cascade's base passed the det check once, at construction
+    def refuse(self):
+        raise AssertionError("checked inverse taken of a validated base")
+
+    monkeypatch.setattr(PolyphaseMatrix, "inverse", refuse)
+    for c in (wa_lifted_haar(), wa_lifted_haar().replace(k=F(3, 2))):
+        s = c.synthesis()
+        assert (s.evaluate() @ c.evaluate()).is_identity()
+        x = [3, -1, 4, 1, -5, 9]
+        assert synthesize_signal(c, analyze_signal(c, x)) == x
+
+
+def test_repr_names_steps_gain_base_and_kind():
+    assert repr(haar()) == "<LiftingCascade 2 steps, K=1, exact irreversible>"
+    assert repr(five_three()) == "<LiftingCascade 2 steps, K=1, reversible>"
+    assert repr(wa_lifted_haar().replace(k=F(3, 2))) == (
+        "<LiftingCascade 2 steps, K=3/2, base, exact irreversible>"
+    )
+    assert repr(LiftingCascade([], k=2.0, mode=FLOAT)) == (
+        "<LiftingCascade 0 steps, K=2.0, float irreversible>"
+    )
 
 
 def test_synthesis_inverts_float():

@@ -127,6 +127,44 @@ def test_mode_consistency_enforced():
         FilterPair(lp({0: 1}), lp({0: 1.0}, FLOAT))
 
 
+def test_adjugate_is_unchecked_and_inverse_checks_first():
+    skew = PolyphaseMatrix(lp({0: 2}), lp({1: 3}), lp({-1: 5}), lp({0: 7}))
+    adj = skew.adjugate()
+    assert adj == PolyphaseMatrix(lp({0: 7}), lp({1: -3}), lp({-1: -5}), lp({0: 2}))
+    # det(skew) = -1: the adjugate is taken, the inverse refused
+    with pytest.raises(ValueError, match="not unimodular"):
+        skew.inverse()
+    assert haar_base().inverse() == haar_base().adjugate()
+
+
+def test_float_base_det_tolerance_scales_with_coefficients():
+    def base(h00, h01, h10, h11):
+        entries = (h00, h01, h10, h11)
+        return PolyphaseMatrix(*(lp({0: c} if c else {}, FLOAT) for c in entries))
+
+    # coefficients at most 1 in magnitude: the tolerance is BASE_DET_TOL itself
+    assert base(1.0, 0.5, -1e-9, 1.0).is_unimodular()  # det = 1 + 0.5e-9
+    assert not base(1.0, 0.5, -4e-9, 1.0).is_unimodular()  # det = 1 + 2e-9
+    # largest coefficient 1000: the tolerance is BASE_DET_TOL * 1e6 = 1e-3
+    assert base(1000.0, 0.0, 0.0, 0.001 * (1 + 1e-4)).is_unimodular()
+    assert not base(1000.0, 0.0, 0.0, 0.001 * (1 + 2e-3)).is_unimodular()
+    # a scale whose square overflows decides nothing: det overflows with it
+    assert not base(1e200, 0.0, 0.0, 1e200).is_unimodular()
+    for m in (base(1.0, 0.5, -4e-9, 1.0), base(1000.0, 0.0, 0.0, 0.001 * (1 + 2e-3))):
+        with pytest.raises(ValueError, match="det 1"):
+            LiftingCascade([], base=m, mode=FLOAT)
+    LiftingCascade([], base=base(1000.0, 0.0, 0.0, 0.001 * (1 + 1e-4)), mode=FLOAT)
+
+
+def test_float_identity_within_tolerance():
+    near = PolyphaseMatrix(
+        lp({0: 1 + 1e-13}, FLOAT), lp({1: 1e-13}, FLOAT), lp({}, FLOAT), lp({0: 1.0}, FLOAT)
+    )
+    assert near.is_identity()
+    assert not near.is_identity(tol=1e-14)
+    assert not PolyphaseMatrix.diagonal(1.0, 1.5, FLOAT).is_identity()
+
+
 def test_float_inverse_within_tolerance():
     m = haar_base(FLOAT)
     p = m.inverse() @ m

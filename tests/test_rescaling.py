@@ -32,6 +32,11 @@ def test_gamma_oracle():
     assert g.h10 == lp({0: 20})
 
 
+def test_gamma_requires_a_nonzero_gain():
+    with pytest.raises(ValueError, match="nonzero K"):
+        gamma(haar_base(), 0)
+
+
 def test_gamma_is_an_automorphism():
     a = haar_base()
     b = PolyphaseMatrix(lp({0: 1}), lp({1: F(1, 2)}), lp({}), lp({0: 1}))
@@ -141,6 +146,15 @@ def test_reversible_pairs():
     assert w.relation == INEQUIVALENT
     # reversible never participates in a nontrivial rescaling
     assert find_rescaling(five_three(), haar()).relation == INEQUIVALENT
+
+
+def test_opposite_gains_are_inequivalent():
+    # rescaling multiplies K by kappa > 0, so no kappa maps K to -K
+    a = haar().replace(k=F(2))
+    b = haar().replace(k=F(-2))
+    assert a.evaluate() != b.evaluate()
+    assert find_rescaling(a, b).relation == INEQUIVALENT
+    assert find_rescaling(b, a).kappa is None
 
 
 def test_mode_mismatch_inequivalent():

@@ -241,6 +241,16 @@ def test_format_sample_shapes():
         format_sample(True)
 
 
+def test_format_sample_refuses_non_finite_floats(tmp_path):
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            format_sample(bad)
+    path = tmp_path / "sig.txt"
+    with pytest.raises(ValueError, match="not finite"):
+        write_signal([1.0, float("inf")], path)
+    assert not path.exists()
+
+
 def test_parse_sample_modes():
     assert parse_sample("0.25", EXACT, False, "x") == F(1, 4)
     assert parse_sample("1/3", EXACT, False, "x") == F(1, 3)

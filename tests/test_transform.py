@@ -134,13 +134,6 @@ def test_synthesis_input_validation():
         synthesize_signal(five_three(), SubbandPair((F(1, 2),), (1,)))
 
 
-def test_only_periodic_boundary():
-    with pytest.raises(ValueError, match="boundary"):
-        analyze_signal(haar(), [1, 2], boundary="symmetric")
-    with pytest.raises(ValueError, match="boundary"):
-        synthesize_signal(haar(), SubbandPair((1,), (1,)), boundary="zero")
-
-
 def test_float_transforms_reject_non_finite_samples():
     with pytest.raises(ValueError, match="finite"):
         analyze_signal(cdf97(), [1.0, float("nan")])
