@@ -31,7 +31,7 @@ from .laurent import (
 )
 
 #: Tolerance admitting float-mode matrices as unimodular (det = 1), relative
-#: to the square of the largest coefficient magnitude (at least 1).
+#: to the largest coefficient of the terms the det sums (at least 1).
 BASE_DET_TOL = 1e-9
 
 
@@ -139,16 +139,17 @@ class PolyphaseMatrix:
     def is_unimodular(self) -> bool:
         """det = 1: exactly, or for float matrices within a scaled tolerance.
 
-        Rounding in h00*h11 - h01*h10 grows with the products of the entries,
-        so the tolerance is ``BASE_DET_TOL`` * max(1, largest |coefficient|)^2;
-        a matrix whose scale squared overflows is refused.
+        Rounding in h00*h11 - h01*h10 is bounded by the terms it sums: the
+        tolerance is ``BASE_DET_TOL`` * max(1, largest coefficient of
+        |h00|*|h11| + |h01|*|h10|); a matrix whose terms overflow is refused.
         """
         det = self.determinant()
         one = LaurentPoly.one(self.mode)
         if self.mode == EXACT:
             return det == one
-        scale = max([1.0] + [abs(c) for e in self.entries() for _, c in e.items()])
-        tol = BASE_DET_TOL * scale * scale
+        a, b, c, d = (LaurentPoly({n: abs(x) for n, x in e.items()}, self.mode)
+                      for e in self.entries())
+        tol = BASE_DET_TOL * max([1.0] + [x for _, x in (a * d + b * c).items()])
         return isfinite(tol) and det.approx_eq(one, tol)
 
     def describe_determinant(self) -> str:

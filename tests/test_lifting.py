@@ -260,7 +260,7 @@ def test_float_synthesis_over_a_lifted_base():
         assert worst <= 1e-9 * scale**2
 
 
-@pytest.mark.parametrize("n_steps", [6, 10])
+@pytest.mark.parametrize("n_steps", [6, 10, 16])
 def test_float_synthesis_cascades_rebuild_and_round_trip(n_steps):
     # the derived base passes the constructor's det check, so the synthesis
     # cascade survives replace(), a spec round trip and a transform

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from liftbank import (
     EXACT,
     FLOAT,
+    CascadeError,
     FilterPair,
     LaurentPoly,
     LiftingCascade,
@@ -142,18 +143,29 @@ def test_float_base_det_tolerance_scales_with_coefficients():
         entries = (h00, h01, h10, h11)
         return PolyphaseMatrix(*(lp({0: c} if c else {}, FLOAT) for c in entries))
 
-    # coefficients at most 1 in magnitude: the tolerance is BASE_DET_TOL itself
+    # terms of det at most 1: the tolerance is BASE_DET_TOL itself
     assert base(1.0, 0.5, -1e-9, 1.0).is_unimodular()  # det = 1 + 0.5e-9
     assert not base(1.0, 0.5, -4e-9, 1.0).is_unimodular()  # det = 1 + 2e-9
-    # largest coefficient 1000: the tolerance is BASE_DET_TOL * 1e6 = 1e-3
-    assert base(1000.0, 0.0, 0.0, 0.001 * (1 + 1e-4)).is_unimodular()
-    assert not base(1000.0, 0.0, 0.0, 0.001 * (1 + 2e-3)).is_unimodular()
-    # a scale whose square overflows decides nothing: det overflows with it
-    assert not base(1e200, 0.0, 0.0, 1e200).is_unimodular()
-    for m in (base(1.0, 0.5, -4e-9, 1.0), base(1000.0, 0.0, 0.0, 0.001 * (1 + 2e-3))):
-        with pytest.raises(ValueError, match="det 1"):
+    # terms |h00 h11| + |h01 h10| = 2001: the tolerance is about 2e-6
+    assert base(1000.0, 1000.0, 1.0, 1.001 + 1e-10).is_unimodular()  # det ~ 1 + 1e-7
+    assert not base(1000.0, 1000.0, 1.0, 1.001 + 1e-8).is_unimodular()  # det ~ 1 + 1e-5
+    # one large coefficient does not loosen the check: the terms stay near 1
+    refused = (
+        base(1e5, 0.0, 0.0, 0.0),  # singular
+        base(1e5, 0.0, 0.0, 1.5e-5),  # det = 1.5
+        base(1.0, 0.5, -4e-9, 1.0),
+        base(1000.0, 1000.0, 1.0, 1.001 + 1e-8),
+        base(1e100, 0.0, 0.0, 1e-100 * (1 + 1e-8)),  # det = 1 + 1e-8
+    )
+    for m in refused:
+        assert not m.is_unimodular()
+        with pytest.raises(ValueError, match="not unimodular"):
+            m.inverse()
+        with pytest.raises(CascadeError, match="det 1"):
             LiftingCascade([], base=m, mode=FLOAT)
-    LiftingCascade([], base=base(1000.0, 0.0, 0.0, 0.001 * (1 + 1e-4)), mode=FLOAT)
+    # terms whose product overflows decide nothing: det overflows with them
+    assert not base(1e200, 0.0, 0.0, 1e200).is_unimodular()
+    LiftingCascade([], base=base(1000.0, 1000.0, 1.0, 1.001 + 1e-10), mode=FLOAT)
 
 
 def test_float_identity_within_tolerance():
