@@ -22,11 +22,13 @@ from .factorization import (
     factor_lifting,
 )
 from .laurent import EXACT, ModeError, format_scalar, parse_scalar
+from .lifting import CascadeError
 from .normalization import AnalysisReport, analyze, check_part2
 from .rescaling import EQUIVALENT, IDENTICAL, find_rescaling, rescale_cascade
 from .specio import (
     SpecFormatError,
     _scalar_to_json,
+    _spec_path,
     _taps_to_json,
     load_spec,
     parse_matrix,
@@ -129,7 +131,11 @@ def render_json_report(report: AnalysisReport) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze(load_spec(args.spec))
+    cascade = load_spec(args.spec)
+    try:
+        report = analyze(cascade)
+    except CascadeError as exc:  # a field the parser passed, such as an overflowing K
+        raise SpecFormatError(str(exc), _spec_path(exc.field)) from None
     if args.format == "json":
         sys.stdout.write(render_json_report(report))
     else:

@@ -12,15 +12,23 @@ tap at n = 1.  Under this convention "symmetric about 1/2" reads
 ``s(n) == s(1 - n)`` and "antisymmetric about 0" reads ``s(n) == -s(-n)``.
 
 Two arithmetic modes exist and are never mixed inside one computation:
-``EXACT`` (``fractions.Fraction`` coefficients) and ``FLOAT`` (binary
-doubles).  Exact mode is the default and is required for reversible
-transforms and for factorization.
+``EXACT`` (rational coefficients) and ``FLOAT`` (binary doubles).  Exact
+mode is the default and is required for reversible transforms and for
+factorization.
+
+Both modes store one map, tap -> numerator, over one denominator.  Exact
+numerators are ints over a positive denominator, canonical (no zero
+numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
+``==`` compares structure.  Float numerators are doubles over 1, never
+reduced, and summed in the plain loops' order, so float results keep their
+bits.  Arithmetic and evaluation run on the numerators; only ``coeff``,
+``items``, ``taps`` and ``str`` build ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isfinite
+from math import gcd, inf, isfinite, lcm
 from typing import Iterator, Mapping, Union
 
 EXACT = "exact"
@@ -143,25 +151,42 @@ def scalar_is_dyadic(x: Scalar) -> bool:
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial; zero coefficients are never stored."""
+    """Immutable Laurent polynomial: nonzero tap numerators over one denominator."""
 
-    __slots__ = ("_taps", "_mode")
+    __slots__ = ("_num", "_den", "_mode")
 
     def __init__(self, taps: Mapping[int, object] | None = None, mode: str = EXACT):
         _check_mode(mode)
-        clean: dict[int, Scalar] = {}
-        if taps:
-            for n, c in taps.items():
-                if not isinstance(n, int) or isinstance(n, bool):
-                    raise TypeError(f"tap index must be an int, got {n!r}")
-                v = as_scalar(c, mode)
-                if v != 0:
-                    clean[n] = v
-        object.__setattr__(self, "_taps", clean)
-        object.__setattr__(self, "_mode", mode)
+        vals: dict[int, Scalar] = {}
+        for n, c in (taps or {}).items():
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise TypeError(f"tap index must be an int, got {n!r}")
+            v = as_scalar(c, mode)
+            if v:
+                vals[n] = v
+        den = 1
+        if mode == EXACT:  # over the lcm of reduced denominators the gcd is 1
+            den = lcm(*[c.denominator for c in vals.values()])
+            vals = {n: c.numerator * (den // c.denominator) for n, c in vals.items()}
+        self._set(vals, den, mode)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("LaurentPoly is immutable")
+
+    def _set(self, num: dict, den: int, mode: str) -> "LaurentPoly":
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_mode", mode)
+        return self
+
+    def _new(self, num: dict, den: int) -> "LaurentPoly":
+        # internal: drop zero numerators, reduce by one gcd (a float
+        # polynomial's denominator is 1, so floats are never divided)
+        num = {n: c for n, c in num.items() if c}
+        if den != 1 and (g := gcd(den, *num.values())) != 1:
+            den //= g
+            num = {n: c // g for n, c in num.items()}
+        return LaurentPoly.__new__(LaurentPoly)._set(num, den, self._mode)
 
     # -- constructors ------------------------------------------------------
 
@@ -186,31 +211,37 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._taps
+        return not self._num
+
+    def _edge(self, pairs) -> list[tuple[int, Scalar]]:
+        # (tap, numerator) pairs as (tap, coefficient): Fractions in exact mode
+        if self._mode != EXACT:
+            return list(pairs)
+        return [(n, Fraction(c, self._den)) for n, c in pairs]
 
     def coeff(self, n: int) -> Scalar:
-        zero = Fraction(0) if self._mode == EXACT else 0.0
-        return self._taps.get(n, zero)
+        c = self._num.get(n, 0)
+        return Fraction(c, self._den) if self._mode == EXACT else float(c)
 
     def items(self) -> Iterator[tuple[int, Scalar]]:
         """Taps in ascending index order."""
-        return iter(sorted(self._taps.items()))
+        return iter(self._edge(sorted(self._num.items())))
 
     def taps(self) -> dict[int, Scalar]:
         """A copy of the tap map."""
-        return dict(self._taps)
+        return dict(self._edge(self._num.items()))
 
     def support(self) -> tuple[int, int] | None:
         """(min tap, max tap), or None for the zero polynomial."""
-        if not self._taps:
+        if not self._num:
             return None
-        return min(self._taps), max(self._taps)
+        return min(self._num), max(self._num)
 
     def span(self) -> int:
         """Length of the support interval (0 for the zero polynomial)."""
-        if not self._taps:
+        if not self._num:
             return 0
-        return max(self._taps) - min(self._taps) + 1
+        return max(self._num) - min(self._num) + 1
 
     # -- algebra -----------------------------------------------------------
 
@@ -221,31 +252,38 @@ class LaurentPoly:
             )
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        # self + sign * other over the lcm of the denominators; a float
+        # c * -1 is exactly -c, so a - b keeps the bits of a + (-b)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_mode(other)
-        taps = dict(self._taps)
-        for n, c in other._taps.items():
-            taps[n] = taps.get(n, 0) + c
-        return LaurentPoly._raw(taps, self._mode)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        num = dict(self._num) if sa == 1 else {n: c * sa for n, c in self._num.items()}
+        get = num.get
+        for n, c in other._num.items():
+            num[n] = get(n, 0) + c * sb
+        return self._new(num, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({n: -c for n, c in self._taps.items()}, self._mode)
+        return self._new({n: -c for n, c in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             self._require_same_mode(other)
-            taps: dict[int, Scalar] = {}
-            for n1, c1 in self._taps.items():
-                for n2, c2 in other._taps.items():
+            num: dict[int, Scalar] = {}
+            get = num.get
+            for n1, c1 in self._num.items():
+                for n2, c2 in other._num.items():
                     n = n1 + n2
-                    taps[n] = taps.get(n, 0) + c1 * c2
-            return LaurentPoly._raw(taps, self._mode)
+                    num[n] = get(n, 0) + c1 * c2
+            return self._new(num, self._den * other._den)
         return self.scaled(other)
 
     def __rmul__(self, other) -> "LaurentPoly":
@@ -253,58 +291,58 @@ class LaurentPoly:
 
     def scaled(self, c) -> "LaurentPoly":
         v = as_scalar(c, self._mode)
-        return LaurentPoly._raw(
-            {n: v * x for n, x in self._taps.items()}, self._mode
-        )
+        p, q = (v.numerator, v.denominator) if self._mode == EXACT else (v, 1)
+        return self._new({n: p * x for n, x in self._num.items()}, self._den * q)
 
     def shifted(self, d: int) -> "LaurentPoly":
         """Multiply by z^(-d): every tap index moves up by d."""
-        return LaurentPoly._raw(
-            {n + d: c for n, c in self._taps.items()}, self._mode
-        )
-
-    @classmethod
-    def _raw(cls, taps: dict[int, Scalar], mode: str) -> "LaurentPoly":
-        # internal: values already coerced, just drop zeros
-        p = cls.__new__(cls)
-        object.__setattr__(p, "_taps", {n: c for n, c in taps.items() if c != 0})
-        object.__setattr__(p, "_mode", mode)
-        return p
+        return self._new({n + d: c for n, c in self._num.items()}, self._den)
 
     def evaluate(self, point) -> Scalar:
         """Value of S at z = point: sum of s(n) * point**(-n).
 
         point = 0 is only legal when no tap needs a negative exponent there,
-        i.e. when every tap index is <= 0.
+        i.e. when every tap index is <= 0.  At point = p/q an exact value is
+        sum(num(n) * p**(hi - n) * q**(n - lo)) * q**lo / (den * p**hi), for
+        taps in [lo, hi], summed over integers.
         """
         x = as_scalar(point, self._mode)
         if x == 0:
-            if any(n > 0 for n in self._taps):
+            if any(n > 0 for n in self._num):
                 raise ZeroDivisionError(
                     "evaluation at 0 with delay taps (negative exponents)"
                 )
             return self.coeff(0)
-        total = as_scalar(0, self._mode)
-        for n, c in self._taps.items():
-            total += c * x ** (-n)
-        return total
+        if self._mode != EXACT:
+            total = 0.0
+            for n, c in self._num.items():
+                total += c * x ** (-n)
+            return total
+        p, q = x.numerator, x.denominator
+        lo, hi = min(self._num, default=0), max(self._num, default=0)
+        t = sum(c * p ** (hi - n) * q ** (n - lo) for n, c in self._num.items())
+        return Fraction(
+            t * q ** max(lo, 0) * p ** max(-hi, 0),
+            self._den * p ** max(hi, 0) * q ** max(-lo, 0),
+        )
 
     def is_dyadic(self) -> bool:
         """True iff every coefficient has a power-of-two denominator."""
         if self._mode != EXACT:
             raise ModeError("dyadicity is undefined in float mode")
-        return all(scalar_is_dyadic(c) for c in self._taps.values())
+        # canonical: the denominator is the lcm of the reduced ones
+        return self._den & (self._den - 1) == 0
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._mode == other._mode and self._taps == other._taps
-
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
+        return (
+            self._mode == other._mode
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     __hash__ = None  # mutable-dict backed; not hashable
 
@@ -313,21 +351,21 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             raise TypeError("approx_eq expects a LaurentPoly")
         self._require_same_mode(other)
-        for n in set(self._taps) | set(other._taps):
+        for n in set(self._num) | set(other._num):
             if not abs(self.coeff(n) - other.coeff(n)) <= tol:  # NaN fails
                 return False
         return True
 
     def __bool__(self) -> bool:
-        return bool(self._taps)
+        return bool(self._num)
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._taps:
+        if not self._num:
             return "0"
         parts = []
-        for n, c in sorted(self._taps.items()):  # descending powers of z
+        for n, c in self.items():  # descending powers of z
             if n == 0:
                 mag = format_scalar(abs(c))
             else:

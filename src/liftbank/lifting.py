@@ -52,46 +52,36 @@ class CascadeError(ValueError):
 class RoundingRule:
     """A deterministic map from dyadic rationals to integers.
 
-    ``apply_shifted(num, d)`` rounds the dyadic rational num / 2**d using
-    integer arithmetic only.
+    Every rule rounds num / 2**d as ``(num + bias) >> d`` in integer
+    arithmetic.  For d >= 1 and h = 2**(d-1) the bias is ``offset(h)``: h
+    for half-up, h - 1 for half-down, 0 for floor and 2h - 1 for ceiling;
+    half-even adds the low bit of num >> d to h - 1, so a tie goes to the
+    even neighbour.  d = 0 needs no rounding.
     """
 
     name: str
-    apply_shifted: Callable[[int, int], int]
+    offset: Callable[[int], int]
+    to_even: bool = False
+
+    def rounded(self, nums: Iterable[int], d: int) -> list[int]:
+        """Every num / 2**d of ``nums`` rounded, in one comprehension."""
+        if not d:
+            return list(nums)
+        b = self.offset(1 << (d - 1))
+        if self.to_even:
+            return [(v + b + ((v >> d) & 1)) >> d for v in nums]
+        return [(v + b) >> d for v in nums]
+
+    def apply_shifted(self, num: int, d: int) -> int:
+        """num / 2**d rounded to an integer."""
+        return self.rounded((num,), d)[0]
 
 
-def _shift_half_up(num: int, d: int) -> int:
-    return (num + (1 << (d - 1))) >> d if d else num
-
-
-def _shift_half_down(num: int, d: int) -> int:
-    return -((-num + (1 << (d - 1))) >> d) if d else num
-
-
-def _shift_floor(num: int, d: int) -> int:
-    return num >> d
-
-
-def _shift_ceil(num: int, d: int) -> int:
-    return -((-num) >> d)
-
-
-def _shift_half_even(num: int, d: int) -> int:
-    if d == 0:
-        return num
-    q = num >> d
-    r = num - (q << d)
-    half = 1 << (d - 1)
-    if r > half or (r == half and (q & 1)):
-        q += 1
-    return q
-
-
-ROUND_HALF_UP = RoundingRule("half-up", _shift_half_up)
-ROUND_HALF_DOWN = RoundingRule("half-down", _shift_half_down)
-ROUND_FLOOR = RoundingRule("floor", _shift_floor)
-ROUND_CEILING = RoundingRule("ceiling", _shift_ceil)
-ROUND_HALF_EVEN = RoundingRule("half-even", _shift_half_even)
+ROUND_HALF_UP = RoundingRule("half-up", lambda h: h)
+ROUND_HALF_DOWN = RoundingRule("half-down", lambda h: h - 1)
+ROUND_FLOOR = RoundingRule("floor", lambda h: 0)
+ROUND_CEILING = RoundingRule("ceiling", lambda h: 2 * h - 1)
+ROUND_HALF_EVEN = RoundingRule("half-even", lambda h: h - 1, to_even=True)
 
 ROUNDING_RULES = {
     r.name: r
@@ -184,6 +174,10 @@ def scalar_dc_recursion(dc_gains: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(b)
 
 
+def _finite(m: PolyphaseMatrix) -> bool:
+    return all(isfinite(x) for e in m.entries() for _, x in e.items())
+
+
 class LiftingCascade:
     """An ordered list of lifting steps with gain, optional base and mode.
 
@@ -220,6 +214,8 @@ class LiftingCascade:
         kk = as_scalar(k, mode)
         if kk == 0:
             raise CascadeError("gain K must be nonzero", "k")
+        if mode != EXACT and not isfinite(1 / kk):
+            raise CascadeError(f"gain K = {kk!r} has no finite reciprocal", "k")
         if reversible and kk != 1:
             raise CascadeError(f"reversible cascades require K = 1, got {kk}", "k")
         if base is not None:
@@ -320,12 +316,19 @@ class LiftingCascade:
         return acc
 
     def evaluate(self) -> PolyphaseMatrix:
-        """The analysis polyphase matrix diag(1/K, K) * steps * base."""
-        h00, h01, h10, h11 = self.partial_product(len(self.steps) - 1).entries()
+        """The analysis polyphase matrix diag(1/K, K) * steps * base.
+
+        A float K whose scaling overflows a finite coefficient of the
+        product raises :class:`CascadeError` at ``("k",)``.
+        """
+        e = self.partial_product(len(self.steps) - 1)
         inv_k = 1 / self.k
-        return PolyphaseMatrix(
-            h00.scaled(inv_k), h01.scaled(inv_k), h10.scaled(self.k), h11.scaled(self.k)
+        h = PolyphaseMatrix(
+            e.h00.scaled(inv_k), e.h01.scaled(inv_k), e.h10.scaled(self.k), e.h11.scaled(self.k)
         )
+        if self.mode != EXACT and _finite(e) and not _finite(h):
+            raise CascadeError(f"gain K = {self.k!r} overflows the polyphase matrix", "k")
+        return h
 
     def to_filters(self) -> FilterPair:
         return self.evaluate().to_filters()

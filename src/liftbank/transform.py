@@ -10,8 +10,9 @@ Every transform runs one lifting order: base, steps, gain; the synthesis
 side undoes the gain, then each step in reverse by subtracting the update
 that step added, then the base.  Only the channel arithmetic differs, and it
 is picked once per transform.  Neither exact arithmetic touches binary
-floats or per-sample ``Fraction`` arithmetic: a filter becomes integer taps
-over the least common denominator of its coefficients.
+floats or per-sample ``Fraction`` arithmetic: a filter is read as the
+integer tap numerators and the one denominator its polynomial stores.
+Filtering runs tap by tap over whole rotated channels.
 
 Reversible cascades keep every intermediate as an exact dyadic rational and
 round each update to an integer before adding it in place; the synthesis
@@ -30,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Sequence
 
-from .laurent import EXACT, LaurentPoly, Scalar, as_scalar
+from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -50,24 +51,42 @@ class SubbandPair:
 
 
 def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> list:
-    """Samples as the cascade's scalars; reversible cascades take ints only."""
-    if cascade.reversible:
+    """Samples as the cascade's scalars; reversible cascades take ints only.
+
+    An all-int sequence (reversible) or an all-finite-float one (float mode)
+    passes in one pass; anything else is checked sample by sample.
+    """
+    kinds = set(map(type, values))
+    if cascade.reversible and not kinds <= {int}:
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(
                     f"reversible transforms take integer {what}, got {v!r}"
                 )
+    if cascade.reversible or (
+        cascade.mode == FLOAT and kinds <= {float} and isfinite(sum(values))
+    ):
         return list(values)
     return [as_scalar(v, cascade.mode) for v in values]
 
 
-def _circular(taps: list[tuple[int, Scalar]], x: list, L: int) -> list:
-    out = []
-    for i in range(L):
-        acc = 0
-        for n, c in taps:
-            acc += c * x[(i - n) % L]
-        out.append(acc)
+#: Samples per block of an in-place reversible update: short lists keep the
+#: transient memory of a step small.
+_BLOCK = 4096
+
+
+def _circular(taps: list[tuple[int, Scalar]], x: list, lo: int, hi: int) -> list:
+    """Samples lo..hi-1 of x filtered circularly: tap n reads x[(i - n) % L].
+
+    Tap by tap, over runs of x rotated by n; the first term is 0 + c*x, so
+    a float sum keeps its order and its signed zeros.
+    """
+    L, m = len(x), hi - lo
+    out = [0] * m
+    for n, c in taps:
+        s = (lo - n) % L
+        run = x[s:s + m] if s + m <= L else x[s:] + x[: s + m - L]
+        out = [a + c * v for a, v in zip(out, run)]
     return out
 
 
@@ -75,10 +94,8 @@ def _circular(taps: list[tuple[int, Scalar]], x: list, L: int) -> list:
 
 
 def _int_taps(filt: LaurentPoly) -> tuple[list[tuple[int, int]], int]:
-    """Taps as integer numerators over the lcm of their denominators."""
-    items = list(filt.items())
-    den = lcm(*(c.denominator for _, c in items))
-    return [(n, c.numerator * (den // c.denominator)) for n, c in items], den
+    """An exact filter's tap numerators and their one denominator, as stored."""
+    return list(filt._num.items()), filt._den
 
 
 #: An exact channel: integer numerators over one positive denominator.
@@ -122,19 +139,19 @@ def _lift(
     L = len(x0)
     load = out = lambda x: x
     if cascade.reversible:  # K = 1 and no base, by the cascade invariant
-        rnd = cascade.rounding.apply_shifted
+        rounded = cascade.rounding.rounded
 
         def update(
             dst: list[int], filt: LaurentPoly, src: list[int], sign: int
         ) -> list[int]:
-            # in place: the inverse recomputes the same rounded update
+            # in place, a block at a time; the inverse recomputes the same
+            # rounded update and subtracts it
             taps, den = _int_taps(filt)
             shift = den.bit_length() - 1  # den is a power of two: the taps are dyadic
-            for i in range(L):
-                acc = 0
-                for n, c in taps:
-                    acc += c * src[(i - n) % L]
-                dst[i] += sign * rnd(acc, shift)
+            for lo in range(0, L, _BLOCK):
+                hi = min(lo + _BLOCK, L)
+                u = rounded(_circular(taps, src, lo, hi), shift)
+                dst[lo:hi] = [a + sign * v for a, v in zip(dst[lo:hi], u)]
             return dst
 
         mul = div = lambda x, k: x
@@ -146,7 +163,7 @@ def _lift(
             taps, q = _int_taps(filt)
             nums, den = src
             signed = [(n, sign * c) for n, c in taps]
-            return _sum(dst, (_circular(signed, nums, L), q * den))
+            return _sum(dst, (_circular(signed, nums, 0, L), q * den))
 
         load, zero = _channel, ([0] * L, 1)
         out = lambda x: [Fraction(v, x[1]) for v in x[0]]
@@ -155,7 +172,7 @@ def _lift(
 
         def update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
             signed = [(n, sign * c) for n, c in filt.items()]
-            return [a + u for a, u in zip(dst, _circular(signed, src, L))]
+            return [a + u for a, u in zip(dst, _circular(signed, src, 0, L))]
 
         zero = [0] * L
         mul = lambda x, k: [v * k for v in x]

@@ -326,3 +326,17 @@ def test_long_kappa_gives_a_bounded_error(capsys):
     assert main(["rescale", spec("haar.json"), "--kappa", _LONG]) == 2
     err = capsys.readouterr().err
     assert "--kappa: " in err and len(err) < 200, err[:200]
+
+
+@pytest.mark.parametrize("k", ["1e-308", "1e-320"])
+def test_analyze_overflowing_gain_exits_two_at_k(tmp_path, capsys, k):
+    # 1/K = 1e308 times the tap 2 overflows; 1/K of a subnormal K is inf
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(
+        f'{{"mode":"irreversible","arithmetic":"float","k":{k},'
+        '"steps":[{"update":0,"taps":[{"n":0,"c":2}]}]}'
+    )
+    assert main(["analyze", str(tiny)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $.k: "), captured.err

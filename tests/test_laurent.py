@@ -210,3 +210,163 @@ def test_approx_eq_fails_closed_on_nan():
     one = LaurentPoly({0: 1.0}, FLOAT)
     assert not nan.approx_eq(one)
     assert not one.approx_eq(nan)
+
+
+# -- the integer-numerator form against the Fraction-dict algorithm ------------
+#
+# LaurentPoly once stored a dict of Fractions (or floats) and ran the loops
+# below on it.  The numerator form must give the same values, the same
+# types and, in float mode, the same bits in the same tap order.
+
+
+def _ref_clean(t):
+    return {n: c for n, c in t.items() if c != 0}
+
+
+def ref_add(a, b):
+    t = dict(a)
+    for n, c in b.items():
+        t[n] = t.get(n, 0) + c
+    return _ref_clean(t)
+
+
+def ref_mul(a, b):
+    t = {}
+    for n1, c1 in a.items():
+        for n2, c2 in b.items():
+            t[n1 + n2] = t.get(n1 + n2, 0) + c1 * c2
+    return _ref_clean(t)
+
+
+def ref_neg(a):
+    return {n: -c for n, c in a.items()}
+
+
+def ref_evaluate(a, x, total):
+    for n, c in a.items():
+        total += c * x ** (-n)
+    return total
+
+
+def ref_str(a):
+    out = ""
+    for n, c in sorted(a.items()):
+        z, mag = ("" if n == 0 else "z" if n == -1 else f"z^{-n}"), format_scalar(abs(c))
+        mag = mag if not z else z if abs(c) == 1 else f"{mag}*{z}"
+        out += (" - " if c < 0 else " + ") + mag if out else ("-" if c < 0 else "") + mag
+    return out or "0"
+
+
+def assert_canonical(p):
+    from math import gcd
+
+    nums, den = p._num, p._den
+    assert all(c for c in nums.values())
+    if p.mode == EXACT:
+        assert type(den) is int and den > 0
+        assert all(type(c) is int for c in nums.values())
+        assert gcd(den, *nums.values()) == 1
+    else:
+        assert den == 1 and all(type(c) is float for c in nums.values())
+    return p
+
+
+def assert_agrees(p, ref):
+    """``p`` is canonical and reads back exactly as the reference tap map."""
+    assert_canonical(p)
+    zero = F(0) if p.mode == EXACT else 0.0
+    assert repr(list(p.taps().items())) == repr(list(ref.items()))
+    assert repr(list(p.items())) == repr(sorted(ref.items()))
+    assert all(type(c) is type(zero) for c in p.taps().values())
+    for n in range(-8, 9):
+        assert repr(p.coeff(n)) == repr(ref.get(n, zero))
+    assert p.support() == ((min(ref), max(ref)) if ref else None)
+    assert p.span() == (max(ref) - min(ref) + 1 if ref else 0)
+    assert str(p) == ref_str(ref)
+    assert p == LaurentPoly(ref, p.mode)
+
+
+mixed_coeffs = st.one_of(
+    coeffs,
+    st.fractions(max_denominator=10**9),
+    st.builds(F, st.integers(-(10**40), 10**40), st.sampled_from([1, 2, 3, 6, 7**12, 2**64])),
+)
+mixed_maps = st.dictionaries(st.integers(-6, 6), mixed_coeffs, max_size=6)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    # b repeats or negates some of a's taps, so sums and differences cancel
+    a = draw(mixed_maps)
+    b = draw(mixed_maps)
+    for n in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else []:
+        b[n] = draw(st.sampled_from([a[n], -a[n]]))
+    return a, b
+
+
+scalars = st.one_of(
+    mixed_coeffs,
+    st.integers(-(10**60), 10**60),
+    st.just(F(-(10**50) - 1, 3**40)),
+)
+
+
+@given(cancelling_pairs(), scalars, st.integers(-5, 5))
+def test_exact_ops_agree_with_the_fraction_reference(pair, v, d):
+    a, b = pair
+    p, q = LaurentPoly(a), LaurentPoly(b)
+    ra, rb = _ref_clean({n: F(c) for n, c in a.items()}), _ref_clean({n: F(c) for n, c in b.items()})
+    assert_agrees(p, ra)
+    assert_agrees(p + q, ref_add(ra, rb))
+    assert_agrees(p - q, ref_add(ra, ref_neg(rb)))
+    assert_agrees(-p, ref_neg(ra))
+    assert_agrees(p * q, ref_mul(ra, rb))
+    assert_agrees(p.scaled(v), _ref_clean({n: F(v) * c for n, c in ra.items()}))
+    assert_agrees(p.shifted(d), {n + d: c for n, c in ra.items()})
+    assert_agrees(p - p, {})
+    assert (p == q) == (ra == rb)
+    assert p.is_dyadic() == all(c.denominator & (c.denominator - 1) == 0 for c in ra.values())
+
+
+@given(mixed_maps, st.one_of(st.sampled_from([F(1), F(-1), F(0)]), mixed_coeffs))
+def test_exact_evaluate_agrees_with_the_fraction_reference(a, x):
+    p = LaurentPoly(a)
+    ra = _ref_clean({n: F(c) for n, c in a.items()})
+    try:
+        want = ref_evaluate(ra, x, F(0))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(x)
+        return
+    got = p.evaluate(x)
+    assert type(got) is F and got == want
+
+
+def _float_map(rng):
+    return {
+        rng.randrange(-4, 5): rng.choice([rng.uniform(-2, 2), rng.uniform(-1e6, 1e6), 0.5, -1.0])
+        for _ in range(rng.randrange(0, 6))
+    }
+
+
+def test_float_ops_keep_the_reference_bits():
+    import random
+
+    rng = random.Random(20261018)
+    for _ in range(400):
+        a, b = _float_map(rng), _float_map(rng)
+        for n in list(a)[: rng.randrange(0, 3)]:
+            b[n] = rng.choice([a[n], -a[n]])  # exact cancellations
+        p, q = LaurentPoly(a, FLOAT), LaurentPoly(b, FLOAT)
+        ra, rb = _ref_clean(a), _ref_clean(b)
+        v, x, d = rng.uniform(-3, 3), rng.uniform(0.5, 2), rng.randrange(-3, 4)
+        assert_agrees(p + q, ref_add(ra, rb))
+        assert_agrees(p - q, ref_add(ra, ref_neg(rb)))
+        assert_agrees(-p, ref_neg(ra))
+        assert_agrees(p * q, ref_mul(ra, rb))
+        assert_agrees(p.scaled(v), _ref_clean({n: v * c for n, c in ra.items()}))
+        assert_agrees(p.shifted(d), {n + d: c for n, c in ra.items()})
+        assert repr(p.evaluate(x)) == repr(ref_evaluate(ra, x, 0.0))
+        assert repr((p * q - q).evaluate(-x)) == repr(
+            ref_evaluate(ref_add(ref_mul(ra, rb), ref_neg(rb)), -x, 0.0)
+        )
