@@ -1,12 +1,15 @@
-"""Gain normalization: the scalar DC recursion and what it certifies.
+"""Gain normalization: the DC trace and what it certifies.
 
-The compliance check never multiplies the cascade out.  It runs a two-term
-scalar recursion over the step DC gains,
+The compliance check never multiplies the cascade out.  It carries the DC
+vector through the steps, starting from the base's DC vector ((1, 1)
+without a base), and its verdict is one comparison: the lowpass entry of
+the last vector, the unnormalized lowpass DC gain E_0(1), must equal K
+(irreversible) or 1 (reversible).  For alternating steps that entry is the
+B value Part 2 selects, and without a base the two-term recursion
 
     B_i = D_i * B_{i-1} + B_{i-2},        B_-2 = B_-1 = 1,
 
-and compares one selected B value against the gain K (irreversible) or
-1 (reversible).
+over the step DC gains D_i gives the same B sequence, as printed below.
 
 Run:  python3 demos/02_gain_normalization.py
 """

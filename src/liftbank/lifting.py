@@ -23,7 +23,7 @@ B_{-1} the other, so B_{-1} = B_{-2} = 1 without a base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
 from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar
@@ -139,25 +139,11 @@ class DCTrace:
     ``vectors[i]`` is the DC vector after step i-1 (``vectors[0]`` is the
     initial vector, before any step).  ``b[i]`` is B_{i-2}: the list starts
     with the initial vector's entry that step 0 modifies (B_{-2}) and then
-    the other entry (B_{-1}), both 1 without a base.  ``d[i]`` is the DC
-    gain of step i.
+    the other entry (B_{-1}), both 1 without a base.
     """
 
     vectors: tuple[tuple[Scalar, Scalar], ...]
     b: tuple[Scalar, ...]
-    d: tuple[Scalar, ...]
-
-    def vector_at(self, n: int) -> tuple[Scalar, Scalar]:
-        """DC vector after step n; n = -1 gives the initial vector."""
-        if not -1 <= n < len(self.vectors) - 1:
-            raise IndexError(f"step index {n} out of range")
-        return self.vectors[n + 1]
-
-    def b_at(self, i: int) -> Scalar:
-        """B_i for i in [-2, N-1]."""
-        if not -2 <= i < len(self.b) - 2:
-            raise IndexError(f"B index {i} out of range")
-        return self.b[i + 2]
 
 
 def scalar_dc_recursion(dc_gains: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -318,16 +304,18 @@ class LiftingCascade:
     def evaluate(self) -> PolyphaseMatrix:
         """The analysis polyphase matrix diag(1/K, K) * steps * base.
 
-        A float K whose scaling overflows a finite coefficient of the
-        product raises :class:`CascadeError` at ``("k",)``.
+        A non-finite float coefficient raises :class:`CascadeError`: at
+        ``("k",)`` when only the gain scaling overflows, else at ``("steps",)``.
         """
         e = self.partial_product(len(self.steps) - 1)
         inv_k = 1 / self.k
         h = PolyphaseMatrix(
             e.h00.scaled(inv_k), e.h01.scaled(inv_k), e.h10.scaled(self.k), e.h11.scaled(self.k)
         )
-        if self.mode != EXACT and _finite(e) and not _finite(h):
-            raise CascadeError(f"gain K = {self.k!r} overflows the polyphase matrix", "k")
+        if self.mode != EXACT and not _finite(h):
+            if _finite(e):
+                raise CascadeError(f"gain K = {self.k!r} overflows the polyphase matrix", "k")
+            raise CascadeError("the lifting step products overflow", "steps")
         return h
 
     def to_filters(self) -> FilterPair:
@@ -347,10 +335,8 @@ class LiftingCascade:
         # B_-2 is the entry step 0 modifies, B_-1 the other one
         first = self.steps[0].update if self.steps else 0
         bvals: list[Scalar] = [vec[first], vec[1 - first]]
-        dvals: list[Scalar] = []
         for s in self.steps:
             dcg = s.dc_gain()
-            dvals.append(dcg)
             lo, hi = vectors[-1]
             if s.update == 0:
                 lo = lo + dcg * hi
@@ -358,7 +344,7 @@ class LiftingCascade:
                 hi = hi + dcg * lo
             vectors.append((lo, hi))
             bvals.append(lo if s.update == 0 else hi)
-        return DCTrace(tuple(vectors), tuple(bvals), tuple(dvals))
+        return DCTrace(tuple(vectors), tuple(bvals))
 
     # -- synthesis ------------------------------------------------------------
 
@@ -371,13 +357,17 @@ class LiftingCascade:
         adj(B) conjugated by the steps and the gain: (D S) adj(B) (D S)^-1
         with D = diag(1/K, K) and S = M(S_{N-1}) * ... * M(S_0).  Its det is
         1 up to rounding, which the constructor's scaled tolerance admits.
+        A float K that makes a step's factor 0 or infinite raises
+        :class:`CascadeError` at ``("k",)``.
         """
         k2 = self.k * self.k
-        inv_steps = tuple(
-            LiftingStep(
-                s.update,
-                (-s.filter).scaled(1 / k2 if s.update == 0 else k2),
+        factors = (1 / k2 if k2 else inf, k2)  # by update characteristic
+        if not all(0 < factors[s.update] < inf for s in self.steps):
+            raise CascadeError(
+                f"gain K = {self.k!r} scales a synthesis step by 0 or infinity", "k"
             )
+        inv_steps = tuple(
+            LiftingStep(s.update, (-s.filter).scaled(factors[s.update]))
             for s in reversed(self.steps)
         )
         base = None

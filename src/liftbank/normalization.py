@@ -55,82 +55,59 @@ class ComplianceReport:
         return self.verdict == COMPLIANT
 
 
-def _selected_b_index(n_steps: int, m_init: int) -> int:
-    # the B value pinned by the normalization requirement
-    return n_steps - 1 if m_init == 0 else n_steps - 2
-
-
 def check_part2(cascade: LiftingCascade) -> ComplianceReport:
     """Verdict on the gain-normalization requirement for one cascade."""
-    reasons: list[str] = []
+    return _compliance(cascade, cascade.dc_trace())
 
-    if cascade.n_steps == 0:
-        return ComplianceReport(
-            verdict=NOT_APPLICABLE,
-            required_value=None,
-            actual_b=None,
-            k=cascade.k,
-            m_init=None,
-            selected_index=None,
-            alternation_ok=True,
-            dyadic_ok=True,
-            tolerance_qualified=False,
-            reasons=("cascade has no lifting steps",),
-        )
 
+def _compliance(cascade: LiftingCascade, trace: DCTrace) -> ComplianceReport:
+    steps = cascade.steps
+    m_init = cascade.m_init() if steps else None
     alternation_ok = cascade.is_alternating()
-    if cascade.mode == EXACT:
-        dyadic_ok = all(s.filter.is_dyadic() for s in cascade.steps)
+    # float filters have no dyadicity; an empty cascade is vacuously dyadic
+    dyadic_ok = not steps or (
+        cascade.mode == EXACT and all(s.filter.is_dyadic() for s in steps)
+    )
+    required = actual = idx = None
+    qualified = False
+    if not steps:
+        verdict, reasons = NOT_APPLICABLE, ["cascade has no lifting steps"]
+    elif not alternation_ok:
+        seq = [s.update for s in steps]
+        verdict = NOT_APPLICABLE
+        reasons = [f"update characteristics do not alternate: {seq}"]
     else:
-        dyadic_ok = False
-
-    if not alternation_ok:
-        seq = [s.update for s in cascade.steps]
-        return ComplianceReport(
-            verdict=NOT_APPLICABLE,
-            required_value=None,
-            actual_b=None,
-            k=cascade.k,
-            m_init=cascade.m_init(),
-            selected_index=None,
-            alternation_ok=False,
-            dyadic_ok=dyadic_ok,
-            tolerance_qualified=False,
-            reasons=(f"update characteristics do not alternate: {seq}",),
-        )
-
-    m_init = cascade.m_init()
-    trace = cascade.dc_trace()
-    idx = _selected_b_index(cascade.n_steps, m_init)
-    actual = trace.b_at(idx)  # = E_0(1)
-    required = as_scalar(1, cascade.mode) if cascade.reversible else cascade.k
-
-    if cascade.mode == EXACT:
-        ok = actual == required
-        qualified = False
-    else:
-        ok = abs(actual - required) <= FLOAT_COMPLIANCE_TOL
-        qualified = True
-        reasons.append(
-            f"float arithmetic: verdict within |B - K| <= {FLOAT_COMPLIANCE_TOL:g}"
-        )
-
-    if not ok:
-        kind = "reversible" if cascade.reversible else "irreversible"
-        reasons.insert(
-            0,
-            f"B_{idx} = {format_scalar(actual)} != {format_scalar(required)}"
-            f" ({kind} requirement)",
-        )
+        # the rule pins B_{N-1} (m_init = 0) or B_{N-2} (m_init = 1); both
+        # are the lowpass entry of the last DC vector, E_0(1)
+        idx = len(steps) - 1 - m_init
+        actual = trace.vectors[-1][0]
+        required = as_scalar(1, cascade.mode) if cascade.reversible else cascade.k
+        reasons = []
+        qualified = cascade.mode != EXACT
+        if qualified:
+            ok = abs(actual - required) <= FLOAT_COMPLIANCE_TOL
+            reasons.append(
+                f"float arithmetic: verdict within |B - K| <= {FLOAT_COMPLIANCE_TOL:g}"
+            )
+        else:
+            ok = actual == required
+        if not ok:
+            kind = "reversible" if cascade.reversible else "irreversible"
+            reasons.insert(
+                0,
+                f"B_{idx} = {format_scalar(actual)} != {format_scalar(required)}"
+                f" ({kind} requirement)",
+            )
+        verdict = COMPLIANT if ok else NON_COMPLIANT
 
     return ComplianceReport(
-        verdict=COMPLIANT if ok else NON_COMPLIANT,
+        verdict=verdict,
         required_value=required,
         actual_b=actual,
         k=cascade.k,
         m_init=m_init,
         selected_index=idx,
-        alternation_ok=True,
+        alternation_ok=alternation_ok,
         dyadic_ok=dyadic_ok,
         tolerance_qualified=qualified,
         reasons=tuple(reasons),
@@ -162,7 +139,7 @@ def renormalize(cascade: LiftingCascade) -> RenormalizationResult:
         return RenormalizationResult(
             cascade, False, "reversible cascade: gain is fixed at 1"
         )
-    e0_dc = check_part2(cascade).actual_b
+    e0_dc = cascade.dc_trace().vectors[-1][0]
     if e0_dc == 0:
         raise ValueError(
             "unnormalized lowpass DC gain is 0; no gain choice can "
@@ -201,6 +178,7 @@ def analyze(cascade: LiftingCascade) -> AnalysisReport:
     matrix = cascade.evaluate()
     pair = matrix.to_filters()
     trace = cascade.dc_trace()
+    compliance = _compliance(cascade, trace)
 
     ws = symmetry.classify_ws_group(cascade)
     hs = symmetry.classify_hs_group(cascade)
@@ -220,7 +198,7 @@ def analyze(cascade: LiftingCascade) -> AnalysisReport:
         determinant=matrix.determinant(),
         b_sequence=trace.b,
         dc_trace=trace,
-        m_init=cascade.m_init() if cascade.n_steps else None,
+        m_init=compliance.m_init,
         k=cascade.k,
         reversible=cascade.reversible,
         mode=cascade.mode,
@@ -232,5 +210,5 @@ def analyze(cascade: LiftingCascade) -> AnalysisReport:
         else symmetry.SymmetryClass(symmetry.NONE, None),
         linear_phase=symmetry.classify_linear_phase(pair),
         group_lifting=group,
-        compliance=check_part2(cascade),
+        compliance=compliance,
     )

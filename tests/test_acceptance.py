@@ -139,14 +139,14 @@ def test_criterion_04_compliance_equivalences():
     for cascade in _equivalence_population():
         trace = cascade.dc_trace()
         variants = [cascade]
-        if trace.vector_at(cascade.n_steps - 1)[0] != 0:
+        if trace.vectors[cascade.n_steps][0] != 0:
             variants.append(renormalize(cascade).cascade)
         for v in variants:
             vtrace = v.dc_trace()
             gains = [s.dc_gain() for s in v.steps]
             if scalar_dc_recursion(gains) != vtrace.b:
                 ok = False
-            e0_dc = vtrace.vector_at(v.n_steps - 1)[0]
+            e0_dc = vtrace.vectors[v.n_steps][0]
             h0_dc = v.evaluate().to_filters().lowpass.evaluate(1)
             compliant = check_part2(v).compliant
             if compliant != (e0_dc == v.k) or compliant != (h0_dc == 1):

@@ -340,3 +340,17 @@ def test_analyze_overflowing_gain_exits_two_at_k(tmp_path, capsys, k):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: $.k: "), captured.err
+
+
+def test_analyze_overflowing_step_products_exits_two_at_steps(tmp_path, capsys):
+    # K = 1 scales nothing; the product's entry 1 + 1e300 * 1e300 is inf
+    big = tmp_path / "big.json"
+    big.write_text(
+        '{"mode":"irreversible","arithmetic":"float","k":1.0,'
+        '"steps":[{"update":1,"taps":[{"n":0,"c":1e300}]},'
+        '{"update":0,"taps":[{"n":0,"c":1e300}]}]}'
+    )
+    assert main(["analyze", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $.steps: "), captured.err

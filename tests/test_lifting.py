@@ -145,10 +145,10 @@ def test_dc_trace_haar():
     t = haar().dc_trace()
     assert t.vectors == ((F(1), F(1)), (F(1), F(0)), (F(1), F(0)))
     assert t.b == (F(1), F(1), F(0), F(1))
-    assert t.b_at(-2) == 1 and t.b_at(-1) == 1
-    assert t.b_at(0) == 0 and t.b_at(1) == 1
-    assert t.vector_at(-1) == (F(1), F(1))
-    assert t.vector_at(1) == (F(1), F(0))
+    assert t.b[0] == 1 and t.b[1] == 1
+    assert t.b[2] == 0 and t.b[3] == 1
+    assert t.vectors[0] == (F(1), F(1))
+    assert t.vectors[2] == (F(1), F(0))
 
 
 def test_dc_trace_counterexample():
@@ -160,8 +160,8 @@ def test_dc_trace_counterexample():
 def test_dc_trace_with_base():
     # base row sums seed the vector: haar base gives (1, 0)
     t = wa_lifted_haar().dc_trace()
-    assert t.vector_at(-1) == (F(1), F(0))
-    assert t.b_at(0) == F(1)
+    assert t.vectors[0] == (F(1), F(0))
+    assert t.b[2] == F(1)
 
 
 def test_scalar_recursion_matches_vector_form():
@@ -295,6 +295,20 @@ def test_synthesis_and_transforms_take_no_checked_inverse(monkeypatch):
         assert (s.evaluate() @ c.evaluate()).is_identity()
         x = [3, -1, 4, 1, -5, 9]
         assert synthesize_signal(c, analyze_signal(c, x)) == x
+
+
+def test_float_synthesis_with_an_extreme_gain_fails_at_k():
+    # K^2 overflows to inf or underflows to 0, so a step's factor (1/K^2 for
+    # update 0, K^2 for update 1) is 0 or infinite
+    def one_step(k, update):
+        return LiftingCascade([LiftingStep(update, LaurentPoly({0: 2.0}, FLOAT))], k, mode=FLOAT)
+
+    for k, update in [(1e200, 0), (1e200, 1), (1e-200, 0), (1e-200, 1)]:
+        with pytest.raises(CascadeError, match="synthesis step") as info:
+            one_step(k, update).synthesis()
+        assert info.value.field == ("k",)
+    # K^2 = 1e-310 is subnormal but nonzero: the step keeps its factor
+    assert one_step(1e-155, 1).synthesis().steps[0].filter.taps() == {0: -2e-310}
 
 
 def test_repr_names_steps_gain_base_and_kind():

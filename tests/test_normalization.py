@@ -15,9 +15,16 @@ from liftbank import (
     analyze,
     check_part2,
 )
-from liftbank.banks import cdf97, dc_counterexample, five_three, haar, wa_lifted_haar
+from liftbank.banks import (
+    cdf97,
+    dc_counterexample,
+    five_three,
+    haar,
+    haar_base,
+    wa_lifted_haar,
+)
 
-from conftest import lp, random_alternating_cascade, step
+from conftest import lp, random_alternating_cascade, random_filter, step
 
 
 def test_haar_compliant():
@@ -92,14 +99,26 @@ def test_single_highpass_step_over_a_base_decides_on_lowpass_dc():
 @pytest.mark.parametrize("seed", range(30))
 def test_verdict_is_lowpass_dc_gain_over_a_base(seed):
     rng = random.Random(seed)
-    c = random_alternating_cascade(rng, max_steps=3)
+    c = random_alternating_cascade(rng, max_steps=8)
+    # the same filters with every update flipped end on the other channel
+    flipped = c.replace(steps=[LiftingStep(1 - s.update, s.filter) for s in c.steps])
+    assert {c.m_init(), flipped.m_init()} == {0, 1}
     scale = rng.choice((F(1), F(2), F(-1, 3)))
-    c = c.replace(base=PolyphaseMatrix.diagonal(scale, 1 / scale))
-    e0 = analyze(c).dc_lowpass * c.k  # the unnormalized lowpass DC gain
-    for k in (c.k, e0) if e0 else (c.k,):
-        r = check_part2(c.replace(k=k))
-        assert r.actual_b == e0
-        assert r.compliant == (analyze(c.replace(k=k)).dc_lowpass == 1)
+    bases = (
+        PolyphaseMatrix.diagonal(scale, 1 / scale),
+        haar_base(),
+        PolyphaseMatrix.identity().lifted(rng.randrange(2), random_filter(rng, max_taps=3)),
+    )
+    for cascade in (c, flipped):
+        for base in bases:
+            cb = cascade.replace(base=base)
+            h = cb.evaluate()
+            # the unnormalized lowpass DC gain, from the polynomials
+            e0 = cb.k * (h.h00.evaluate(1) + h.h01.evaluate(1))
+            for k in (cb.k, e0) if e0 else (cb.k,):
+                r = check_part2(cb.replace(k=k))
+                assert r.actual_b == e0
+                assert r.compliant == (analyze(cb.replace(k=k)).dc_lowpass == 1)
 
 
 def test_non_alternating_not_applicable():
