@@ -24,8 +24,7 @@ Exact (rational) arithmetic only; floats have no well-defined support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .laurent import EXACT, LaurentPoly, ModeError
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
@@ -40,8 +39,7 @@ class FactorizationError(ValueError):
     """The matrix admits no lifting factorization of the supported shape."""
 
 
-@dataclass(frozen=True)
-class FactorStrategy:
+class FactorStrategy(Record):
     """Choices steering the Euclidean reduction.
 
     ``reduction`` picks the support extreme each division kills: "high-end"
@@ -51,14 +49,15 @@ class FactorStrategy:
     lowpass-row entry, "highpass-first" the highpass-row entry.
     """
 
-    reduction: str = HIGH_END
-    first_channel: str = LOWPASS_FIRST
+    __slots__ = ("reduction", "first_channel")
 
-    def __post_init__(self):
-        if self.reduction not in (HIGH_END, LOW_END):
-            raise ValueError(f"unknown reduction strategy {self.reduction!r}")
-        if self.first_channel not in (LOWPASS_FIRST, HIGHPASS_FIRST):
-            raise ValueError(f"unknown channel preference {self.first_channel!r}")
+    def __init__(self, reduction: str = HIGH_END, first_channel: str = LOWPASS_FIRST):
+        if reduction not in (HIGH_END, LOW_END):
+            raise ValueError(f"unknown reduction strategy {reduction!r}")
+        if first_channel not in (LOWPASS_FIRST, HIGHPASS_FIRST):
+            raise ValueError(f"unknown channel preference {first_channel!r}")
+        set_field(self, "reduction", reduction)
+        set_field(self, "first_channel", first_channel)
 
 
 DEFAULT_STRATEGY = FactorStrategy()

@@ -22,10 +22,10 @@ B_{-1} the other, so B_{-1} = B_{-2} = 1 without a base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record, set_field
 from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar
 from .polyphase import FilterPair, PolyphaseMatrix, gamma
 
@@ -48,8 +48,7 @@ class CascadeError(ValueError):
 # rounding rules
 
 
-@dataclass(frozen=True)
-class RoundingRule:
+class RoundingRule(Record):
     """A deterministic map from dyadic rationals to integers.
 
     Every rule rounds num / 2**d as ``(num + bias) >> d`` in integer
@@ -59,9 +58,12 @@ class RoundingRule:
     even neighbour.  d = 0 needs no rounding.
     """
 
-    name: str
-    offset: Callable[[int], int]
-    to_even: bool = False
+    __slots__ = ("name", "offset", "to_even")
+
+    def __init__(self, name: str, offset: Callable[[int], int], to_even: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "offset", offset)
+        set_field(self, "to_even", to_even)
 
     def rounded(self, nums: Iterable[int], d: int) -> list[int]:
         """Every num / 2**d of ``nums`` rounded, in one comprehension."""
@@ -101,21 +103,21 @@ DEFAULT_ROUNDING = ROUND_HALF_UP
 # steps and cascades
 
 
-@dataclass(frozen=True)
-class LiftingStep:
+class LiftingStep(Record):
     """One lifting step: which channel it updates (0 = lowpass, 1 = highpass)
     and the FIR update filter."""
 
-    update: int
-    filter: LaurentPoly
+    __slots__ = ("update", "filter")
 
-    def __post_init__(self):
-        if type(self.update) is not int or self.update not in (0, 1):
-            raise CascadeError(f"update must be 0 or 1, got {self.update!r}", "update")
-        if self.filter.is_zero:
+    def __init__(self, update: int, filter: LaurentPoly):
+        if type(update) is not int or update not in (0, 1):
+            raise CascadeError(f"update must be 0 or 1, got {update!r}", "update")
+        if filter.is_zero:
             raise CascadeError("zero lifting filter", "filter")
-        if self.mode != EXACT and not all(map(isfinite, self.filter.taps().values())):
+        if filter.mode != EXACT and not all(map(isfinite, filter.taps().values())):
             raise CascadeError("lifting filter has a non-finite tap", "filter")
+        set_field(self, "update", update)
+        set_field(self, "filter", filter)
 
     @property
     def mode(self) -> str:
@@ -132,8 +134,7 @@ class LiftingStep:
         return self.filter.evaluate(1)
 
 
-@dataclass(frozen=True)
-class DCTrace:
+class DCTrace(Record):
     """DC vectors and running normalization values along a cascade.
 
     ``vectors[i]`` is the DC vector after step i-1 (``vectors[0]`` is the
@@ -142,8 +143,11 @@ class DCTrace:
     the other entry (B_{-1}), both 1 without a base.
     """
 
-    vectors: tuple[tuple[Scalar, Scalar], ...]
-    b: tuple[Scalar, ...]
+    __slots__ = ("vectors", "b")
+
+    def __init__(self, vectors: tuple[tuple[Scalar, Scalar], ...], b: tuple[Scalar, ...]):
+        set_field(self, "vectors", vectors)
+        set_field(self, "b", b)
 
 
 def scalar_dc_recursion(dc_gains: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -164,7 +168,7 @@ def _finite(m: PolyphaseMatrix) -> bool:
     return all(isfinite(x) for e in m.entries() for _, x in e.items())
 
 
-class LiftingCascade:
+class LiftingCascade(Record):
     """An ordered list of lifting steps with gain, optional base and mode.
 
     Invariants enforced at construction: a reversible cascade has K = 1, no
@@ -172,9 +176,11 @@ class LiftingCascade:
     arithmetic mode; K is nonzero; a base, when present, is unimodular so
     that det(evaluate()) = 1 holds by construction.  A broken invariant
     raises :class:`CascadeError`, a mode mismatch :class:`ModeError`.
+    Cascades compare by their fields but are not hashable.
     """
 
     __slots__ = ("steps", "k", "base", "mode", "reversible", "rounding")
+    __hash__ = None
 
     def __init__(
         self,
@@ -223,15 +229,12 @@ class LiftingCascade:
                         "need power-of-two denominators",
                         "steps", i, "filter",
                     )
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "k", kk)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "reversible", reversible)
-        object.__setattr__(self, "rounding", rounding)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LiftingCascade is immutable")
+        set_field(self, "steps", steps)
+        set_field(self, "k", kk)
+        set_field(self, "base", base)
+        set_field(self, "mode", mode)
+        set_field(self, "reversible", reversible)
+        set_field(self, "rounding", rounding)
 
     # -- basics --------------------------------------------------------------
 
@@ -254,30 +257,7 @@ class LiftingCascade:
 
     def replace(self, **kwargs) -> "LiftingCascade":
         """A copy with the given fields replaced (re-validated)."""
-        args = {
-            "steps": self.steps,
-            "k": self.k,
-            "base": self.base,
-            "mode": self.mode,
-            "reversible": self.reversible,
-            "rounding": self.rounding,
-        }
-        args.update(kwargs)
-        return LiftingCascade(**args)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LiftingCascade):
-            return NotImplemented
-        return (
-            self.steps == other.steps
-            and self.k == other.k
-            and self.base == other.base
-            and self.mode == other.mode
-            and self.reversible == other.reversible
-            and self.rounding == other.rounding
-        )
-
-    __hash__ = None
+        return LiftingCascade(**{**dict(zip(self.__slots__, self._fields())), **kwargs})
 
     def __repr__(self) -> str:
         parts = [f"{len(self.steps)} steps", f"K={self.k}"]
@@ -357,19 +337,19 @@ class LiftingCascade:
         adj(B) conjugated by the steps and the gain: (D S) adj(B) (D S)^-1
         with D = diag(1/K, K) and S = M(S_{N-1}) * ... * M(S_0).  Its det is
         1 up to rounding, which the constructor's scaled tolerance admits.
-        A float K that makes a step's factor 0 or infinite raises
-        :class:`CascadeError` at ``("k",)``.
+        A float K that scales a step's filter to 0 or infinity, through its
+        factor or through its taps, raises :class:`CascadeError` at ``("k",)``.
         """
         k2 = self.k * self.k
         factors = (1 / k2 if k2 else inf, k2)  # by update characteristic
-        if not all(0 < factors[s.update] < inf for s in self.steps):
-            raise CascadeError(
-                f"gain K = {self.k!r} scales a synthesis step by 0 or infinity", "k"
-            )
-        inv_steps = tuple(
-            LiftingStep(s.update, (-s.filter).scaled(factors[s.update]))
-            for s in reversed(self.steps)
-        )
+        inv_steps = []
+        for i in reversed(range(len(self.steps))):
+            s = self.steps[i]
+            try:  # an infinite factor, or a filter scaled to 0 or a non-finite tap
+                inv_steps.append(LiftingStep(s.update, (-s.filter).scaled(factors[s.update])))
+            except ValueError:
+                raise CascadeError(f"gain K = {self.k!r} scales the synthesis step for step {i} "
+                                   "to 0 or infinity", "k") from None
         base = None
         if self.base is not None:
             x = self.base.adjugate()

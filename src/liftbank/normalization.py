@@ -21,9 +21,9 @@ and get the verdict "not-applicable".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .laurent import EXACT, LaurentPoly, Scalar, as_scalar, format_scalar
 from .lifting import DCTrace, LiftingCascade
 from .polyphase import FilterPair
@@ -37,8 +37,7 @@ NOT_APPLICABLE = "not-applicable"
 FLOAT_COMPLIANCE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
+class ComplianceReport(Record):
     verdict: str
     required_value: Optional[Scalar]
     actual_b: Optional[Scalar]
@@ -49,6 +48,10 @@ class ComplianceReport:
     dyadic_ok: bool
     tolerance_qualified: bool
     reasons: tuple[str, ...]
+    __slots__ = (
+        "verdict", "required_value", "actual_b", "k", "m_init", "selected_index",
+        "alternation_ok", "dyadic_ok", "tolerance_qualified", "reasons",
+    )
 
     @property
     def compliant(self) -> bool:
@@ -114,11 +117,11 @@ def _compliance(cascade: LiftingCascade, trace: DCTrace) -> ComplianceReport:
     )
 
 
-@dataclass(frozen=True)
-class RenormalizationResult:
+class RenormalizationResult(Record):
     cascade: LiftingCascade
     changed: bool
     note: str | None
+    __slots__ = ("cascade", "changed", "note")
 
 
 def renormalize(cascade: LiftingCascade) -> RenormalizationResult:
@@ -150,8 +153,7 @@ def renormalize(cascade: LiftingCascade) -> RenormalizationResult:
     return RenormalizationResult(cascade.replace(k=e0_dc), True, None)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything worth knowing about one cascade, in one place."""
 
     filters: FilterPair
@@ -171,6 +173,11 @@ class AnalysisReport:
     linear_phase: str
     group_lifting: str
     compliance: ComplianceReport
+    __slots__ = (
+        "filters", "dc_lowpass", "nyquist_lowpass", "dc_highpass", "nyquist_highpass",
+        "determinant", "b_sequence", "dc_trace", "m_init", "k", "reversible", "mode",
+        "lowpass_symmetry", "highpass_symmetry", "linear_phase", "group_lifting", "compliance",
+    )
 
 
 def analyze(cascade: LiftingCascade) -> AnalysisReport:

@@ -18,9 +18,9 @@ left column entry, odd tap 2m-1 from tap m of the right column entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 
+from ._record import Record, set_field
 from .laurent import (
     DEFAULT_FLOAT_TOL,
     EXACT,
@@ -35,33 +35,32 @@ from .laurent import (
 BASE_DET_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FilterPair:
+class FilterPair(Record):
     """Scalar lowpass/highpass analysis filters of a two-channel bank."""
 
-    lowpass: LaurentPoly
-    highpass: LaurentPoly
+    __slots__ = ("lowpass", "highpass")
 
-    def __post_init__(self):
-        if self.lowpass.mode != self.highpass.mode:
+    def __init__(self, lowpass: LaurentPoly, highpass: LaurentPoly):
+        if lowpass.mode != highpass.mode:
             raise ModeError("filter pair mixes arithmetic modes")
+        set_field(self, "lowpass", lowpass)
+        set_field(self, "highpass", highpass)
 
     @property
     def mode(self) -> str:
         return self.lowpass.mode
 
 
-@dataclass(frozen=True)
-class PolyphaseMatrix:
-    h00: LaurentPoly
-    h01: LaurentPoly
-    h10: LaurentPoly
-    h11: LaurentPoly
+class PolyphaseMatrix(Record):
+    __slots__ = ("h00", "h01", "h10", "h11")
 
-    def __post_init__(self):
-        modes = {e.mode for e in self.entries()}
-        if len(modes) != 1:
+    def __init__(self, h00: LaurentPoly, h01: LaurentPoly, h10: LaurentPoly, h11: LaurentPoly):
+        if not h00.mode == h01.mode == h10.mode == h11.mode:
             raise ModeError("polyphase matrix mixes arithmetic modes")
+        set_field(self, "h00", h00)
+        set_field(self, "h01", h01)
+        set_field(self, "h10", h10)
+        set_field(self, "h11", h11)
 
     def entries(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
         return (self.h00, self.h01, self.h10, self.h11)

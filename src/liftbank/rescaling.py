@@ -14,9 +14,9 @@ the gain K by K*kappa.  Both cascades evaluate to the same analysis matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .laurent import EXACT, Scalar, as_scalar
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
@@ -51,10 +51,10 @@ def rescale_cascade(cascade: LiftingCascade, kappa) -> LiftingCascade:
     return cascade.replace(steps=steps, k=cascade.k * kk, base=diag @ base)
 
 
-@dataclass(frozen=True)
-class RescalingWitness:
+class RescalingWitness(Record):
     relation: str
     kappa: Optional[Scalar]
+    __slots__ = ("relation", "kappa")
 
     @property
     def equivalent(self) -> bool:

@@ -19,10 +19,10 @@ test the reflection through (lo + hi) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .laurent import DEFAULT_FLOAT_TOL, EXACT, LaurentPoly, Scalar
 from .polyphase import FilterPair
 
@@ -39,16 +39,16 @@ NEITHER = "neither"
 Center = Union[Fraction, float, None]
 
 
-@dataclass(frozen=True)
-class SymmetryClass:
+class SymmetryClass(Record):
     kind: str
     center: Center
+    __slots__ = ("kind", "center")
 
 
-@dataclass(frozen=True)
-class GroupLiftingClass:
+class GroupLiftingClass(Record):
     kind: str
     detail: tuple[str, ...]
+    __slots__ = ("kind", "detail")
 
 
 def classify_filter(p: LaurentPoly, tol: float = DEFAULT_FLOAT_TOL) -> SymmetryClass:

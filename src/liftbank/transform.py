@@ -29,22 +29,22 @@ samples.  Float cascades hold plain lists of floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from typing import Sequence
 
+from ._record import Record
 from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
 
-@dataclass(frozen=True)
-class SubbandPair:
+class SubbandPair(Record):
     """Output of one analysis pass: half-rate lowpass and highpass bands."""
 
     lowpass: tuple
     highpass: tuple
+    __slots__ = ("lowpass", "highpass")
 
     def __len__(self) -> int:
         return len(self.lowpass) + len(self.highpass)

@@ -9,6 +9,7 @@ import functools
 import math
 import operator
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -309,6 +310,19 @@ def test_float_synthesis_with_an_extreme_gain_fails_at_k():
         assert info.value.field == ("k",)
     # K^2 = 1e-310 is subnormal but nonzero: the step keeps its factor
     assert one_step(1e-155, 1).synthesis().steps[0].filter.taps() == {0: -2e-310}
+
+
+def test_float_synthesis_whose_scaled_filter_under_or_overflows_fails_at_k():
+    # the factor K^2 is finite and nonzero, but times the step-1 tap it
+    # underflows to 0 (1e-308 * 1e-300) or overflows (1e300 * 1e10)
+    for k, tap in [(1e-154, 1e-300), (1e150, 1e10)]:
+        steps = [LiftingStep(0, LaurentPoly({0: 1.0}, FLOAT)),
+                 LiftingStep(1, LaurentPoly({0: tap}, FLOAT))]
+        cascade = LiftingCascade(steps, k, mode=FLOAT)
+        text = f"gain K = {k!r} scales the synthesis step for step 1 to 0 or infinity"
+        with pytest.raises(CascadeError, match=f"^{re.escape(text)}$") as info:
+            cascade.synthesis()
+        assert info.value.field == ("k",)
 
 
 def test_repr_names_steps_gain_base_and_kind():
