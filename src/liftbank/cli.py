@@ -9,7 +9,6 @@ positive verdict, 1 negative verdict or semantic error in valid input,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .laurent import EXACT, format_scalar, parse_scalar
@@ -17,14 +16,12 @@ from .lifting import CascadeError
 from .normalization import AnalysisReport, analyze, check_part2
 from .specio import (
     SpecFormatError,
-    _scalar_to_json,
-    _spec_path,
-    _taps_to_json,
+    format_sample,
     load_spec,
     parse_matrix,
     read_signal,
+    serialize_report,
     serialize_spec,
-    format_sample,
 )
 # rescaling, transform and factorization are imported by the subcommands that run them
 
@@ -76,60 +73,14 @@ def render_text_report(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json_report(report: AnalysisReport) -> str:
-    c = report.compliance
-    doc = {
-        "arithmetic": report.mode,
-        "reversible": report.reversible,
-        "k": _scalar_to_json(report.k),
-        "steps": len(report.b_sequence) - 2,
-        "m_init": report.m_init,
-        "lowpass": _taps_to_json(report.filters.lowpass),
-        "highpass": _taps_to_json(report.filters.highpass),
-        "dc_gain": {
-            "lowpass": _scalar_to_json(report.dc_lowpass),
-            "highpass": _scalar_to_json(report.dc_highpass),
-        },
-        "nyquist_gain": {
-            "lowpass": _scalar_to_json(report.nyquist_lowpass),
-            "highpass": _scalar_to_json(report.nyquist_highpass),
-        },
-        "determinant": _taps_to_json(report.determinant),
-        "b_sequence": [_scalar_to_json(b) for b in report.b_sequence],
-        "symmetry": {
-            "lowpass": {
-                "kind": report.lowpass_symmetry.kind,
-                "center": _scalar_to_json(report.lowpass_symmetry.center),
-            },
-            "highpass": {
-                "kind": report.highpass_symmetry.kind,
-                "center": _scalar_to_json(report.highpass_symmetry.center),
-            },
-        },
-        "linear_phase": report.linear_phase,
-        "group_lifting": report.group_lifting,
-        "compliance": {
-            "verdict": c.verdict,
-            "required_value": _scalar_to_json(c.required_value),
-            "actual_b": _scalar_to_json(c.actual_b),
-            "selected_index": c.selected_index,
-            "tolerance_qualified": c.tolerance_qualified,
-            "reasons": list(c.reasons),
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _cmd_analyze(args) -> int:
     cascade = load_spec(args.spec)
     try:
         report = analyze(cascade)
     except CascadeError as exc:  # a field the parser passed, such as an overflowing K
-        raise SpecFormatError(str(exc), _spec_path(exc.field)) from None
-    if args.format == "json":
-        sys.stdout.write(render_json_report(report))
-    else:
-        sys.stdout.write(render_text_report(report))
+        raise SpecFormatError.located(exc) from None
+    render = serialize_report if args.format == "json" else render_text_report
+    sys.stdout.write(render(report))
     return 0
 
 

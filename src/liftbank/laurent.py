@@ -21,8 +21,9 @@ numerators are ints over a positive denominator, canonical (no zero
 numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
 ``==`` compares structure.  Float numerators are doubles over 1, never
 reduced, and summed in the plain loops' order, so float results keep their
-bits.  Arithmetic and evaluation run on the numerators; only ``coeff``,
-``items``, ``taps`` and ``str`` build ``fractions.Fraction`` values.
+bits.  Arithmetic, evaluation and the one tap map, ``reindexed``, run on the
+numerators; other modules read them through ``numerators()``.  Only
+``coeff``, ``items``, ``taps`` and ``str`` build ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -227,6 +228,13 @@ class LaurentPoly:
         """Taps in ascending index order."""
         return iter(self._edge(sorted(self._num.items())))
 
+    def numerators(self) -> tuple[list[tuple[int, Scalar]], int]:
+        """(tap, numerator) pairs in ascending tap order, and the one denominator.
+
+        Exact numerators are ints over a positive int; floats are over 1.
+        """
+        return sorted(self._num.items()), self._den
+
     def taps(self) -> dict[int, Scalar]:
         """A copy of the tap map."""
         return dict(self._edge(self._num.items()))
@@ -294,9 +302,17 @@ class LaurentPoly:
         p, q = (v.numerator, v.denominator) if self._mode == EXACT else (v, 1)
         return self._new({n: p * x for n, x in self._num.items()}, self._den * q)
 
-    def shifted(self, d: int) -> "LaurentPoly":
-        """Multiply by z^(-d): every tap index moves up by d."""
-        return self._new({n + d: c for n, c in self._num.items()}, self._den)
+    def reindexed(self, scale: int, offset: int = 0) -> "LaurentPoly":
+        """z^(-offset) * S(z^scale): tap n moves to scale * n + offset.
+
+        ``reindexed(1, d)`` delays by d taps, ``reindexed(-1, c)`` mirrors
+        the taps about c/2 and ``reindexed(2)`` upsamples by two.  The new
+        map is filled in ascending order of n.
+        """
+        if not scale:
+            raise ValueError("reindexing by scale 0 would merge every tap into one")
+        num = {scale * n + offset: c for n, c in sorted(self._num.items())}
+        return LaurentPoly.__new__(LaurentPoly)._set(num, self._den, self._mode)
 
     def evaluate(self, point) -> Scalar:
         """Value of S at z = point: sum of s(n) * point**(-n).
@@ -346,15 +362,18 @@ class LaurentPoly:
 
     __hash__ = None  # mutable-dict backed; not hashable
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor, in tap order
+        return LaurentPoly, (self.taps(), self._mode)
+
     def approx_eq(self, other: "LaurentPoly", tol: float = DEFAULT_FLOAT_TOL) -> bool:
-        """Coefficient-wise comparison within an absolute tolerance."""
+        """Float coefficients within an absolute tolerance; exact ones by ``==``."""
         if not isinstance(other, LaurentPoly):
             raise TypeError("approx_eq expects a LaurentPoly")
         self._require_same_mode(other)
-        for n in set(self._num) | set(other._num):
-            if not abs(self.coeff(n) - other.coeff(n)) <= tol:  # NaN fails
-                return False
-        return True
+        if self._mode == EXACT:
+            return self == other
+        a, b = self._num, other._num  # a NaN difference fails
+        return all(abs(a.get(n, 0.0) - b.get(n, 0.0)) <= tol for n in a.keys() | b.keys())
 
     def __bool__(self) -> bool:
         return bool(self._num)

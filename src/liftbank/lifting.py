@@ -74,9 +74,14 @@ class RoundingRule(Record):
             return [(v + b + ((v >> d) & 1)) >> d for v in nums]
         return [(v + b) >> d for v in nums]
 
-    def apply_shifted(self, num: int, d: int) -> int:
-        """num / 2**d rounded to an integer."""
-        return self.rounded((num,), d)[0]
+    def __reduce__(self):  # a registered rule's offset is a lambda: copy and pickle by name
+        if ROUNDING_RULES.get(self.name) is self:
+            return _registered_rule, (self.name,)
+        return super().__reduce__()
+
+
+def _registered_rule(name: str) -> RoundingRule:
+    return ROUNDING_RULES[name]
 
 
 ROUND_HALF_UP = RoundingRule("half-up", lambda h: h)

@@ -194,17 +194,11 @@ class PolyphaseMatrix(Record):
         )
 
     def to_filters(self) -> FilterPair:
-        mode = self.mode
-
-        def merge(left: LaurentPoly, right: LaurentPoly) -> LaurentPoly:
-            taps: dict[int, Scalar] = {}
-            for m, c in left.items():
-                taps[2 * m] = c
-            for m, c in right.items():
-                taps[2 * m - 1] = c
-            return LaurentPoly(taps, mode)
-
-        return FilterPair(merge(self.h00, self.h01), merge(self.h10, self.h11))
+        """H_i(z) = h_i0(z^2) + z * h_i1(z^2) for each row i."""
+        return FilterPair(
+            self.h00.reindexed(2) + self.h01.reindexed(2, -1),
+            self.h10.reindexed(2) + self.h11.reindexed(2, -1),
+        )
 
     # -- comparison --------------------------------------------------------
 
@@ -214,10 +208,7 @@ class PolyphaseMatrix(Record):
         )
 
     def is_identity(self, tol: float = DEFAULT_FLOAT_TOL) -> bool:
-        ident = PolyphaseMatrix.identity(self.mode)
-        if self.mode == EXACT:
-            return self == ident
-        return self.approx_eq(ident, tol)
+        return self.approx_eq(PolyphaseMatrix.identity(self.mode), tol)
 
     def __str__(self) -> str:
         return f"[[{self.h00}, {self.h01}], [{self.h10}, {self.h11}]]"

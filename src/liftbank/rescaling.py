@@ -62,14 +62,12 @@ class RescalingWitness(Record):
 
 
 def _cascades_match(a: LiftingCascade, b: LiftingCascade, tol: float) -> bool:
-    """Structural equality, treating a missing base as the identity."""
+    """Structural equality, a missing base as the identity; floats within ``tol``."""
     base_a = a.base if a.base is not None else PolyphaseMatrix.identity(a.mode)
     base_b = b.base if b.base is not None else PolyphaseMatrix.identity(b.mode)
-    if a.mode == EXACT:
-        return a.k == b.k and a.steps == b.steps and base_a == base_b
     return (
         a.n_steps == b.n_steps
-        and abs(a.k - b.k) <= tol
+        and abs(a.k - b.k) <= (0 if a.mode == EXACT else tol)
         and all(
             sa.update == sb.update and sa.filter.approx_eq(sb.filter, tol)
             for sa, sb in zip(a.steps, b.steps)

@@ -49,6 +49,14 @@ class SpecFormatError(ValueError):
         self.where = where
         super().__init__(f"{where}: {message}" if where else message)
 
+    @classmethod
+    def located(cls, exc: CascadeError, *prefix) -> "SpecFormatError":
+        """A cascade refusal at the JSON path of its field, after ``prefix``."""
+        return cls(str(exc), "$" + "".join(
+            f"[{p}]" if isinstance(p, int) else "." + _SPEC_KEYS.get(p, p)
+            for p in prefix + exc.field
+        ))
+
 
 def _scalar_from_json(value: Any, mode: str, where: str) -> Scalar:
     try:
@@ -87,13 +95,6 @@ def _taps_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
 
 #: Spec keys for the cascade attribute names that differ from them.
 _SPEC_KEYS = {"mode": "arithmetic", "filter": "taps"}
-
-
-def _spec_path(field: tuple) -> str:
-    """JSON path of a cascade attribute path, e.g. ("steps", 2, "filter")."""
-    return "$" + "".join(
-        f"[{p}]" if isinstance(p, int) else "." + _SPEC_KEYS.get(p, p) for p in field
-    )
 
 
 def document_to_cascade(doc: Any) -> LiftingCascade:
@@ -157,7 +158,7 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
         try:
             steps.append(LiftingStep(sd["update"], filt))
         except CascadeError as exc:
-            raise SpecFormatError(str(exc), _spec_path(("steps", i) + exc.field))
+            raise SpecFormatError.located(exc, "steps", i)
 
     try:
         return LiftingCascade(
@@ -169,7 +170,7 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
             rounding=ROUNDING_RULES[name],
         )
     except CascadeError as exc:
-        raise SpecFormatError(str(exc), _spec_path(exc.field))
+        raise SpecFormatError.located(exc)
 
 
 def cascade_to_document(cascade: LiftingCascade) -> dict:
@@ -205,8 +206,13 @@ def parse_spec(text: str) -> LiftingCascade:
     return document_to_cascade(_json_loads(text))
 
 
+def _dumps(doc: Any) -> str:
+    """The one JSON text form of spec, matrix and report documents."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def serialize_spec(cascade: LiftingCascade) -> str:
-    return json.dumps(cascade_to_document(cascade), indent=2) + "\n"
+    return _dumps(cascade_to_document(cascade))
 
 
 def load_spec(path) -> LiftingCascade:
@@ -251,7 +257,54 @@ def _matrix_to_json(m: PolyphaseMatrix) -> list:
 
 
 def serialize_matrix(matrix: PolyphaseMatrix) -> str:
-    return json.dumps(_matrix_to_json(matrix), indent=2) + "\n"
+    return _dumps(_matrix_to_json(matrix))
+
+
+# -- analysis reports ---------------------------------------------------------
+
+
+def serialize_report(report) -> str:
+    """An ``AnalysisReport`` as JSON: what ``liftbank analyze --format json`` prints."""
+    c = report.compliance
+    return _dumps({
+        "arithmetic": report.mode,
+        "reversible": report.reversible,
+        "k": _scalar_to_json(report.k),
+        "steps": len(report.b_sequence) - 2,
+        "m_init": report.m_init,
+        "lowpass": _taps_to_json(report.filters.lowpass),
+        "highpass": _taps_to_json(report.filters.highpass),
+        "dc_gain": {
+            "lowpass": _scalar_to_json(report.dc_lowpass),
+            "highpass": _scalar_to_json(report.dc_highpass),
+        },
+        "nyquist_gain": {
+            "lowpass": _scalar_to_json(report.nyquist_lowpass),
+            "highpass": _scalar_to_json(report.nyquist_highpass),
+        },
+        "determinant": _taps_to_json(report.determinant),
+        "b_sequence": [_scalar_to_json(b) for b in report.b_sequence],
+        "symmetry": {
+            "lowpass": {
+                "kind": report.lowpass_symmetry.kind,
+                "center": _scalar_to_json(report.lowpass_symmetry.center),
+            },
+            "highpass": {
+                "kind": report.highpass_symmetry.kind,
+                "center": _scalar_to_json(report.highpass_symmetry.center),
+            },
+        },
+        "linear_phase": report.linear_phase,
+        "group_lifting": report.group_lifting,
+        "compliance": {
+            "verdict": c.verdict,
+            "required_value": _scalar_to_json(c.required_value),
+            "actual_b": _scalar_to_json(c.actual_b),
+            "selected_index": c.selected_index,
+            "tolerance_qualified": c.tolerance_qualified,
+            "reasons": list(c.reasons),
+        },
+    })
 
 
 # -- signal files -------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import Record
-from .laurent import DEFAULT_FLOAT_TOL, EXACT, LaurentPoly, Scalar
+from .laurent import DEFAULT_FLOAT_TOL, EXACT, LaurentPoly
 from .polyphase import FilterPair
 
 SYMMETRIC = "symmetric"
@@ -54,45 +54,23 @@ class GroupLiftingClass(Record):
 def classify_filter(p: LaurentPoly, tol: float = DEFAULT_FLOAT_TOL) -> SymmetryClass:
     """Symmetry of one filter about its support midpoint.
 
-    The zero polynomial has no support and is rejected.  A single tap is
-    symmetric (it can never be antisymmetric: the coefficient would have to
-    be its own negation).
+    The filter is compared with its mirror through the midpoint and with
+    the mirror's negation by ``approx_eq``: within ``tol`` for floats, by
+    ``==`` for exact filters.  The zero polynomial has no support and is
+    rejected.  A single tap is symmetric (it can never be antisymmetric:
+    the coefficient would have to be its own negation).
     """
     sup = p.support()
     if sup is None:
         raise ValueError("the zero filter has no symmetry class")
     lo, hi = sup
-    twice_center = lo + hi
-    if p.mode == EXACT:
-        center: Center = Fraction(twice_center, 2)
-
-        def eq(a: Scalar, b: Scalar) -> bool:
-            return a == b
-
-    else:
-        center = twice_center / 2.0
-
-        def eq(a: Scalar, b: Scalar) -> bool:
-            return abs(a - b) <= tol
-
-    symmetric = True
-    antisymmetric = True
-    for n, c in p.items():
-        mirrored = p.coeff(twice_center - n)
-        if not eq(c, mirrored):
-            symmetric = False
-        if not eq(c, -mirrored):
-            antisymmetric = False
-        if not (symmetric or antisymmetric):
-            return SymmetryClass(NONE, None)
-    if symmetric:
+    mirror = p.reindexed(-1, lo + hi)
+    center: Center = Fraction(lo + hi, 2) if p.mode == EXACT else (lo + hi) / 2.0
+    if p.approx_eq(mirror, tol):
         return SymmetryClass(SYMMETRIC, center)
-    return SymmetryClass(ANTISYMMETRIC, center)
-
-
-def _is_whole_sample_antisymmetric(p: LaurentPoly, tol: float) -> bool:
-    cls = classify_filter(p, tol)
-    return cls.kind == ANTISYMMETRIC and cls.center == 0
+    if p.approx_eq(-mirror, tol):
+        return SymmetryClass(ANTISYMMETRIC, center)
+    return SymmetryClass(NONE, None)
 
 
 def classify_ws_group(
@@ -160,7 +138,7 @@ def classify_hs_group(
             detail.append("base highpass is not half-sample antisymmetric")
 
     for i, step in enumerate(cascade.steps):
-        if not _is_whole_sample_antisymmetric(step.filter, tol):
+        if classify_filter(step.filter, tol) != SymmetryClass(ANTISYMMETRIC, 0):
             detail.append(
                 f"step {i}: filter is not whole-sample antisymmetric about 0"
             )
@@ -181,20 +159,9 @@ def classify_linear_phase(pair: FilterPair, tol: float = DEFAULT_FLOAT_TOL) -> s
         return NEITHER
     lo = classify_filter(pair.lowpass, tol)
     hi = classify_filter(pair.highpass, tol)
-
-    def whole(c: Center) -> bool:
-        return c is not None and 2 * c % 2 == 0
-
-    def half(c: Center) -> bool:
-        return c is not None and 2 * c % 2 != 0
-
-    if lo.kind == SYMMETRIC and hi.kind == SYMMETRIC and whole(lo.center) and whole(hi.center):
+    # a classified filter's center is a multiple of 1/2: center % 1 is 0 or 1/2
+    if lo.kind == hi.kind == SYMMETRIC and lo.center % 1 == hi.center % 1 == 0:
         return WS
-    if (
-        lo.kind == SYMMETRIC
-        and hi.kind == ANTISYMMETRIC
-        and half(lo.center)
-        and half(hi.center)
-    ):
+    if lo.kind == SYMMETRIC and hi.kind == ANTISYMMETRIC and lo.center % 1 and hi.center % 1:
         return HS
     return NEITHER

@@ -10,9 +10,9 @@ Every transform runs one lifting order: base, steps, gain; the synthesis
 side undoes the gain, then each step in reverse by subtracting the update
 that step added, then the base.  Only the channel arithmetic differs, and it
 is picked once per transform.  Neither exact arithmetic touches binary
-floats or per-sample ``Fraction`` arithmetic: a filter is read as the
-integer tap numerators and the one denominator its polynomial stores.
-Filtering runs tap by tap over whole rotated channels.
+floats or per-sample ``Fraction`` arithmetic: a filter is read through
+``numerators()``, as the integer tap numerators and the one denominator its
+polynomial stores.  Filtering runs tap by tap over whole rotated channels.
 
 Reversible cascades keep every intermediate as an exact dyadic rational and
 round each update to an integer before adding it in place; the synthesis
@@ -93,11 +93,6 @@ def _circular(taps: list[tuple[int, Scalar]], x: list, lo: int, hi: int) -> list
 # -- exact paths: integer numerators ----------------------------------------
 
 
-def _int_taps(filt: LaurentPoly) -> tuple[list[tuple[int, int]], int]:
-    """An exact filter's tap numerators and their one denominator, as stored."""
-    return list(filt._num.items()), filt._den
-
-
 #: An exact channel: integer numerators over one positive denominator.
 _Channel = tuple[list[int], int]
 
@@ -146,7 +141,7 @@ def _lift(
         ) -> list[int]:
             # in place, a block at a time; the inverse recomputes the same
             # rounded update and subtracts it
-            taps, den = _int_taps(filt)
+            taps, den = filt.numerators()
             shift = den.bit_length() - 1  # den is a power of two: the taps are dyadic
             for lo in range(0, L, _BLOCK):
                 hi = min(lo + _BLOCK, L)
@@ -160,7 +155,7 @@ def _lift(
         def update(
             dst: _Channel, filt: LaurentPoly, src: _Channel, sign: int
         ) -> _Channel:
-            taps, q = _int_taps(filt)
+            taps, q = filt.numerators()
             nums, den = src
             signed = [(n, sign * c) for n, c in taps]
             return _sum(dst, (_circular(signed, nums, 0, L), q * den))
@@ -171,7 +166,7 @@ def _lift(
     else:
 
         def update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
-            signed = [(n, sign * c) for n, c in filt.items()]
+            signed = [(n, sign * c) for n, c in filt.numerators()[0]]
             return [a + u for a, u in zip(dst, _circular(signed, src, 0, L))]
 
         zero = [0] * L

@@ -15,6 +15,7 @@ from liftbank import (
     FLOAT,
     LaurentPoly,
     ModeError,
+    PolyphaseMatrix,
     as_scalar,
     format_scalar,
     parse_scalar,
@@ -51,8 +52,22 @@ def test_additive_structure(p):
 
 @given(polys, st.integers(-5, 5))
 def test_shift_is_monomial_multiplication(p, d):
-    assert p.shifted(d) == p * LaurentPoly.monomial(1, d)
-    assert p.shifted(d).shifted(-d) == p
+    assert p.reindexed(1, d) == p * LaurentPoly.monomial(1, d)
+    assert p.reindexed(1, d).reindexed(1, -d) == p
+    assert p.reindexed(1) == p
+
+
+@given(polys, st.sampled_from([-2, -1, 2, 3]), st.integers(-5, 5),
+       st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
+def test_reindexed_is_a_substitution(p, scale, offset, x):
+    # z^-offset * S(z^scale), evaluated at x
+    assert p.reindexed(scale, offset).evaluate(x) == x ** -offset * p.evaluate(x ** scale)
+    assert p.reindexed(-1, offset).reindexed(-1, offset) == p
+
+
+def test_reindexed_refuses_a_zero_scale():
+    with pytest.raises(ValueError, match="scale 0"):
+        lp({0: 1, 1: 2}).reindexed(0)
 
 
 @given(polys, coeffs)
@@ -174,6 +189,16 @@ def test_approx_eq():
     b = LaurentPoly({0: 1.0 + 1e-13, 1: 0.5}, FLOAT)
     assert a.approx_eq(b)
     assert not a.approx_eq(LaurentPoly({0: 1.1}, FLOAT))
+
+
+def test_exact_approx_eq_is_equality():
+    one, near = lp({0: 1}), lp({0: "1000000000000001/1000000000000000"})
+    assert not one.approx_eq(near)
+    assert not one.approx_eq(near, tol=1)
+    assert one.approx_eq(lp({0: F(2, 2)}), tol=0)
+    zero = lp({})
+    assert not PolyphaseMatrix(one, zero, zero, one).approx_eq(PolyphaseMatrix(near, zero, zero, one))
+    assert not PolyphaseMatrix(near, zero, zero, one).is_identity(tol=1)
 
 
 def test_structural_equality_includes_mode():
@@ -322,7 +347,8 @@ def test_exact_ops_agree_with_the_fraction_reference(pair, v, d):
     assert_agrees(-p, ref_neg(ra))
     assert_agrees(p * q, ref_mul(ra, rb))
     assert_agrees(p.scaled(v), _ref_clean({n: F(v) * c for n, c in ra.items()}))
-    assert_agrees(p.shifted(d), {n + d: c for n, c in ra.items()})
+    for scale in (1, -1, 2):  # a shift, a mirror about d/2, an upsampling
+        assert_agrees(p.reindexed(scale, d), {scale * n + d: c for n, c in sorted(ra.items())})
     assert_agrees(p - p, {})
     assert (p == q) == (ra == rb)
     assert p.is_dyadic() == all(c.denominator & (c.denominator - 1) == 0 for c in ra.values())
@@ -365,7 +391,8 @@ def test_float_ops_keep_the_reference_bits():
         assert_agrees(-p, ref_neg(ra))
         assert_agrees(p * q, ref_mul(ra, rb))
         assert_agrees(p.scaled(v), _ref_clean({n: v * c for n, c in ra.items()}))
-        assert_agrees(p.shifted(d), {n + d: c for n, c in ra.items()})
+        for scale in (1, -1, 2):
+            assert_agrees(p.reindexed(scale, d), {scale * n + d: c for n, c in sorted(ra.items())})
         assert repr(p.evaluate(x)) == repr(ref_evaluate(ra, x, 0.0))
         assert repr((p * q - q).evaluate(-x)) == repr(
             ref_evaluate(ref_add(ref_mul(ra, rb), ref_neg(rb)), -x, 0.0)

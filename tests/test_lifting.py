@@ -420,15 +420,16 @@ REFERENCE_ROUNDING = {
 @pytest.mark.parametrize("name", sorted(ROUNDING_RULES))
 def test_rounding_kernel_matches_fraction_reference(name):
     assert set(REFERENCE_ROUNDING) == set(ROUNDING_RULES)
-    kernel = ROUNDING_RULES[name].apply_shifted
+    rounded = ROUNDING_RULES[name].rounded
     ref = REFERENCE_ROUNDING[name]
     for shift in range(6):
         # every residue, ties (num = odd * 2**(shift-1)) and negatives included
-        for num in range(-(3 << shift) - 1, (3 << shift) + 2):
-            assert kernel(num, shift) == ref(F(num, 1 << shift)), (num, shift)
+        nums = range(-(3 << shift) - 1, (3 << shift) + 2)
+        assert rounded(nums, shift) == [ref(F(num, 1 << shift)) for num in nums], shift
+        for num in nums:  # one sample at a time, as a block of one
+            assert rounded((num,), shift) == [ref(F(num, 1 << shift))], (num, shift)
     big = (1 << 70) + (1 << 9)  # a tie far beyond float precision
-    assert kernel(big, 10) == ref(F(big, 1 << 10))
-    assert kernel(-big, 10) == ref(F(-big, 1 << 10))
+    assert rounded([big, -big], 10) == [ref(F(big, 1 << 10)), ref(F(-big, 1 << 10))]
 
 
 # -- constructor validation: one check, one place -------------------------------

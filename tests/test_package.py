@@ -11,6 +11,7 @@ import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -32,6 +33,7 @@ from liftbank import (
     LiftingStep,
     ModeError,
     PolyphaseMatrix,
+    ROUNDING_RULES,
     RenormalizationResult,
     RescalingWitness,
     RoundingRule,
@@ -41,7 +43,7 @@ from liftbank import (
     check_part2,
     renormalize,
 )
-from liftbank.banks import five_three, haar
+from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SIGNAL = "".join(f"{v}\n" for v in (3, -1, 4, 1, -5, 9, 2, -6))
@@ -409,3 +411,68 @@ def test_cascades_share_the_record_contract_but_stay_unhashable():
     with pytest.raises(AttributeError):
         cascade.k = 2
     assert repr(cascade) == "<LiftingCascade 2 steps, K=1, exact irreversible>"
+
+
+# ---------------------------------------------------------------------------
+# copies and pickles
+
+
+def _round_trips(value) -> list:
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+#: Float taps inserted out of tap order, one of them near the bottom of the double range.
+FLOAT_POLY = P({2: 0.1, -1: -1e-300, 0: 3.0}, "float")
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [P({1: F(1, 3), -2: 5, 0: F(-7, 6)}), P({}), FLOAT_POLY, FLOAT_POLY * FLOAT_POLY],
+    ids=["exact", "zero", "float", "float-product"],
+)
+def test_polynomials_copy_and_pickle_with_their_taps_in_order(poly):
+    for twin in _round_trips(poly):
+        assert type(twin) is LaurentPoly and twin == poly and twin.mode == poly.mode
+        assert repr(list(twin.taps().items())) == repr(list(poly.taps().items()))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        LiftingStep(1, P({-1: F(-1, 2), 0: F(-1, 2)})),
+        haar_base(),
+        PolyphaseMatrix(FLOAT_POLY, P({}, "float"), P({}, "float"), FLOAT_POLY),
+        haar_base().to_filters(),
+        cdf97(),
+        wa_lifted_haar(),
+        analyze(cdf97()),
+        analyze(wa_lifted_haar()),
+    ],
+    ids=["step", "matrix", "float-matrix", "filter-pair", "cdf97", "wa-lifted-haar",
+         "report-cdf97", "report-wa-lifted-haar"],
+)
+def test_records_holding_polynomials_copy_and_pickle(value):
+    for twin in _round_trips(value):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_RULES))
+def test_cascades_copy_and_pickle_to_the_registered_rounding_rule(name):
+    cascade = five_three(rounding=ROUNDING_RULES[name])
+    for twin in _round_trips(cascade):
+        assert twin == cascade and twin.rounding is ROUNDING_RULES[name]
+
+
+def test_unregistered_rounding_rules_copy_and_pickle_by_their_fields():
+    for rule in (RoundingRule("odd", abs), RoundingRule("half-up", abs)):
+        for twin in _round_trips(rule):
+            assert twin == rule and twin.offset is abs and twin is not ROUNDING_RULES["half-up"]
+
+
+def test_only_laurent_reads_the_stored_numerators():
+    src = os.path.join(ROOT, "src", "liftbank")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "laurent.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert "._num" not in text and "._den" not in text, name
