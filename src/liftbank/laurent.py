@@ -21,8 +21,9 @@ numerators are ints over a positive denominator, canonical (no zero
 numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
 ``==`` compares structure.  Float numerators are doubles over 1, never
 reduced, and summed in the plain loops' order, so float results keep their
-bits.  Arithmetic, evaluation and the one tap map, ``reindexed``, run on the
-numerators; other modules read them through ``numerators()``.  Only
+bits.  Arithmetic, evaluation and the tap maps, ``reindexed`` and its
+inverse ``decimated``, run on the numerators; other modules read them
+through ``numerators()``.  Only
 ``coeff``, ``items``, ``taps`` and ``str`` build ``fractions.Fraction`` values.
 """
 
@@ -187,7 +188,7 @@ class LaurentPoly:
         if den != 1 and (g := gcd(den, *num.values())) != 1:
             den //= g
             num = {n: c // g for n, c in num.items()}
-        return LaurentPoly.__new__(LaurentPoly)._set(num, den, self._mode)
+        return _restored(num, den, self._mode)
 
     # -- constructors ------------------------------------------------------
 
@@ -312,7 +313,20 @@ class LaurentPoly:
         if not scale:
             raise ValueError("reindexing by scale 0 would merge every tap into one")
         num = {scale * n + offset: c for n, c in sorted(self._num.items())}
-        return LaurentPoly.__new__(LaurentPoly)._set(num, self._den, self._mode)
+        return _restored(num, self._den, self._mode)
+
+    def decimated(self, scale: int, offset: int = 0) -> "LaurentPoly":
+        """The taps n = scale * m + offset, each moved to m: the inverse of
+        ``reindexed(scale, offset)`` on the taps it fills.
+
+        ``decimated(2)`` and ``decimated(2, -1)`` are the even and odd
+        polyphase components.  The new map is filled in ascending order of n.
+        """
+        if not scale:
+            raise ValueError("decimating by scale 0 would keep one tap for every m")
+        num = {(n - offset) // scale: c for n, c in sorted(self._num.items())
+               if (n - offset) % scale == 0}
+        return self._new(num, self._den)
 
     def evaluate(self, point) -> Scalar:
         """Value of S at z = point: sum of s(n) * point**(-n).
@@ -362,8 +376,8 @@ class LaurentPoly:
 
     __hash__ = None  # mutable-dict backed; not hashable
 
-    def __reduce__(self):  # copy and pickle rebuild through the constructor, in tap order
-        return LaurentPoly, (self.taps(), self._mode)
+    def __reduce__(self):  # copy and pickle restore the stored map as it is
+        return _restored, (self._num, self._den, self._mode)
 
     def approx_eq(self, other: "LaurentPoly", tol: float = DEFAULT_FLOAT_TOL) -> bool:
         """Float coefficients within an absolute tolerance; exact ones by ``==``."""
@@ -404,3 +418,8 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _restored(num: dict, den: int, mode: str) -> LaurentPoly:
+    # a polynomial from a stored map, unchecked: copies, pickles and results
+    return LaurentPoly.__new__(LaurentPoly)._set(num, den, mode)

@@ -66,13 +66,12 @@ class RoundingRule(Record):
         set_field(self, "to_even", to_even)
 
     def rounded(self, nums: Iterable[int], d: int) -> list[int]:
-        """Every num / 2**d of ``nums`` rounded, in one comprehension."""
-        if not d:
-            return list(nums)
-        b = self.offset(1 << (d - 1))
-        if self.to_even:
-            return [(v + b + ((v >> d) & 1)) >> d for v in nums]
-        return [(v + b) >> d for v in nums]
+        """Every num / 2**d of ``nums`` rounded, by the transforms' update kernel."""
+        from .transform import _lifting_update  # transform imports this module
+        nums = list(nums)
+        out = [0] * len(nums)  # plus one tap of weight 1 over nums, rounded
+        _lifting_update(out, [(0, 1)], nums, rounding=self, d=d)
+        return out
 
     def __reduce__(self):  # a registered rule's offset is a lambda: copy and pickle by name
         if ROUNDING_RULES.get(self.name) is self:

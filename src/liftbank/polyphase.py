@@ -89,22 +89,10 @@ class PolyphaseMatrix(Record):
 
     @classmethod
     def from_filters(cls, pair: FilterPair) -> "PolyphaseMatrix":
-        """Invert the scalar-filter correspondence (exact round-trip)."""
-        mode = pair.mode
-
-        def split(p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-            even: dict[int, Scalar] = {}
-            odd: dict[int, Scalar] = {}
-            for n, c in p.items():
-                if n % 2 == 0:
-                    even[n // 2] = c
-                else:
-                    odd[(n + 1) // 2] = c
-            return LaurentPoly(even, mode), LaurentPoly(odd, mode)
-
-        h00, h01 = split(pair.lowpass)
-        h10, h11 = split(pair.highpass)
-        return cls(h00, h01, h10, h11)
+        """Invert the scalar-filter correspondence (exact round-trip):
+        h_i0 and h_i1 are the even and odd polyphase components of H_i."""
+        lo, hi = pair.lowpass, pair.highpass
+        return cls(lo.decimated(2), lo.decimated(2, -1), hi.decimated(2), hi.decimated(2, -1))
 
     # -- algebra -----------------------------------------------------------
 

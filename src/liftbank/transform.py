@@ -8,33 +8,34 @@ lifting filter reads the neighbor (i - n) mod L.
 
 Every transform runs one lifting order: base, steps, gain; the synthesis
 side undoes the gain, then each step in reverse by subtracting the update
-that step added, then the base.  Only the channel arithmetic differs, and it
-is picked once per transform.  Neither exact arithmetic touches binary
-floats or per-sample ``Fraction`` arithmetic: a filter is read through
-``numerators()``, as the integer tap numerators and the one denominator its
-polynomial stores.  Filtering runs tap by tap over whole rotated channels.
+that step added, then the base.  Every update, in every arithmetic, is one
+fused pass: ``dst[i] ± R(c0*x0[i] + ... + c{k-1}*x{k-1}[i])``, where x_j is
+the source rotated by tap j, computed by one comprehension compiled once
+per tap count, rounding kind and sign, a block of samples at a time.  The
+sum runs left to right from 0, as a tap-by-tap loop does, so float results
+keep their bits and signed zeros.  Filters are read through
+``numerators()``: integer tap numerators over one denominator.
 
-Reversible cascades keep every intermediate as an exact dyadic rational and
-round each update to an integer before adding it in place; the synthesis
-side recomputes the identical rounded update and subtracts it, which is what
-makes the transform bit-exact on integers.  Their taps share a power-of-two
-denominator, so the rounding is a shift.
-
-Exact irreversible cascades hold each channel as integer numerators over
-one positive common denominator.  A step puts the destination and the
-filtered source over the lcm of their denominators and reduces by one gcd
-over the whole channel; ``Fraction`` objects are built only for the output
-samples.  Float cascades hold plain lists of floats.
+Reversible cascades round each update to an integer before adding it in
+place: their taps share a power-of-two denominator 2**d, so R is the
+rounding rule's ``(u + bias) >> d``.  The synthesis side recomputes the
+identical rounded update and subtracts it, which is what makes the
+transform bit-exact on integers.  Exact irreversible cascades hold each
+channel as integer numerators over one positive denominator: a step folds
+the scale factors onto the lcm of the two denominators into the taps and
+the destination, and reduces by one gcd per channel; ``Fraction`` objects
+are built only for the output samples.  Float cascades hold plain lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isfinite, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._record import Record
-from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar
+from .laurent import EXACT, FLOAT, LaurentPoly, as_scalar
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -70,114 +71,113 @@ def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> list:
     return [as_scalar(v, cascade.mode) for v in values]
 
 
-#: Samples per block of an in-place reversible update: short lists keep the
-#: transient memory of a step small.
+#: Samples per kernel call: a step's transient memory is one block per tap.
 _BLOCK = 4096
 
+#: An update of destination sample a by filtered sum u: as is (the leading
+#: 0 turns a sum of -0.0 products into +0.0), over a destination scaled by
+#: s, or rounded as (u + b) >> d, plus the low bit of u >> d for "even".
+_FORMS = {
+    "sum": "a {op} (0 + {u})",
+    "scaled": "a * s {op} ({u})",
+    "bias": "a {op} (({u} + b) >> d)",
+    "even": "a {op} (((u := {u}) + b + ((u >> d) & 1)) >> d)",
+}
 
-def _circular(taps: list[tuple[int, Scalar]], x: list, lo: int, hi: int) -> list:
-    """Samples lo..hi-1 of x filtered circularly: tap n reads x[(i - n) % L].
 
-    Tap by tap, over runs of x rotated by n; the first term is 0 + c*x, so
-    a float sum keeps its order and its signed zeros.
+@cache
+def _kernel(k: int, form: str, subtract: bool) -> Callable:
+    """The comprehension of a k-tap update, compiled as namedtuple compiles.
+
+    Its source holds only the tap numbers 0..k-1, one of ``_FORMS`` and
+    + or -.  Products are summed left to right, as a tap-by-tap loop sums.
     """
-    L, m = len(x), hi - lo
-    out = [0] * m
-    for n, c in taps:
-        s = (lo - n) % L
-        run = x[s:s + m] if s + m <= L else x[s:] + x[: s + m - L]
-        out = [a + c * v for a, v in zip(out, run)]
-    return out
+    cs, xs = [f"c{j}" for j in range(k)], [f"x{j}" for j in range(k)]
+    u = " + ".join(f"{c}*{x}" for c, x in zip(cs, xs)) or "0"
+    update = _FORMS[form].format(op="-" if subtract else "+", u=u)
+    namespace = {"__builtins__": {}, "zip": zip}
+    exec(
+        f"def kernel({', '.join(['dst', 'runs', 's', 'b', 'd', *cs])}):\n"
+        f"    return [{update} for {', '.join(['a', *xs])}, in zip(dst, *runs)]\n",
+        namespace,
+    )
+    return namespace["kernel"]
 
 
-# -- exact paths: integer numerators ----------------------------------------
+def _lifting_update(dst: list, taps: list, src: list, sign: int = 1,
+                    rounding=None, d: int = 0, s: int = 1) -> None:
+    """dst[i] = s * dst[i] + sign * R(sum of c * src[(i - n) % L]), in place.
+
+    ``taps`` are (n, c) pairs.  R rounds num / 2**d by the ``rounding``
+    rule's bias and ``to_even`` flag; without a rule, or at d = 0, R is the
+    identity, s may scale dst, and the sign goes into the taps, since a
+    float a - u is -0.0 where a + (-u) is +0.0.
+    """
+    coeffs = [c for _, c in taps]
+    if rounding is not None and d:
+        form, b = "even" if rounding.to_even else "bias", rounding.offset(1 << (d - 1))
+    else:
+        form, b, coeffs, sign = "sum" if s == 1 else "scaled", 0, [sign * c for c in coeffs], 1
+    kernel, L = _kernel(len(taps), form, sign < 0), len(src)
+    for lo in range(0, L, _BLOCK):
+        m = min(_BLOCK, L - lo)
+        runs = [src[i:i + m] if i + m <= L else src[i:] + src[: i + m - L]
+                for i in [(lo - n) % L for n, _ in taps]]
+        dst[lo:lo + m] = kernel(dst[lo:lo + m], runs, s, b, d, *coeffs)
 
 
-#: An exact channel: integer numerators over one positive denominator.
-_Channel = tuple[list[int], int]
-
-
-def _channel(values: list[Fraction]) -> _Channel:
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _sum(a: _Channel, b: _Channel) -> _Channel:
-    """a + b over the lcm of their denominators, reduced by one gcd."""
-    (na, da), (nb, db) = a, b
-    den = lcm(da, db)
-    sa, sb = den // da, den // db
-    nums = [u * sa + v * sb for u, v in zip(na, nb)]
-    g = gcd(den, *nums)
-    if g > 1:
-        den //= g
-        nums = [v // g for v in nums]
-    return nums, den
-
-
-def _scaled(x: _Channel, r: Fraction) -> _Channel:
-    # a Fraction's denominator is positive, so a negative gain keeps den > 0
-    nums, den = x
-    return [v * r.numerator for v in nums], den * r.denominator
-
-
-def _lift(
-    cascade: LiftingCascade, x0: list, x1: list, inverse: bool
-) -> tuple[list, list]:
+def _lift(cascade: LiftingCascade, x0: list, x1: list, inverse: bool) -> tuple[list, list]:
     """Base, steps, gain; or, inverted, their inverses in reverse order.
 
-    This is the lifting order of every transform.  The channel arithmetic
-    is picked once: ``update(dst, filt, src, sign)`` returns ``dst`` plus
-    ``sign`` times ``src`` filtered by ``filt``, and ``mul``/``div`` scale
-    a channel by K.  An inverse step subtracts its forward step's update.
+    The channel arithmetic is picked once: ``update(dst, filt, src, sign)``
+    adds ``sign`` times ``src`` filtered by ``filt`` to ``dst``, ``mul`` and
+    ``div`` scale a channel by K.  An inverse step subtracts its update.
     """
     L = len(x0)
     load = out = lambda x: x
-    if cascade.reversible:  # K = 1 and no base, by the cascade invariant
-        rounded = cascade.rounding.rounded
+    if cascade.mode == EXACT and not cascade.reversible:
+        # a channel is (integer numerators, one positive denominator)
 
-        def update(
-            dst: list[int], filt: LaurentPoly, src: list[int], sign: int
-        ) -> list[int]:
-            # in place, a block at a time; the inverse recomputes the same
-            # rounded update and subtracts it
-            taps, den = filt.numerators()
-            shift = den.bit_length() - 1  # den is a power of two: the taps are dyadic
-            for lo in range(0, L, _BLOCK):
-                hi = min(lo + _BLOCK, L)
-                u = rounded(_circular(taps, src, lo, hi), shift)
-                dst[lo:hi] = [a + sign * v for a, v in zip(dst[lo:hi], u)]
-            return dst
-
-        mul = div = lambda x, k: x
-    elif cascade.mode == EXACT:
-
-        def update(
-            dst: _Channel, filt: LaurentPoly, src: _Channel, sign: int
-        ) -> _Channel:
+        def update(dst: tuple, filt: LaurentPoly, src: tuple, sign: int) -> tuple:
+            (nums, da), (nb, db) = dst, src
             taps, q = filt.numerators()
-            nums, den = src
-            signed = [(n, sign * c) for n, c in taps]
-            return _sum(dst, (_circular(signed, nums, 0, L), q * den))
+            den = lcm(da, q * db)
+            sb = den // (q * db)
+            _lifting_update(nums, [(n, c * sb) for n, c in taps], nb, sign, s=den // da)
+            g = gcd(den, *nums)
+            if g > 1:
+                den //= g
+                nums = [v // g for v in nums]
+            return nums, den
 
-        load, zero = _channel, ([0] * L, 1)
+        def scaled(x: tuple, r: Fraction) -> tuple:
+            # a Fraction's denominator is positive, so a negative gain keeps den > 0
+            return [v * r.numerator for v in x[0]], x[1] * r.denominator
+
+        def load(values: list) -> tuple:
+            den = lcm(*(v.denominator for v in values))
+            return [v.numerator * (den // v.denominator) for v in values], den
+
+        zero = lambda: ([0] * L, 1)
         out = lambda x: [Fraction(v, x[1]) for v in x[0]]
-        mul, div = _scaled, lambda x, k: _scaled(x, 1 / k)
+        mul, div = scaled, lambda x, k: scaled(x, 1 / k)
     else:
+        # a float filter's denominator is 1, so only reversible taps round
 
         def update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
-            signed = [(n, sign * c) for n, c in filt.numerators()[0]]
-            return [a + u for a, u in zip(dst, _circular(signed, src, 0, L))]
+            taps, den = filt.numerators()
+            _lifting_update(dst, taps, src, sign, cascade.rounding, den.bit_length() - 1)
+            return dst
 
-        zero = [0] * L
-        mul = lambda x, k: [v * k for v in x]
-        div = lambda x, k: [v / k for v in x]
+        # K = 1, as every reversible cascade has, leaves the channels alone
+        zero = lambda: [0] * L
+        mul = lambda x, k: x if k == 1 else [v * k for v in x]
+        div = lambda x, k: x if k == 1 else [v / k for v in x]
 
     def apply_base(matrix: PolyphaseMatrix, c0, c1) -> tuple:
-        # each row sums two updates of a zero channel; 0 + u is exactly u,
-        # as a circular sum is never -0.0
+        # a row sums two updates of a fresh zero channel (0 + u is u: u is never -0.0)
         rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
-        return tuple(update(update(zero, a, c0, 1), b, c1, 1) for a, b in rows)
+        return tuple(update(update(zero(), a, c0, 1), b, c1, 1) for a, b in rows)
 
     k, base = cascade.k, cascade.base
     c0, c1 = load(x0), load(x1)

@@ -4,9 +4,19 @@ The random factories take an explicit ``random.Random`` so every suite that
 uses them can freeze its own seed.
 """
 
+import math
 from fractions import Fraction as F
 
 from liftbank import EXACT, LaurentPoly, LiftingCascade, LiftingStep
+
+#: Each rounding rule by name, as a map from Fractions to ints.
+REFERENCE_ROUNDING = {
+    "half-up": lambda x: math.floor(x + F(1, 2)),
+    "half-down": lambda x: math.ceil(x - F(1, 2)),
+    "floor": math.floor,
+    "ceiling": math.ceil,
+    "half-even": round,
+}
 
 
 def lp(taps, mode=EXACT):

@@ -65,6 +65,15 @@ def test_reindexed_is_a_substitution(p, scale, offset, x):
     assert p.reindexed(-1, offset).reindexed(-1, offset) == p
 
 
+@given(polys, st.sampled_from([-2, -1, 2, 3]), st.integers(-5, 5))
+def test_decimated_inverts_reindexed(p, scale, offset):
+    assert p.reindexed(scale, offset).decimated(scale, offset) == p
+    # the even and odd polyphase components add back up to p
+    assert p.decimated(2).reindexed(2) + p.decimated(2, -1).reindexed(2, -1) == p
+    with pytest.raises(ValueError, match="scale 0"):
+        p.decimated(0)
+
+
 def test_reindexed_refuses_a_zero_scale():
     with pytest.raises(ValueError, match="scale 0"):
         lp({0: 1, 1: 2}).reindexed(0)

@@ -6,7 +6,6 @@ the strongest single check on step ordering and the matrix conventions.
 """
 
 import functools
-import math
 import operator
 import random
 import re
@@ -45,6 +44,7 @@ from liftbank.banks import (
 )
 
 from conftest import (
+    REFERENCE_ROUNDING,
     lp,
     random_alternating_cascade,
     random_dyadic,
@@ -407,14 +407,6 @@ def test_equality_includes_rounding():
 
 
 # -- rounding kernels against Fraction references ------------------------------
-
-REFERENCE_ROUNDING = {
-    "half-up": lambda x: math.floor(x + F(1, 2)),
-    "half-down": lambda x: math.ceil(x - F(1, 2)),
-    "floor": math.floor,
-    "ceiling": math.ceil,
-    "half-even": round,
-}
 
 
 @pytest.mark.parametrize("name", sorted(ROUNDING_RULES))

@@ -456,6 +456,18 @@ def test_records_holding_polynomials_copy_and_pickle(value):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
 
+def test_overflowed_float_polynomials_copy_and_pickle():
+    # arithmetic may overflow a tap to inf, which the constructor refuses
+    poly = P({2: 0.5, 0: 1e308, -1: -3.0}, "float").scaled(10.0)
+    assert list(poly.taps().items()) == [(2, 5.0), (0, float("inf")), (-1, -30.0)]
+    matrix = PolyphaseMatrix(poly, P({}, "float"), P({}, "float"), poly)
+    for twin in _round_trips(poly):
+        assert type(twin) is LaurentPoly and twin == poly and twin.mode == poly.mode
+        assert repr(list(twin.taps().items())) == repr(list(poly.taps().items()))
+    for twin in _round_trips(matrix):
+        assert type(twin) is PolyphaseMatrix and twin == matrix and repr(twin) == repr(matrix)
+
+
 @pytest.mark.parametrize("name", sorted(ROUNDING_RULES))
 def test_cascades_copy_and_pickle_to_the_registered_rounding_rule(name):
     cascade = five_three(rounding=ROUNDING_RULES[name])

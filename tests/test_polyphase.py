@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -108,6 +109,25 @@ def test_filter_extraction_oracle():
 @given(matrices)
 def test_filter_round_trip(m):
     assert PolyphaseMatrix.from_filters(m.to_filters()) == m
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_from_filters_inverts_to_filters_in_tap_order(mode):
+    # entries filled out of tap order come back in ascending order, bit for bit
+    rng = random.Random(mode)
+    for _ in range(300):
+        entries = []
+        for _ in range(4):
+            taps = {}
+            for n in rng.sample(range(-6, 7), rng.randrange(0, 6)):
+                c = F(rng.randrange(-99, 100), rng.choice([1, 2, 3, 12]))
+                taps[n] = c if mode == EXACT else float(c) * 10.0 ** rng.randrange(-30, 30)
+            entries.append(LaurentPoly(taps, mode))
+        m = PolyphaseMatrix(*entries)
+        back = PolyphaseMatrix.from_filters(m.to_filters())
+        assert back == m
+        for got, want in zip(back.entries(), m.entries()):
+            assert repr(list(got.taps().items())) == repr(sorted(want.taps().items()))
 
 
 @given(polys, polys)

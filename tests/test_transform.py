@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftbank import (
+    EXACT,
     FLOAT,
     ROUNDING_RULES,
     LaurentPoly,
@@ -22,8 +23,10 @@ from liftbank import (
     synthesize_signal,
 )
 from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
+from liftbank.transform import _BLOCK
 
 from conftest import (
+    REFERENCE_ROUNDING,
     direct_filter,
     lp,
     random_alternating_cascade,
@@ -157,13 +160,15 @@ def test_float_base_admitted_by_the_cascade_is_invertible():
     assert max(abs(a - b) for a, b in zip(recovered, sig)) <= 1e-9
 
 
-def _float_reference(cascade, x0, x1, inverse):
-    """Float lifting written out sample by sample, one IEEE operation order.
+def _reference(cascade, x0, x1, inverse):
+    """Lifting written out sample by sample, one IEEE operation order.
 
     An update sums ``c * src[i - n]`` over ascending taps starting from 0;
-    an inverse step subtracts the update its forward step added.
+    a reversible cascade rounds that exact sum by its rule's ``Fraction``
+    reference.  An inverse step subtracts the update its forward step added.
     """
     L = len(x0)
+    rnd = REFERENCE_ROUNDING[cascade.rounding.name] if cascade.reversible else None
 
     def filtered(filt, src):
         out = []
@@ -171,7 +176,7 @@ def _float_reference(cascade, x0, x1, inverse):
             acc = 0
             for n, c in filt.items():
                 acc += c * src[(i - n) % L]
-            out.append(acc)
+            out.append(rnd(acc) if rnd else acc)
         return out
 
     def based(m, a, b):
@@ -207,11 +212,148 @@ def test_float_transform_is_bit_identical_to_the_written_out_order(seed):
         cascade = cascade.replace(base=haar_base(FLOAT))
     sig = [rng.uniform(-100.0, 100.0) for _ in range(2 * rng.randrange(1, 20))]
     bands = analyze_signal(cascade, sig)
-    ref = _float_reference(cascade, sig[0::2], sig[1::2], inverse=False)
+    ref = _reference(cascade, sig[0::2], sig[1::2], inverse=False)
     assert (list(bands.lowpass), list(bands.highpass)) == ref
-    y0, y1 = _float_reference(cascade, sig[0::2], sig[1::2], inverse=True)
+    y0, y1 = _reference(cascade, sig[0::2], sig[1::2], inverse=True)
     out = synthesize_signal(cascade, SubbandPair(tuple(sig[0::2]), tuple(sig[1::2])))
     assert out[0::2] == y0 and out[1::2] == y1
+
+
+# -- the fused update kernel -----------------------------------------------------
+
+
+def _check_against_reference(cascade, sig):
+    """Analysis of sig, and synthesis of its two halves as subbands, equal
+    the written-out reference: the update added, and the update subtracted."""
+    x0, x1 = sig[0::2], sig[1::2]
+    bands = analyze_signal(cascade, sig)
+    assert (list(bands.lowpass), list(bands.highpass)) == _reference(cascade, x0, x1, False)
+    y0, y1 = _reference(cascade, x0, x1, inverse=True)
+    out = synthesize_signal(cascade, SubbandPair(tuple(x0), tuple(x1)))
+    assert out[0::2] == y0 and out[1::2] == y1
+
+
+def _taps(rng, count, reach, mode=EXACT, dens=(1, 2, 4, 8, 16)):
+    """``count`` distinct taps in [-reach, reach] with random coefficients."""
+    taps = {}
+    for n in rng.sample(range(-reach, reach + 1), count):
+        c = F(rng.choice([-1, 1]) * rng.randrange(1, 40), rng.choice(dens))
+        taps[n] = c if mode == EXACT else float(c)
+    return LaurentPoly(taps, mode)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("rule", sorted(ROUNDING_RULES))
+def test_reversible_kernel_matches_the_rounded_fraction_reference(rule, L):
+    # 1 to 8 taps, reaching well beyond +-L, under every rounding rule
+    rng = random.Random(f"{rule}/{L}")
+    for k in range(1, 9):
+        for m in (0, 1):
+            steps = [LiftingStep(m, _taps(rng, k, 3 * L + 3)),
+                     LiftingStep(1 - m, _taps(rng, rng.randrange(1, 9), 3 * L + 3))]
+            cascade = LiftingCascade(steps, reversible=True, rounding=ROUNDING_RULES[rule])
+            _check_against_reference(cascade, [rng.randint(-999, 999) for _ in range(2 * L)])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_irreversible_kernel_matches_the_reference(mode, L):
+    # a step matrix as the base gives each row a zero-tap update; the other
+    # steps have 1 to 8 taps with non-dyadic coefficients
+    rng = random.Random(f"{mode}/{L}")
+    dens = (1, 2, 3, 5, 6, 7)
+    for k in range(1, 9):
+        m = k % 2
+        base = LiftingStep(1 - m, _taps(rng, rng.randrange(1, 4), L, mode, dens)).matrix()
+        steps = [LiftingStep(m, _taps(rng, k, 3 * L + 3, mode, dens)),
+                 LiftingStep(1 - m, _taps(rng, rng.randrange(1, 9), 3 * L + 3, mode, dens))]
+        gain = F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 3, 4]))
+        cascade = LiftingCascade(steps, k=gain if mode == EXACT else float(gain),
+                                 base=base, mode=mode)
+        sig = [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(2 * L)]
+        _check_against_reference(cascade, sig if mode == EXACT else [float(v) for v in sig])
+
+
+@pytest.mark.parametrize("L", [_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_kernel_matches_the_reference_across_block_edges(L):
+    # taps that read across a block edge and around the channel's end
+    rng = random.Random(L)
+    far = [0, 1, -2, _BLOCK + 1, -_BLOCK - 2, L + 3]
+    rule = sorted(ROUNDING_RULES)[[_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1].index(L)]
+
+    def filt(mode=EXACT):
+        taps = {n: F(rng.randrange(1, 40) * rng.choice([-1, 1]), 8) for n in rng.sample(far, 4)}
+        return LaurentPoly(taps if mode == EXACT else {n: float(c) for n, c in taps.items()}, mode)
+
+    for mode, reversible in ((EXACT, True), (EXACT, False), (FLOAT, False)):
+        cascade = LiftingCascade([LiftingStep(0, filt(mode)), LiftingStep(1, filt(mode))],
+                                 mode=mode, reversible=reversible, rounding=ROUNDING_RULES[rule])
+        sig = [rng.randint(-999, 999) for _ in range(2 * L)]
+        _check_against_reference(cascade, sig if mode == EXACT else [float(v) for v in sig])
+
+
+def _circular(taps, x, lo, hi):
+    """Samples lo..hi-1 of x filtered circularly, tap by tap over rotated runs."""
+    L, m = len(x), hi - lo
+    out = [0] * m
+    for n, c in taps:
+        s = (lo - n) % L
+        run = x[s:s + m] if s + m <= L else x[s:] + x[: s + m - L]
+        out = [a + c * v for a, v in zip(out, run)]
+    return out
+
+
+def _circular_lift(cascade, x0, x1, inverse):
+    """The float transform composed from ``_circular``, one pass per tap."""
+    L, k, base = len(x0), cascade.k, cascade.base
+
+    def update(dst, filt, src, sign):
+        signed = [(n, sign * c) for n, c in filt.items()]
+        return [a + u for a, u in zip(dst, _circular(signed, src, 0, L))]
+
+    def apply_base(matrix, c0, c1):
+        rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
+        return tuple(update(update([0] * L, a, c0, 1), b, c1, 1) for a, b in rows)
+
+    if inverse:
+        x0, x1 = [v * k for v in x0], [v / k for v in x1]
+    elif base is not None:
+        x0, x1 = apply_base(base, x0, x1)
+    sign = -1 if inverse else 1
+    for s in reversed(cascade.steps) if inverse else cascade.steps:
+        if s.update == 0:
+            x0 = update(x0, s.filter, x1, sign)
+        else:
+            x1 = update(x1, s.filter, x0, sign)
+    if not inverse:
+        return [v / k for v in x0], [v * k for v in x1]
+    return apply_base(base.adjugate(), x0, x1) if base is not None else (x0, x1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_float_kernel_keeps_the_signed_zeros_of_the_tap_by_tap_order(seed):
+    # +-0.0 samples and taps whose products are -0.0; a -0.0 tap is dropped
+    rng = random.Random(seed)
+    values = [0.0, -0.0] * 3 + [0.5, -1.0, 3.0]
+    L = rng.choice([1, 2, 3, 5])
+
+    def filt(k):
+        taps = {n: rng.choice([1.0, -1.0, -0.5, 2.0]) for n in rng.sample(range(-7, 8), k)}
+        return LaurentPoly({**taps, 8: -0.0}, FLOAT)
+
+    # one-tap steps most often: a sum of one -0.0 product is where the
+    # leading 0 shows
+    steps = [LiftingStep(i % 2, filt(rng.choice([1, 1, 1, 2, 4, 7])))
+             for i in range(rng.randrange(1, 4))]
+    base = LiftingStep(1, filt(rng.randrange(1, 3))).matrix() if seed % 2 else None
+    cascade = LiftingCascade(steps, k=rng.choice([1.0, -1.0, 0.5]), base=base, mode=FLOAT)
+    x0 = [rng.choice(values) for _ in range(L)]
+    x1 = [rng.choice(values) for _ in range(L)]
+    bands = analyze_signal(cascade, [v for pair in zip(x0, x1) for v in pair])
+    assert repr((list(bands.lowpass), list(bands.highpass))) == repr(
+        _circular_lift(cascade, x0, x1, inverse=False))
+    out = synthesize_signal(cascade, SubbandPair(tuple(x0), tuple(x1)))
+    assert repr((out[0::2], out[1::2])) == repr(_circular_lift(cascade, x0, x1, inverse=True))
 
 
 # -- properties over random cascades -------------------------------------------
