@@ -23,8 +23,8 @@ numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
 reduced, and summed in the plain loops' order, so float results keep their
 bits.  Arithmetic, evaluation and the tap maps, ``reindexed`` and its
 inverse ``decimated``, run on the numerators; other modules read them
-through ``numerators()``.  Only
-``coeff``, ``items``, ``taps`` and ``str`` build ``fractions.Fraction`` values.
+through ``numerators()``.  Only ``coeff``, ``items``, ``taps`` and ``str``
+build ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class LaurentPoly:
         if den != 1 and (g := gcd(den, *num.values())) != 1:
             den //= g
             num = {n: c // g for n, c in num.items()}
-        return _restored(num, den, self._mode)
+        return LaurentPoly.__new__(LaurentPoly)._set(num, den, self._mode)
 
     # -- constructors ------------------------------------------------------
 
@@ -313,7 +313,7 @@ class LaurentPoly:
         if not scale:
             raise ValueError("reindexing by scale 0 would merge every tap into one")
         num = {scale * n + offset: c for n, c in sorted(self._num.items())}
-        return _restored(num, self._den, self._mode)
+        return LaurentPoly.__new__(LaurentPoly)._set(num, self._den, self._mode)
 
     def decimated(self, scale: int, offset: int = 0) -> "LaurentPoly":
         """The taps n = scale * m + offset, each moved to m: the inverse of
@@ -421,5 +421,5 @@ class LaurentPoly:
 
 
 def _restored(num: dict, den: int, mode: str) -> LaurentPoly:
-    # a polynomial from a stored map, unchecked: copies, pickles and results
+    # a copy or an unpickled polynomial: the stored map, unchecked, as it was
     return LaurentPoly.__new__(LaurentPoly)._set(num, den, mode)

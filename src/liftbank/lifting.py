@@ -69,8 +69,8 @@ class RoundingRule(Record):
         """Every num / 2**d of ``nums`` rounded, by the transforms' update kernel."""
         from .transform import _lifting_update  # transform imports this module
         nums = list(nums)
-        out = [0] * len(nums)  # plus one tap of weight 1 over nums, rounded
-        _lifting_update(out, [(0, 1)], nums, rounding=self, d=d)
+        out = [0] * len(nums)
+        _lifting_update(out, [(0, 1)], nums, rounding=self, d=d)  # 0 + R(1 * num)
         return out
 
     def __reduce__(self):  # a registered rule's offset is a lambda: copy and pickle by name
