@@ -9,7 +9,7 @@ and a bank lifted from the Haar base by whole-sample antisymmetric filters.
 from __future__ import annotations
 
 from .laurent import EXACT, FLOAT, LaurentPoly
-from .lifting import DEFAULT_ROUNDING, LiftingCascade, LiftingStep, RoundingRule
+from .lifting import LiftingCascade, LiftingStep, RoundingRule
 from .normalization import renormalize
 from .polyphase import PolyphaseMatrix
 
@@ -18,7 +18,7 @@ def _lp(taps, mode=EXACT):
     return LaurentPoly(taps, mode)
 
 
-def haar(reversible: bool = False, rounding: RoundingRule = DEFAULT_ROUNDING) -> LiftingCascade:
+def haar(reversible: bool = False, rounding: RoundingRule | None = None) -> LiftingCascade:
     """Haar analysis bank: difference then half-sum update; K = 1.
 
     Evaluates to [[1/2, 1/2], [-1, 1]].
@@ -30,7 +30,7 @@ def haar(reversible: bool = False, rounding: RoundingRule = DEFAULT_ROUNDING) ->
     return LiftingCascade(steps, k=1, reversible=reversible, rounding=rounding)
 
 
-def five_three(reversible: bool = True, rounding: RoundingRule = DEFAULT_ROUNDING) -> LiftingCascade:
+def five_three(reversible: bool = True, rounding: RoundingRule | None = None) -> LiftingCascade:
     """The 5/3 (LeGall) bank used for reversible coding; K = 1.
 
     Prediction -(1 + z)/2 on the highpass channel, update (1 + z^-1)/4 on

@@ -18,15 +18,19 @@ modified, which for alternating cascades coincides with the two-term scalar
 recursion B_n = D_n * B_{n-1} + B_{n-2} (D_n the step's DC gain).  The
 seeds are the initial vector's entries: B_{-2} the one step 0 modifies,
 B_{-1} the other, so B_{-1} = B_{-2} = 1 without a base.
+
+Only a reversible cascade rounds, mapping integers to integers (Calderbank,
+Daubechies, Sweldens and Yeo, 1998) by one of the five plain-data
+``ROUNDING_RULES``; an irreversible cascade carries no rule.
 """
 
 from __future__ import annotations
 
 from math import inf, isfinite
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._record import Record, set_field
-from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar
+from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar, clip_repr
 from .polyphase import FilterPair, PolyphaseMatrix, gamma
 
 
@@ -49,21 +53,17 @@ class CascadeError(ValueError):
 
 
 class RoundingRule(Record):
-    """A deterministic map from dyadic rationals to integers.
+    """A deterministic map from dyadic rationals to integers, as plain data.
 
     Every rule rounds num / 2**d as ``(num + bias) >> d`` in integer
-    arithmetic.  For d >= 1 and h = 2**(d-1) the bias is ``offset(h)``: h
-    for half-up, h - 1 for half-down, 0 for floor and 2h - 1 for ceiling;
-    half-even adds the low bit of num >> d to h - 1, so a tie goes to the
-    even neighbour.  d = 0 needs no rounding.
+    arithmetic, with the bias ``halves * h - below`` for d >= 1 and
+    h = 2**(d-1): h for half-up, h - 1 for half-down, 0 for floor and
+    2h - 1 for ceiling; half-even (``to_even``) adds the low bit of
+    num >> d to h - 1, so a tie goes to the even neighbour.  d = 0 needs no
+    rounding.  Only reversible cascades round, by one of ``ROUNDING_RULES``.
     """
 
-    __slots__ = ("name", "offset", "to_even")
-
-    def __init__(self, name: str, offset: Callable[[int], int], to_even: bool = False):
-        set_field(self, "name", name)
-        set_field(self, "offset", offset)
-        set_field(self, "to_even", to_even)
+    __slots__ = ("name", "halves", "below", "to_even")
 
     def rounded(self, nums: Iterable[int], d: int) -> list[int]:
         """Every num / 2**d of ``nums`` rounded, by the transforms' update kernel."""
@@ -73,21 +73,12 @@ class RoundingRule(Record):
         _lifting_update(out, [(0, 1)], nums, rounding=self, d=d)  # 0 + R(1 * num)
         return out
 
-    def __reduce__(self):  # a registered rule's offset is a lambda: copy and pickle by name
-        if ROUNDING_RULES.get(self.name) is self:
-            return _registered_rule, (self.name,)
-        return super().__reduce__()
 
-
-def _registered_rule(name: str) -> RoundingRule:
-    return ROUNDING_RULES[name]
-
-
-ROUND_HALF_UP = RoundingRule("half-up", lambda h: h)
-ROUND_HALF_DOWN = RoundingRule("half-down", lambda h: h - 1)
-ROUND_FLOOR = RoundingRule("floor", lambda h: 0)
-ROUND_CEILING = RoundingRule("ceiling", lambda h: 2 * h - 1)
-ROUND_HALF_EVEN = RoundingRule("half-even", lambda h: h - 1, to_even=True)
+ROUND_HALF_UP = RoundingRule("half-up", 1, 0, False)
+ROUND_HALF_DOWN = RoundingRule("half-down", 1, 1, False)
+ROUND_FLOOR = RoundingRule("floor", 0, 0, False)
+ROUND_CEILING = RoundingRule("ceiling", 2, 1, False)
+ROUND_HALF_EVEN = RoundingRule("half-even", 1, 1, True)
 
 ROUNDING_RULES = {
     r.name: r
@@ -149,10 +140,6 @@ class DCTrace(Record):
 
     __slots__ = ("vectors", "b")
 
-    def __init__(self, vectors: tuple[tuple[Scalar, Scalar], ...], b: tuple[Scalar, ...]):
-        set_field(self, "vectors", vectors)
-        set_field(self, "b", b)
-
 
 def scalar_dc_recursion(dc_gains: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """The two-term recursion B_i = D_i * B_{i-1} + B_{i-2}.
@@ -176,11 +163,12 @@ class LiftingCascade(Record):
     """An ordered list of lifting steps with gain, optional base and mode.
 
     Invariants enforced at construction: a reversible cascade has K = 1, no
-    base, exact arithmetic and dyadic filters; all parts share one
-    arithmetic mode; K is nonzero; a base, when present, is unimodular so
-    that det(evaluate()) = 1 holds by construction.  A broken invariant
-    raises :class:`CascadeError`, a mode mismatch :class:`ModeError`.
-    Cascades compare by their fields but are not hashable.
+    base, exact arithmetic, dyadic filters and one of ``ROUNDING_RULES``
+    (``DEFAULT_ROUNDING`` if none is given), an irreversible one no rule;
+    all parts share one arithmetic mode; K is nonzero; a base, when present,
+    is unimodular so that det(evaluate()) = 1 holds by construction.  A
+    broken invariant raises :class:`CascadeError`, a mode mismatch
+    :class:`ModeError`.  Cascades compare by their fields but are not hashable.
     """
 
     __slots__ = ("steps", "k", "base", "mode", "reversible", "rounding")
@@ -193,7 +181,7 @@ class LiftingCascade(Record):
         base: PolyphaseMatrix | None = None,
         mode: str = EXACT,
         reversible: bool = False,
-        rounding: RoundingRule = DEFAULT_ROUNDING,
+        rounding: RoundingRule | None = None,
     ):
         steps = tuple(steps)
         for s in steps:
@@ -203,10 +191,15 @@ class LiftingCascade(Record):
                 raise ModeError(
                     f"step filter mode {s.mode!r} does not match cascade mode {mode!r}"
                 )
-        if not isinstance(rounding, RoundingRule):
-            raise TypeError("rounding must be a RoundingRule")
         if reversible and mode != EXACT:
             raise CascadeError("reversible cascades require exact arithmetic", "mode")
+        if reversible:
+            rounding = DEFAULT_ROUNDING if rounding is None else rounding
+            if rounding not in ROUNDING_RULES.values():
+                raise CascadeError(f"rounding must be one of {', '.join(ROUNDING_RULES)}, "
+                                   f"got {clip_repr(rounding)}", "rounding")
+        elif rounding is not None:
+            raise CascadeError("rounding applies to reversible cascades only", "rounding")
         kk = as_scalar(k, mode)
         if kk == 0:
             raise CascadeError("gain K must be nonzero", "k")
@@ -341,8 +334,9 @@ class LiftingCascade(Record):
         adj(B) conjugated by the steps and the gain: (D S) adj(B) (D S)^-1
         with D = diag(1/K, K) and S = M(S_{N-1}) * ... * M(S_0).  Its det is
         1 up to rounding, which the constructor's scaled tolerance admits.
-        A float K that scales a step's filter to 0 or infinity, through its
-        factor or through its taps, raises :class:`CascadeError` at ``("k",)``.
+        A float K that scales a step's filter or the base to 0 or infinity,
+        through its factor or through its taps, raises :class:`CascadeError`
+        at ``("k",)``.
         """
         k2 = self.k * self.k
         factors = (1 / k2 if k2 else inf, k2)  # by update characteristic
@@ -359,5 +353,9 @@ class LiftingCascade(Record):
             x = self.base.adjugate()
             for s in self.steps:
                 x = x.lifted(s.update, s.filter) @ LiftingStep(s.update, -s.filter).matrix()
-            base = gamma(x, self.k)
+            try:
+                base = gamma(x, self.k)
+            except ValueError:
+                raise CascadeError(f"gain K = {self.k!r} scales the synthesis base "
+                                   "to 0 or infinity", "k") from None
         return self.replace(steps=inv_steps, k=1 / self.k, base=base)

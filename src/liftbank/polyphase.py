@@ -203,14 +203,19 @@ class PolyphaseMatrix(Record):
 
 
 def gamma(matrix: PolyphaseMatrix, k) -> PolyphaseMatrix:
-    """The inner automorphism D_K A D_K^-1."""
+    """The inner automorphism D_K A D_K^-1.
+
+    A float K whose factor 1/K^2 or K^2 is 0 or infinite, or that scales an
+    off-diagonal entry to 0 or a non-finite tap, raises ValueError.
+    """
     kk = as_scalar(k, matrix.mode)
-    if kk == 0:
-        raise ValueError("gamma requires a nonzero K")
     k2 = kk * kk
-    return PolyphaseMatrix(
-        matrix.h00,
-        matrix.h01.scaled(1 / k2),
-        matrix.h10.scaled(k2),
-        matrix.h11,
-    )
+    if not k2 or (matrix.mode != EXACT and not (isfinite(k2) and isfinite(1 / k2))):
+        raise ValueError(f"gamma requires a nonzero K with finite K^2 and 1/K^2, "
+                         f"got K = {kk!r}")
+    h01, h10 = matrix.h01.scaled(1 / k2), matrix.h10.scaled(k2)
+    if matrix.mode != EXACT:
+        for entry, scaled in ((matrix.h01, h01), (matrix.h10, h10)):
+            if scaled.is_zero != entry.is_zero or not all(map(isfinite, scaled.taps().values())):
+                raise ValueError(f"K = {kk!r} scales an off-diagonal entry to 0 or infinity")
+    return PolyphaseMatrix(matrix.h00, h01, h10, matrix.h11)

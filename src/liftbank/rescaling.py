@@ -14,12 +14,16 @@ the gain K by K*kappa.  Both cascades evaluate to the same analysis matrix.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Optional
 
 from ._record import Record
 from .laurent import EXACT, Scalar, as_scalar
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
+
+#: Absolute tolerance of the float comparisons in :func:`find_rescaling`.
+RESCALING_TOL = 1e-9
 
 IDENTICAL = "identical"
 EQUIVALENT = "equivalent-modulo-rescaling"
@@ -32,7 +36,9 @@ def rescale_cascade(cascade: LiftingCascade, kappa) -> LiftingCascade:
     Only irreversible cascades rescale (a reversible bank has no gain to
     trade against its steps).  kappa = 1 returns the cascade untouched;
     any other kappa materializes the base, so an identity base becomes the
-    explicit matrix diag(kappa, 1/kappa).
+    explicit matrix diag(kappa, 1/kappa).  A float kappa that scales a
+    step's filter to 0 or infinity, through its factor or through its
+    taps, raises ValueError.
     """
     if cascade.reversible:
         raise ValueError("reversible cascades do not admit rescaling")
@@ -42,10 +48,14 @@ def rescale_cascade(cascade: LiftingCascade, kappa) -> LiftingCascade:
     if kk == 1:
         return cascade
     k2 = kk * kk
-    steps = tuple(
-        LiftingStep(s.update, s.filter.scaled(k2 if s.update == 0 else 1 / k2))
-        for s in cascade.steps
-    )
+    factors = (k2, 1 / k2 if k2 else inf)  # by update characteristic
+    steps = []
+    for i, s in enumerate(cascade.steps):
+        try:  # an infinite factor, or a filter scaled to 0 or a non-finite tap
+            steps.append(LiftingStep(s.update, s.filter.scaled(factors[s.update])))
+        except ValueError as exc:
+            raise ValueError(f"kappa = {kk!r} scales the filter of step {i} "
+                             f"to 0 or infinity ({exc})") from None
     diag = PolyphaseMatrix.diagonal(kk, 1 / kk, cascade.mode)
     base = cascade.base if cascade.base is not None else PolyphaseMatrix.identity(cascade.mode)
     return cascade.replace(steps=steps, k=cascade.k * kk, base=diag @ base)
@@ -61,24 +71,23 @@ class RescalingWitness(Record):
         return self.relation in (IDENTICAL, EQUIVALENT)
 
 
-def _cascades_match(a: LiftingCascade, b: LiftingCascade, tol: float) -> bool:
-    """Structural equality, a missing base as the identity; floats within ``tol``."""
+def _cascades_match(a: LiftingCascade, b: LiftingCascade) -> bool:
+    """Structural equality, a missing base as the identity; floats within
+    ``RESCALING_TOL``."""
     base_a = a.base if a.base is not None else PolyphaseMatrix.identity(a.mode)
     base_b = b.base if b.base is not None else PolyphaseMatrix.identity(b.mode)
     return (
         a.n_steps == b.n_steps
-        and abs(a.k - b.k) <= (0 if a.mode == EXACT else tol)
+        and abs(a.k - b.k) <= (0 if a.mode == EXACT else RESCALING_TOL)
         and all(
-            sa.update == sb.update and sa.filter.approx_eq(sb.filter, tol)
+            sa.update == sb.update and sa.filter.approx_eq(sb.filter, RESCALING_TOL)
             for sa, sb in zip(a.steps, b.steps)
         )
-        and base_a.approx_eq(base_b, tol)
+        and base_a.approx_eq(base_b, RESCALING_TOL)
     )
 
 
-def find_rescaling(
-    a: LiftingCascade, b: LiftingCascade, tol: float = 1e-9
-) -> RescalingWitness:
+def find_rescaling(a: LiftingCascade, b: LiftingCascade) -> RescalingWitness:
     """Decide identical / equivalent-modulo-rescaling / inequivalent.
 
     The returned kappa satisfies ``rescale_cascade(a, kappa) == b`` (up to
@@ -89,10 +98,8 @@ def find_rescaling(
     """
     if a.mode != b.mode:
         return RescalingWitness(INEQUIVALENT, None)
-    same_flavor = a.reversible == b.reversible and (
-        not a.reversible or a.rounding == b.rounding
-    )
-    if same_flavor and _cascades_match(a, b, tol):
+    # a rule is None exactly when its cascade is irreversible
+    if a.rounding == b.rounding and _cascades_match(a, b):
         return RescalingWitness(IDENTICAL, as_scalar(1, a.mode))
     if a.reversible or b.reversible:
         return RescalingWitness(INEQUIVALENT, None)
@@ -101,6 +108,6 @@ def find_rescaling(
     kappa = b.k / a.k
     if not kappa > 0:
         return RescalingWitness(INEQUIVALENT, None)
-    if _cascades_match(rescale_cascade(a, kappa), b, tol):
+    if _cascades_match(rescale_cascade(a, kappa), b):
         return RescalingWitness(EQUIVALENT, kappa)
     return RescalingWitness(INEQUIVALENT, None)

@@ -29,13 +29,7 @@ from math import isfinite
 from typing import Any
 
 from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar, clip_repr, parse_scalar
-from .lifting import (
-    DEFAULT_ROUNDING,
-    ROUNDING_RULES,
-    CascadeError,
-    LiftingCascade,
-    LiftingStep,
-)
+from .lifting import ROUNDING_RULES, CascadeError, LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
 
 REVERSIBLE = "reversible"
@@ -127,13 +121,8 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
 
     k = _scalar_from_json(doc.get("k", 1), arithmetic, "$.k")
 
-    if "rounding" in doc and mode_txt != REVERSIBLE:
-        # irreversible cascades never round; serialization would drop the key
-        raise SpecFormatError(
-            '"rounding" applies to reversible cascades only', "$.rounding"
-        )
-    name = doc.get("rounding", DEFAULT_ROUNDING.name)
-    if not isinstance(name, str) or name not in ROUNDING_RULES:
+    name = doc.get("rounding")
+    if "rounding" in doc and (not isinstance(name, str) or name not in ROUNDING_RULES):
         raise SpecFormatError(
             f"unknown rounding rule {clip_repr(name)}; known: "
             + ", ".join(sorted(ROUNDING_RULES)),
@@ -167,7 +156,7 @@ def document_to_cascade(doc: Any) -> LiftingCascade:
             base=base,
             mode=arithmetic,
             reversible=mode_txt == REVERSIBLE,
-            rounding=ROUNDING_RULES[name],
+            rounding=ROUNDING_RULES.get(name),
         )
     except CascadeError as exc:
         raise SpecFormatError.located(exc)

@@ -73,9 +73,7 @@ def classify_filter(p: LaurentPoly, tol: float = DEFAULT_FLOAT_TOL) -> SymmetryC
     return SymmetryClass(NONE, None)
 
 
-def classify_ws_group(
-    cascade, tol: float = DEFAULT_FLOAT_TOL
-) -> GroupLiftingClass:
+def classify_ws_group(cascade) -> GroupLiftingClass:
     """Does the cascade have whole-sample group-lifting structure?
 
     Requires an absent base and, per step, an HS-symmetric filter centered
@@ -86,7 +84,7 @@ def classify_ws_group(
     if cascade.base is not None:
         detail.append("cascade carries a base matrix")
     for i, step in enumerate(cascade.steps):
-        cls = classify_filter(step.filter, tol)
+        cls = classify_filter(step.filter)
         want = Fraction(1, 2) if step.update == 0 else Fraction(-1, 2)
         if cls.kind != SYMMETRIC or cls.center != want:
             got = (
@@ -103,9 +101,7 @@ def classify_ws_group(
     return GroupLiftingClass(WS_GROUP, ())
 
 
-def classify_hs_group(
-    cascade, tol: float = DEFAULT_FLOAT_TOL
-) -> GroupLiftingClass:
+def classify_hs_group(cascade) -> GroupLiftingClass:
     """Does the cascade have half-sample group-lifting structure?
 
     The base must be present and extract to equal-length concentric scalar
@@ -130,15 +126,15 @@ def classify_hs_group(
             detail.append(
                 f"base filters are not concentric: supports {lo_sup} vs {hi_sup}"
             )
-        lo_cls = classify_filter(pair.lowpass, tol)
-        hi_cls = classify_filter(pair.highpass, tol)
+        lo_cls = classify_filter(pair.lowpass)
+        hi_cls = classify_filter(pair.highpass)
         if lo_cls.kind != SYMMETRIC or sum(lo_sup) % 2 == 0:
             detail.append("base lowpass is not half-sample symmetric")
         if hi_cls.kind != ANTISYMMETRIC or sum(hi_sup) % 2 == 0:
             detail.append("base highpass is not half-sample antisymmetric")
 
     for i, step in enumerate(cascade.steps):
-        if classify_filter(step.filter, tol) != SymmetryClass(ANTISYMMETRIC, 0):
+        if classify_filter(step.filter) != SymmetryClass(ANTISYMMETRIC, 0):
             detail.append(
                 f"step {i}: filter is not whole-sample antisymmetric about 0"
             )
@@ -148,7 +144,7 @@ def classify_hs_group(
     return GroupLiftingClass(HS_GROUP, ())
 
 
-def classify_linear_phase(pair: FilterPair, tol: float = DEFAULT_FLOAT_TOL) -> str:
+def classify_linear_phase(pair: FilterPair) -> str:
     """WS / HS / neither for a scalar filter pair.
 
     WS: both filters symmetric about whole-sample (integer) centers.
@@ -157,8 +153,8 @@ def classify_linear_phase(pair: FilterPair, tol: float = DEFAULT_FLOAT_TOL) -> s
     """
     if pair.lowpass.is_zero or pair.highpass.is_zero:
         return NEITHER
-    lo = classify_filter(pair.lowpass, tol)
-    hi = classify_filter(pair.highpass, tol)
+    lo = classify_filter(pair.lowpass)
+    hi = classify_filter(pair.highpass)
     # a classified filter's center is a multiple of 1/2: center % 1 is 0 or 1/2
     if lo.kind == hi.kind == SYMMETRIC and lo.center % 1 == hi.center % 1 == 0:
         return WS

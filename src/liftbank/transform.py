@@ -109,13 +109,15 @@ def _lifting_update(dst: list, taps: list, src: list, sign: int = 1,
     """dst[i] = s * dst[i] + sign * R(sum of c * src[(i - n) % L]), in place.
 
     ``taps`` are (n, c) pairs.  R rounds num / 2**d by the ``rounding``
-    rule's bias and ``to_even`` flag; without a rule, or at d = 0, R is the
-    identity, s may scale dst, and the sign goes into the taps, since a
-    float a - u is -0.0 where a + (-u) is +0.0.
+    rule's bias ``halves * 2**(d-1) - below`` and its ``to_even`` flag;
+    without a rule, or at d = 0, R is the identity, s may scale dst, and
+    the sign goes into the taps, since a float a - u is -0.0 where
+    a + (-u) is +0.0.
     """
     coeffs = [c for _, c in taps]
     if rounding is not None and d:
-        form, b = "even" if rounding.to_even else "bias", rounding.offset(1 << (d - 1))
+        form = "even" if rounding.to_even else "bias"
+        b = (rounding.halves << (d - 1)) - rounding.below
     else:
         form, b, coeffs, sign = "sum" if s == 1 else "scaled", 0, [sign * c for c in coeffs], 1
     kernel, L = _kernel(len(taps), form, sign < 0), len(src)

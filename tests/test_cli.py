@@ -255,6 +255,15 @@ def test_rescale_overflowing_taps_exits_one_and_writes_nothing(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa", ["1e-200", "1e-160", "1e200"])
+def test_rescale_kappa_whose_square_under_or_overflows_exits_one(kappa, capsys):
+    assert main(["rescale", spec("cdf97.json"), f"--kappa={kappa}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: kappa = ") and "step 0" in lines[0]
+
+
 def test_transform_overflowing_output_exits_one_and_writes_nothing(tmp_path, capsys):
     # 1 + 2*2 = 5 over K = 1e-308 overflows the float lowpass band
     tiny = tmp_path / "tiny.json"

@@ -5,8 +5,10 @@ out by hand before this module existed; reproducing the identity exactly is
 the strongest single check on step ordering and the matrix conventions.
 """
 
+import copy
 import functools
 import operator
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -26,6 +28,7 @@ from liftbank import (
     LiftingCascade,
     LiftingStep,
     PolyphaseMatrix,
+    RoundingRule,
     analyze_signal,
     parse_spec,
     scalar_dc_recursion,
@@ -325,6 +328,16 @@ def test_float_synthesis_whose_scaled_filter_under_or_overflows_fails_at_k():
         assert info.value.field == ("k",)
 
 
+@pytest.mark.parametrize("k", [1e-200, 1e-160, 1e200])
+def test_float_synthesis_whose_gain_scales_the_base_to_0_or_infinity_fails_at_k(k):
+    # K^2 underflows to 0 or to a subnormal whose reciprocal overflows, or
+    # overflows to inf: conjugating the base by the gain has no finite factor
+    cascade = LiftingCascade([], k=k, base=PolyphaseMatrix.identity(FLOAT), mode=FLOAT)
+    with pytest.raises(CascadeError, match="synthesis base") as info:
+        cascade.synthesis()
+    assert info.value.field == ("k",)
+
+
 def test_repr_names_steps_gain_base_and_kind():
     assert repr(haar()) == "<LiftingCascade 2 steps, K=1, exact irreversible>"
     assert repr(five_three()) == "<LiftingCascade 2 steps, K=1, reversible>"
@@ -404,6 +417,79 @@ def test_equality_includes_rounding():
     assert five_three() == five_three()
     assert five_three() != five_three(rounding=ROUND_FLOOR)
     assert haar() != haar(reversible=True)
+
+
+# -- rounding rules: reversible cascades only, one of the registered five -------
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [RoundingRule("odd", 0, 0, False), RoundingRule("half-up", 0, 0, False), "floor"],
+    ids=["new-name", "registered-name-other-bias", "name-string"],
+)
+def test_reversible_cascades_refuse_an_unregistered_rule(rule):
+    # a rule whose fields no registered rule has could not be written to a
+    # spec and read back: the spec stores the name alone
+    with pytest.raises(CascadeError, match="rounding must be one of") as info:
+        LiftingCascade(five_three().steps, reversible=True, rounding=rule)
+    assert info.value.field == ("rounding",)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_irreversible_cascades_refuse_any_rule(mode):
+    with pytest.raises(CascadeError, match="reversible cascades only") as info:
+        LiftingCascade([step(0, {0: 1}, mode)], mode=mode, rounding=DEFAULT_ROUNDING)
+    assert info.value.field == ("rounding",)
+    with pytest.raises(CascadeError) as info:
+        haar(rounding=ROUND_FLOOR)
+    assert info.value.field == ("rounding",)
+    assert haar().rounding is None and five_three().rounding == DEFAULT_ROUNDING
+
+
+_dyadic = st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 4, 8]))
+_api_steps = st.lists(
+    st.tuples(st.integers(0, 1), st.dictionaries(st.integers(-2, 2), _dyadic, min_size=1)),
+    max_size=4,
+)
+
+
+def _api_cascade(kind, steps, k, with_base):
+    """A cascade built through the API: reversible under a rule name, or irreversible."""
+    if kind in ROUNDING_RULES:
+        return LiftingCascade([step(u, t) for u, t in steps], reversible=True,
+                              rounding=ROUNDING_RULES[kind])
+    mode = kind
+    cast = (lambda c: c) if mode == EXACT else float
+    return LiftingCascade(
+        [step(u, {n: cast(c) for n, c in t.items()}, mode) for u, t in steps],
+        k=cast(k),
+        base=haar_base(mode).lifted(1, LaurentPoly({1: cast(k)}, mode)) if with_base else None,
+        mode=mode,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(ROUNDING_RULES) + [EXACT, FLOAT]),
+    _api_steps,
+    _dyadic,
+    st.booleans(),
+    st.lists(st.integers(-99, 99), min_size=1, max_size=6),
+)
+def test_api_cascades_survive_spec_pickle_and_deepcopy(kind, steps, k, with_base, half):
+    cascade = _api_cascade(kind, steps, k, with_base)
+    x = [v if kind != FLOAT else v / 4 for v in half + half[::-1]]
+    bands = analyze_signal(cascade, x)
+    twins = [
+        parse_spec(serialize_spec(cascade)),
+        pickle.loads(pickle.dumps(cascade)),
+        copy.deepcopy(cascade),
+    ]
+    for twin in twins:
+        assert twin == cascade and twin.rounding == cascade.rounding
+        # repr keeps the float bits and signed zeros that == would let pass
+        assert repr(analyze_signal(twin, x)) == repr(bands)
+        assert repr(synthesize_signal(twin, bands)) == repr(synthesize_signal(cascade, bands))
 
 
 # -- rounding kernels against Fraction references ------------------------------

@@ -236,8 +236,8 @@ RECORDS = [
     ),
     (
         RoundingRule,
-        {"name": "odd", "offset": abs, "to_even": False},
-        "RoundingRule(name='odd', offset=<built-in function abs>, to_even=False)",
+        {"name": "odd", "halves": 2, "below": 3, "to_even": False},
+        "RoundingRule(name='odd', halves=2, below=3, to_even=False)",
     ),
     (
         LiftingStep,
@@ -357,14 +357,15 @@ def test_records_of_different_classes_never_compare_equal():
 
 
 def test_record_defaults_and_copies():
-    rule = RoundingRule("odd", abs)
+    rule = RoundingRule("odd", 2, 3, False)
     assert rule.to_even is False
-    assert rule == RoundingRule(name="odd", offset=abs, to_even=False)
-    assert RoundingRule("odd", abs, True).to_even is True
+    assert rule == RoundingRule(name="odd", halves=2, below=3, to_even=False)
+    assert RoundingRule("odd", 2, 3, True).to_even is True
+    assert RoundingRule("half-up", 1, 0, False) == ROUNDING_RULES["half-up"]
     assert FactorStrategy() == FactorStrategy(HIGH_END)
     assert FactorStrategy(first_channel=HIGHPASS_FIRST).reduction == HIGH_END
-    with pytest.raises(TypeError):
-        RoundingRule("odd")
+    with pytest.raises(TypeError):  # a rule has no default fields
+        RoundingRule("odd", 2, 3)
     with pytest.raises(TypeError):
         LiftingStep(0)
     symmetry = SymmetryClass("symmetric", F(1, 2))
@@ -472,13 +473,17 @@ def test_overflowed_float_polynomials_copy_and_pickle():
 def test_cascades_copy_and_pickle_to_the_registered_rounding_rule(name):
     cascade = five_three(rounding=ROUNDING_RULES[name])
     for twin in _round_trips(cascade):
-        assert twin == cascade and twin.rounding is ROUNDING_RULES[name]
+        assert twin == cascade and twin.rounding == ROUNDING_RULES[name]
+        assert twin.rounding != ROUNDING_RULES["half-up" if name != "half-up" else "floor"]
 
 
 def test_unregistered_rounding_rules_copy_and_pickle_by_their_fields():
-    for rule in (RoundingRule("odd", abs), RoundingRule("half-up", abs)):
+    # rules are plain data: a copy has the fields, whatever the name says
+    for rule in (RoundingRule("odd", 0, 0, False), RoundingRule("half-up", 0, 0, False)):
         for twin in _round_trips(rule):
-            assert twin == rule and twin.offset is abs and twin is not ROUNDING_RULES["half-up"]
+            assert twin == rule and (twin.halves, twin.below) == (0, 0)
+            assert twin != ROUNDING_RULES["half-up"]
+            assert not any(callable(getattr(twin, f)) for f in RoundingRule.__slots__)
 
 
 def test_only_laurent_reads_the_stored_numerators():

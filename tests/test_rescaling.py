@@ -1,6 +1,7 @@
 """The rescaling group action and equivalence detection."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from liftbank import (
     FLOAT,
     IDENTICAL,
     INEQUIVALENT,
+    LaurentPoly,
     LiftingCascade,
     PolyphaseMatrix,
     ROUND_FLOOR,
@@ -17,7 +19,7 @@ from liftbank import (
     gamma,
     rescale_cascade,
 )
-from liftbank.banks import five_three, haar, haar_base
+from liftbank.banks import cdf97, five_three, haar, haar_base
 
 from conftest import lp, random_alternating_cascade, step
 
@@ -35,6 +37,30 @@ def test_gamma_oracle():
 def test_gamma_requires_a_nonzero_gain():
     with pytest.raises(ValueError, match="nonzero K"):
         gamma(haar_base(), 0)
+
+
+@pytest.mark.parametrize(
+    "k, h01, h10",
+    [(1e-200, 0.0, 0.0), (1e-160, 0.0, 0.0), (1e200, 0.0, 0.0),
+     (1e100, 1e-300, 0.0), (1e10, 0.0, 1e300)],
+    ids=["square-to-0", "square-subnormal", "square-to-inf", "entry-to-0", "entry-to-inf"],
+)
+def test_gamma_refuses_a_float_k_that_scales_to_0_or_infinity(k, h01, h10):
+    # K^2 or 1/K^2 is 0 or infinite, or it takes a nonzero entry there
+    def entry(c):
+        return LaurentPoly({0: c} if c else {}, FLOAT)
+
+    m = PolyphaseMatrix(entry(1.0), entry(h01), entry(h10), entry(1.0))
+    with pytest.raises(ValueError, match=re.escape(f"K = {k!r}")):
+        gamma(m, k)
+
+
+@pytest.mark.parametrize("kappa", [1e-200, 1e-160, 1e200])
+def test_rescale_refuses_a_kappa_that_scales_a_filter_to_0_or_infinity(kappa):
+    # step 0 of the 9/7 is an update-1 step: its factor is 1/kappa^2
+    text = f"kappa = {kappa!r} scales the filter of step 0 "
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
+        rescale_cascade(cdf97(), kappa)
 
 
 def test_gamma_is_an_automorphism():

@@ -286,9 +286,9 @@ def test_kernel_matches_the_reference_across_block_edges(L, rule):
         taps = {n: F(rng.randrange(1, 40) * rng.choice([-1, 1]), 8) for n in rng.sample(far, 4)}
         return LaurentPoly(taps if mode == EXACT else {n: float(c) for n, c in taps.items()}, mode)
 
-    for mode, reversible in ((EXACT, True), (EXACT, False), (FLOAT, False)):
+    for mode, rounding in ((EXACT, ROUNDING_RULES[rule]), (EXACT, None), (FLOAT, None)):
         cascade = LiftingCascade([LiftingStep(0, filt(mode)), LiftingStep(1, filt(mode))],
-                                 mode=mode, reversible=reversible, rounding=ROUNDING_RULES[rule])
+                                 mode=mode, reversible=rounding is not None, rounding=rounding)
         sig = [rng.randint(-999, 999) for _ in range(2 * L)]
         _check_against_reference(cascade, sig if mode == EXACT else [float(v) for v in sig])
 
