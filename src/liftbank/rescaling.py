@@ -38,7 +38,7 @@ def rescale_cascade(cascade: LiftingCascade, kappa) -> LiftingCascade:
     any other kappa materializes the base, so an identity base becomes the
     explicit matrix diag(kappa, 1/kappa).  A float kappa that scales a
     step's filter to 0 or infinity, through its factor or through its
-    taps, raises ValueError.
+    taps, or the gain or the base to 0 or infinity, raises ValueError.
     """
     if cascade.reversible:
         raise ValueError("reversible cascades do not admit rescaling")
@@ -56,9 +56,13 @@ def rescale_cascade(cascade: LiftingCascade, kappa) -> LiftingCascade:
         except ValueError as exc:
             raise ValueError(f"kappa = {kk!r} scales the filter of step {i} "
                              f"to 0 or infinity ({exc})") from None
-    diag = PolyphaseMatrix.diagonal(kk, 1 / kk, cascade.mode)
     base = cascade.base if cascade.base is not None else PolyphaseMatrix.identity(cascade.mode)
-    return cascade.replace(steps=steps, k=cascade.k * kk, base=diag @ base)
+    try:  # K * kappa, 1/kappa or an entry of diag(kappa, 1/kappa) @ base is 0 or infinite
+        base = PolyphaseMatrix.diagonal(kk, 1 / kk, cascade.mode) @ base
+        return cascade.replace(steps=steps, k=cascade.k * kk, base=base)
+    except ValueError as exc:
+        raise ValueError(f"kappa = {kk!r} scales the gain or the base "
+                         f"to 0 or infinity ({exc})") from None
 
 
 class RescalingWitness(Record):
@@ -92,9 +96,9 @@ def find_rescaling(a: LiftingCascade, b: LiftingCascade) -> RescalingWitness:
 
     The returned kappa satisfies ``rescale_cascade(a, kappa) == b`` (up to
     tolerance in float mode); it is K_b / K_a, the only value that maps a's
-    gain to b's.  Reversible cascades compare as identical when
-    structurally equal and inequivalent otherwise; rescaling is an
-    irreversible-only notion.
+    gain to b's, and b is inequivalent when that rescaling is refused.
+    Reversible cascades compare as identical when structurally equal and
+    inequivalent otherwise; rescaling is an irreversible-only notion.
     """
     if a.mode != b.mode:
         return RescalingWitness(INEQUIVALENT, None)
@@ -108,6 +112,10 @@ def find_rescaling(a: LiftingCascade, b: LiftingCascade) -> RescalingWitness:
     kappa = b.k / a.k
     if not kappa > 0:
         return RescalingWitness(INEQUIVALENT, None)
-    if _cascades_match(rescale_cascade(a, kappa), b):
+    try:
+        rescaled = rescale_cascade(a, kappa)
+    except ValueError:  # kappa takes a out of the doubles, so b, inside them, differs
+        return RescalingWitness(INEQUIVALENT, None)
+    if _cascades_match(rescaled, b):
         return RescalingWitness(EQUIVALENT, kappa)
     return RescalingWitness(INEQUIVALENT, None)

@@ -16,15 +16,16 @@ sum runs left to right from 0, as a tap-by-tap loop does, so float results
 keep their bits and signed zeros.  Filters are read through
 ``numerators()``: integer tap numerators over one denominator.
 
-Reversible cascades round each update to an integer before adding it in
-place: their taps share a power-of-two denominator 2**d, so R is the
-rounding rule's ``(u + bias) >> d``.  The synthesis side recomputes the
-identical rounded update and subtracts it, which is what makes the
-transform bit-exact on integers.  Exact irreversible cascades hold each
-channel as integer numerators over one positive denominator: a step folds
-the scale factors onto the lcm of the two denominators into the taps and
-the destination, and reduces by one gcd per channel; ``Fraction`` objects
-are built only for the output samples.  Float cascades hold plain lists.
+Every channel is one pair (numerators, denominator), built once from the
+whole sample sequence.  Reversible cascades hold integers over 1 and round
+each update before adding it in place: their taps share a power-of-two
+denominator 2**d, so R is the rounding rule's ``(u + bias) >> d``, and the
+synthesis side subtracts the identical rounded update, which makes the
+transform bit-exact on integers.  Any other step folds the scale factors
+onto the lcm of the two denominators into the taps and the destination,
+then reduces by one gcd: exact irreversible channels hold integers over a
+positive denominator and become ``Fraction`` objects only at the output;
+float channels hold doubles over 1, so the step is the plain sum.
 """
 
 from __future__ import annotations
@@ -51,11 +52,13 @@ class SubbandPair(Record):
         return len(self.lowpass) + len(self.highpass)
 
 
-def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> list:
-    """Samples as the cascade's scalars; reversible cascades take ints only.
+def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> tuple[list, int]:
+    """Samples as one channel (numerators, denominator) of the cascade's scalars.
 
-    An all-int sequence (reversible) or an all-finite-float one (float mode)
-    passes in one pass; anything else is checked sample by sample.
+    Reversible cascades take ints only.  An all-int sequence (reversible)
+    or an all-finite-float one (float mode) passes in one pass; anything
+    else is checked sample by sample, so a refusal names the first bad
+    sample.  Exact samples share one lcm, the float and integer ones 1.
     """
     kinds = set(map(type, values))
     if cascade.reversible and not kinds <= {int}:
@@ -67,8 +70,12 @@ def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> list:
     if cascade.reversible or (
         cascade.mode == FLOAT and kinds <= {float} and isfinite(sum(values))
     ):
-        return list(values)
-    return [as_scalar(v, cascade.mode) for v in values]
+        return list(values), 1
+    x = [as_scalar(v, cascade.mode) for v in values]
+    if cascade.mode == FLOAT:
+        return x, 1
+    den = lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 #: Samples per kernel call: a step's transient memory is one block per tap.
@@ -128,63 +135,47 @@ def _lifting_update(dst: list, taps: list, src: list, sign: int = 1,
         dst[lo:lo + m] = kernel(dst[lo:lo + m], runs, s, b, d, *coeffs)
 
 
-def _lift(cascade: LiftingCascade, x0: list, x1: list, inverse: bool) -> tuple[list, list]:
+def _lift(cascade: LiftingCascade, c0: tuple, c1: tuple, inverse: bool) -> tuple[list, list]:
     """Base, steps, gain; or, inverted, their inverses in reverse order.
 
-    The channel arithmetic is picked once: ``update(dst, filt, src, sign)``
-    adds ``sign`` times ``src`` filtered by ``filt`` to ``dst``, ``mul`` and
-    ``div`` scale a channel by K.  An inverse step subtracts its update.
+    ``c0`` and ``c1`` are (numerators, denominator) channels from
+    :func:`_coerce`; ``update(dst, filt, src, sign)`` adds ``sign`` times
+    ``src`` filtered by ``filt`` to ``dst``, ``gain(x, k, divide)`` scales
+    a channel by K or 1/K, and an inverse step subtracts its update.
     """
-    L = len(x0)
-    load = out = lambda x: x
-    if cascade.mode == EXACT and not cascade.reversible:
-        # a channel is (integer numerators, one positive denominator)
+    L = len(c0[0])
 
-        def update(dst: tuple, filt: LaurentPoly, src: tuple, sign: int) -> tuple:
-            (nums, da), (nb, db) = dst, src
-            taps, q = filt.numerators()
-            den = lcm(da, q * db)
-            sb = den // (q * db)
-            _lifting_update(nums, [(n, c * sb) for n, c in taps], nb, sign, s=den // da)
-            g = gcd(den, *nums)
-            if g > 1:
-                den //= g
-                nums = [v // g for v in nums]
-            return nums, den
-
-        def scaled(x: tuple, r: Fraction) -> tuple:
-            # a Fraction's denominator is positive, so a negative gain keeps den > 0
-            return [v * r.numerator for v in x[0]], x[1] * r.denominator
-
-        def load(values: list) -> tuple:
-            den = lcm(*(v.denominator for v in values))
-            return [v.numerator * (den // v.denominator) for v in values], den
-
-        zero = lambda: ([0] * L, 1)
-        out = lambda x: [Fraction(v, x[1]) for v in x[0]]
-        mul, div = scaled, lambda x, k: scaled(x, 1 / k)
-    else:
-        # a float filter's denominator is 1, so only reversible taps round
-
-        def update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
-            taps, den = filt.numerators()
-            _lifting_update(dst, taps, src, sign, cascade.rounding, den.bit_length() - 1)
+    def update(dst: tuple, filt: LaurentPoly, src: tuple, sign: int) -> tuple:
+        (nums, da), (nb, db) = dst, src
+        taps, q = filt.numerators()
+        if cascade.rounding is not None:  # reversible: integers over 1, taps over 2**d
+            _lifting_update(nums, taps, nb, sign, cascade.rounding, q.bit_length() - 1)
             return dst
+        den = lcm(da, q * db)
+        sb = den // (q * db)
+        _lifting_update(nums, [(n, c * sb) for n, c in taps], nb, sign, s=den // da)
+        g = gcd(den, *nums) if den > 1 else 1  # a float channel stays over 1
+        return (nums, den) if g == 1 else ([v // g for v in nums], den // g)
 
-        # K = 1, as every reversible cascade has, leaves the channels alone
-        zero = lambda: [0] * L
-        mul = lambda x, k: x if k == 1 else [v * k for v in x]
-        div = lambda x, k: x if k == 1 else [v / k for v in x]
+    def gain(x: tuple, k, divide: bool) -> tuple:
+        # K = 1, as every reversible cascade has, leaves the channel alone
+        if k == 1:
+            return x
+        nums, den = x
+        if cascade.mode == FLOAT:
+            return [v / k for v in nums] if divide else [v * k for v in nums], 1
+        # a Fraction's denominator is positive, so a negative gain keeps den > 0
+        r = 1 / k if divide else k
+        return [v * r.numerator for v in nums], den * r.denominator
 
-    def apply_base(matrix: PolyphaseMatrix, c0, c1) -> tuple:
+    def apply_base(matrix: PolyphaseMatrix, c0: tuple, c1: tuple) -> tuple:
         # a row sums two updates of a fresh zero channel (0 + u is u: u is never -0.0)
         rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
-        return tuple(update(update(zero(), a, c0, 1), b, c1, 1) for a, b in rows)
+        return tuple(update(update(([0] * L, 1), a, c0, 1), b, c1, 1) for a, b in rows)
 
     k, base = cascade.k, cascade.base
-    c0, c1 = load(x0), load(x1)
     if inverse:
-        c0, c1 = mul(c0, k), div(c1, k)
+        c0, c1 = gain(c0, k, False), gain(c1, k, True)
     elif base is not None:
         c0, c1 = apply_base(base, c0, c1)
     sign = -1 if inverse else 1
@@ -194,10 +185,11 @@ def _lift(cascade: LiftingCascade, x0: list, x1: list, inverse: bool) -> tuple[l
         else:
             c1 = update(c1, step.filter, c0, sign)
     if not inverse:
-        c0, c1 = div(c0, k), mul(c1, k)
+        c0, c1 = gain(c0, k, True), gain(c1, k, False)
     elif base is not None:
         c0, c1 = apply_base(base.adjugate(), c0, c1)
-    return out(c0), out(c1)
+    exact = cascade.mode == EXACT and not cascade.reversible
+    return tuple([Fraction(v, den) for v in nums] if exact else nums for nums, den in (c0, c1))
 
 
 # -- public API ----------------------------------------------------------------
@@ -224,8 +216,8 @@ def analyze_signal(cascade: LiftingCascade, samples: Sequence) -> SubbandPair:
             f"signal length must be even and nonzero, got {n} "
             "(periodic extension needs whole sample pairs)"
         )
-    x = _coerce(cascade, samples, "samples")
-    x0, x1 = _lift(cascade, x[0::2], x[1::2], inverse=False)
+    x, den = _coerce(cascade, samples, "samples")
+    x0, x1 = _lift(cascade, (x[0::2], den), (x[1::2], den), inverse=False)
     return SubbandPair(tuple(x0), tuple(x1))
 
 
@@ -243,9 +235,8 @@ def synthesize_signal(cascade: LiftingCascade, subbands: SubbandPair) -> list:
         )
     if L == 0:
         raise ValueError("empty subbands")
-    y0 = _coerce(cascade, subbands.lowpass, "subbands")
-    y1 = _coerce(cascade, subbands.highpass, "subbands")
-    y0, y1 = _lift(cascade, y0, y1, inverse=True)
+    y, den = _coerce(cascade, [*subbands.lowpass, *subbands.highpass], "subbands")
+    y0, y1 = _lift(cascade, (y[:L], den), (y[L:], den), inverse=True)
     out = [None] * (2 * L)
     out[0::2] = y0
     out[1::2] = y1

@@ -7,7 +7,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from liftbank import load_spec, parse_matrix, parse_spec, serialize_matrix, write_signal
+from liftbank import (
+    FLOAT,
+    LaurentPoly,
+    LiftingCascade,
+    LiftingStep,
+    PolyphaseMatrix,
+    load_spec,
+    parse_matrix,
+    parse_spec,
+    serialize_matrix,
+    serialize_spec,
+    write_signal,
+)
 from liftbank.banks import five_three, haar_base
 from liftbank.cli import main
 
@@ -262,6 +274,31 @@ def test_rescale_kappa_whose_square_under_or_overflows_exits_one(kappa, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: kappa = ") and "step 0" in lines[0]
+
+
+def test_compare_against_a_gain_no_rescaling_reaches_says_inequivalent(tmp_path, capsys):
+    # kappa = K_b / K_a = 8.1e199 would scale the 9/7's first filter to 0
+    far = tmp_path / "far.json"
+    far.write_text(serialize_spec(load_spec(spec("cdf97.json")).replace(k=1e200)))
+    assert main(["compare", spec("cdf97.json"), str(far)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("inequivalent\n", "")
+
+
+def test_rescale_overflowing_base_exits_one_and_writes_nothing(tmp_path, capsys):
+    based = tmp_path / "based.json"
+    based.write_text(serialize_spec(LiftingCascade(
+        [LiftingStep(0, LaurentPoly({0: 0.5}, FLOAT))],
+        base=PolyphaseMatrix.diagonal(1e300, 1e-300, FLOAT), mode=FLOAT,
+    )))
+    out = tmp_path / "scaled.json"
+    assert main(["rescale", str(based), "--kappa", "1e10", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: kappa = 10000000000.0 scales the gain or the base ")
+    assert not out.exists()
 
 
 def test_transform_overflowing_output_exits_one_and_writes_nothing(tmp_path, capsys):

@@ -51,10 +51,12 @@ def golden_commands() -> dict[str, list[list[str]]]:
     }
 
 
-def _write_inputs(tmp) -> None:
-    with open(os.path.join(tmp, "signal.txt"), "w", encoding="utf-8") as fh:
+def write_inputs(tmp) -> None:
+    """Write the ``{tmp}`` inputs of the snapshot commands into ``tmp``."""
+    with open(os.path.join(tmp, "signal.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SIGNAL)
-    with open(os.path.join(tmp, "fivethree_matrix.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(tmp, "fivethree_matrix.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
         fh.write(serialize_matrix(five_three().evaluate()))
 
 
@@ -82,7 +84,7 @@ def test_snapshot_covers_exactly_the_commands():
 
 @pytest.mark.parametrize("group", sorted(golden_commands()))
 def test_cli_output_matches_snapshot(group, tmp_path, capsys):
-    _write_inputs(tmp_path)
+    write_inputs(tmp_path)
     snapshot = _load_snapshot()
     differ = []
     for argv in golden_commands()[group]:

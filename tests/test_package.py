@@ -99,6 +99,9 @@ def test_subcommand_imports_only_what_it_runs(name, tmp_path):
     loaded = set(result["loaded"])
     assert "liftbank.specio" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+    # the package depends on nothing outside the standard library
+    outside = {m for m in loaded if m.split(".")[0] not in {"liftbank", *sys.stdlib_module_names}}
+    assert not outside
     if name in ("analyze", "validate"):
         for module in ("transform", "factorization", "rescaling", "banks"):
             assert f"liftbank.{module}" not in loaded

@@ -13,8 +13,10 @@ from liftbank import (
     INEQUIVALENT,
     LaurentPoly,
     LiftingCascade,
+    LiftingStep,
     PolyphaseMatrix,
     ROUND_FLOOR,
+    RescalingWitness,
     find_rescaling,
     gamma,
     rescale_cascade,
@@ -61,6 +63,35 @@ def test_rescale_refuses_a_kappa_that_scales_a_filter_to_0_or_infinity(kappa):
     text = f"kappa = {kappa!r} scales the filter of step 0 "
     with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
         rescale_cascade(cdf97(), kappa)
+
+
+#: One-step float cascades whose gain, or whose base times diag(kappa, 1/kappa),
+#: leaves the doubles at kappa = 1e10 (the base rows scale by 1e10 and 1e-10).
+_FLOAT_STEP = [LiftingStep(0, LaurentPoly({0: 0.5}, FLOAT))]
+_OVERFLOWING = {
+    "base": LiftingCascade(_FLOAT_STEP, base=PolyphaseMatrix.diagonal(1e300, 1e-300, FLOAT),
+                           mode=FLOAT),
+    "gain": LiftingCascade(_FLOAT_STEP, k=1e300, mode=FLOAT),
+}
+
+
+@pytest.mark.parametrize("part", sorted(_OVERFLOWING))
+def test_rescale_refuses_a_kappa_that_scales_the_base_or_gain_to_infinity(part):
+    text = "kappa = 10000000000.0 scales the gain or the base to 0 or infinity"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
+        rescale_cascade(_OVERFLOWING[part], 1e10)
+    # a kappa that keeps every entry finite rescales as before
+    rescaled = rescale_cascade(_OVERFLOWING[part], 1e-10)
+    assert rescaled.k == _OVERFLOWING[part].k * 1e-10
+
+
+def test_find_rescaling_answers_inequivalent_where_kappa_cannot_rescale():
+    # kappa = K_b / K_a = 8.1e199 scales the 9/7's first filter to 0
+    a = cdf97()
+    assert find_rescaling(a, a.replace(k=1e200)) == RescalingWitness(INEQUIVALENT, None)
+    # and a base scaled out of the doubles
+    a = _OVERFLOWING["base"]
+    assert find_rescaling(a, a.replace(k=1e10)) == RescalingWitness(INEQUIVALENT, None)
 
 
 def test_gamma_is_an_automorphism():

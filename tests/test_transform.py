@@ -126,6 +126,9 @@ def test_reversible_rejects_non_integers():
         analyze_signal(five_three(), [F(1, 2), 0])
     with pytest.raises(ValueError, match="integer samples"):
         analyze_signal(five_three(), [True, 0])
+    # the first bad sample in signal order, not the first of its channel
+    with pytest.raises(ValueError, match=r"integer samples, got Fraction\(1, 2\)$"):
+        analyze_signal(five_three(), [0, F(1, 2), F(3, 2), 0])
 
 
 def test_synthesis_input_validation():
@@ -135,6 +138,9 @@ def test_synthesis_input_validation():
         synthesize_signal(haar(), SubbandPair((1, 2), (3,)))
     with pytest.raises(ValueError, match="integer subbands"):
         synthesize_signal(five_three(), SubbandPair((F(1, 2),), (1,)))
+    # the lowpass band is read before the highpass band
+    with pytest.raises(ValueError, match=r"integer subbands, got Fraction\(1, 4\)$"):
+        synthesize_signal(five_three(), SubbandPair((0, F(1, 4)), (F(1, 2), 0)))
 
 
 def test_float_transforms_reject_non_finite_samples():
@@ -142,6 +148,8 @@ def test_float_transforms_reject_non_finite_samples():
         analyze_signal(cdf97(), [1.0, float("nan")])
     with pytest.raises(ValueError, match="finite"):
         synthesize_signal(cdf97(), SubbandPair((float("inf"),), (0.0,)))
+    with pytest.raises(ValueError, match="finite, got inf$"):
+        analyze_signal(cdf97(), [1.0, float("inf"), float("nan"), 0.0])
 
 
 def test_float_base_admitted_by_the_cascade_is_invertible():
