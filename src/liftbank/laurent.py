@@ -23,12 +23,14 @@ numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
 reduced, and summed in the plain loops' order, so float results keep their
 bits.  Arithmetic, evaluation and the tap maps, ``reindexed`` and its
 inverse ``decimated``, run on the numerators; other modules read them
-through ``numerators()``.  Only ``coeff``, ``items``, ``taps`` and ``str``
-build ``fractions.Fraction`` values.
+through ``numerators()`` and build from (p, q) pairs through ``from_ratios``.
+Only ``coeff``, ``items``, ``taps`` and ``str`` build ``fractions.Fraction``
+values.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
 from typing import Iterator, Mapping, Union
@@ -46,6 +48,9 @@ Scalar = Union[Fraction, float]
 #: ("1e4000000" costs seconds of CPU), and a value with more digits than
 #: Python's default int->str limit (4300) could not be written back out.
 MAX_SCALAR_DIGITS = 4300
+
+#: The integer and "p/q" literals, a subset of ``Fraction``'s, that ``int`` reads.
+_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
 
 
 #: Most characters of an offending input that an error message echoes.
@@ -137,6 +142,28 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     return value if mode == EXACT else as_scalar(value, FLOAT)
 
 
+def as_ratio(value, mode: str = EXACT) -> tuple[Scalar, int]:
+    """``value`` as the (numerator, denominator) of :meth:`LaurentPoly.from_ratios`:
+    exact ints in lowest terms over a positive int, ints and integer or "p/q"
+    literals read without ``Fraction``, or floats over 1; the rest goes
+    through :func:`as_scalar`."""
+    if mode != EXACT:
+        return as_scalar(value, mode), 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
+    if type(value) is int:
+        return value, 1
+    m = _RATIO.fullmatch(value) if type(value) is str and len(value) <= MAX_SCALAR_DIGITS else None
+    try:  # an int digit limit set below MAX_SCALAR_DIGITS is as_scalar's refusal
+        if m and (q := int(m[2] or 1)):
+            g = gcd(p := int(m[1]), q)
+            return p // g, q // g
+    except ValueError:
+        pass
+    v = as_scalar(value)
+    return v.numerator, v.denominator
+
+
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: "p/q" or "n" for Fractions, repr for floats."""
     if isinstance(x, Fraction):
@@ -159,18 +186,12 @@ class LaurentPoly:
 
     def __init__(self, taps: Mapping[int, object] | None = None, mode: str = EXACT):
         _check_mode(mode)
-        vals: dict[int, Scalar] = {}
+        ratios = {}
         for n, c in (taps or {}).items():
             if not isinstance(n, int) or isinstance(n, bool):
                 raise TypeError(f"tap index must be an int, got {n!r}")
-            v = as_scalar(c, mode)
-            if v:
-                vals[n] = v
-        den = 1
-        if mode == EXACT:  # over the lcm of reduced denominators the gcd is 1
-            den = lcm(*[c.denominator for c in vals.values()])
-            vals = {n: c.numerator * (den // c.denominator) for n, c in vals.items()}
-        self._set(vals, den, mode)
+            ratios[n] = as_ratio(c, mode)
+        self._set(*_over_lcm(ratios), mode)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("LaurentPoly is immutable")
@@ -182,13 +203,7 @@ class LaurentPoly:
         return self
 
     def _new(self, num: dict, den: int) -> "LaurentPoly":
-        # internal: drop zero numerators, reduce by one gcd (a float
-        # polynomial's denominator is 1, so floats are never divided)
-        num = {n: c for n, c in num.items() if c}
-        if den != 1 and (g := gcd(den, *num.values())) != 1:
-            den //= g
-            num = {n: c // g for n, c in num.items()}
-        return LaurentPoly.__new__(LaurentPoly)._set(num, den, self._mode)
+        return LaurentPoly.__new__(LaurentPoly)._set(*_reduced(num, den), self._mode)
 
     # -- constructors ------------------------------------------------------
 
@@ -199,6 +214,12 @@ class LaurentPoly:
     @classmethod
     def one(cls, mode: str = EXACT) -> "LaurentPoly":
         return cls({0: 1}, mode)
+
+    @classmethod
+    def from_ratios(cls, ratios: Mapping[int, tuple], mode: str = EXACT) -> "LaurentPoly":
+        """The polynomial with tap n = p/q for each ``n: (p, q)`` of :func:`as_ratio`
+        (in lowest terms, q > 0)."""
+        return cls.__new__(cls)._set(*_over_lcm(ratios), mode)
 
     @classmethod
     def monomial(cls, coeff, tap: int = 0, mode: str = EXACT) -> "LaurentPoly":
@@ -267,33 +288,38 @@ class LaurentPoly:
         return self._plus(other, -1)
 
     def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        # self + sign * other over the lcm of the denominators; a float
-        # c * -1 is exactly -c, so a - b keeps the bits of a + (-b)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_mode(other)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, sign * (den // other._den)
-        num = dict(self._num) if sa == 1 else {n: c * sa for n, c in self._num.items()}
-        get = num.get
-        for n, c in other._num.items():
-            num[n] = get(n, 0) + c * sb
-        return self._new(num, den)
+        return self._new(*_summed(self._num, self._den, other._num, other._den, sign))
 
     def __neg__(self) -> "LaurentPoly":
         return self._new({n: -c for n, c in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            self._require_same_mode(other)
-            num: dict[int, Scalar] = {}
-            get = num.get
-            for n1, c1 in self._num.items():
-                for n2, c2 in other._num.items():
-                    n = n1 + n2
-                    num[n] = get(n, 0) + c1 * c2
-            return self._new(num, self._den * other._den)
+            return self._new(*self._product(other))
         return self.scaled(other)
+
+    def _product(self, other: "LaurentPoly") -> tuple[dict, int]:
+        # the raw map of self * other: zero numerators kept, not reduced
+        self._require_same_mode(other)
+        num: dict[int, Scalar] = {}
+        get = num.get
+        for n1, c1 in self._num.items():
+            for n2, c2 in other._num.items():
+                n = n1 + n2
+                num[n] = get(n, 0) + c1 * c2
+        return num, self._den * other._den
+
+    def plus_product(self, y: "LaurentPoly", z: "LaurentPoly", first=False) -> "LaurentPoly":
+        """``self + y * z``, or ``y * z + self`` if ``first``, with the taps, tap
+        order and float bits of that form but without building ``y * z``."""
+        self._require_same_mode(y)
+        p, dp = y._product(z)
+        if first:  # a cancelled tap of y * z must not hold a place for self's
+            return self._new(*_summed({n: c for n, c in p.items() if c}, dp, self._num, self._den))
+        return self._new(*_summed(self._num, self._den, p, dp))
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.scaled(other)
@@ -418,6 +444,35 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _reduced(num: dict, den: int) -> tuple[dict, int]:
+    # drop zero numerators, reduce by one gcd (a float polynomial's
+    # denominator is 1, so floats are never divided)
+    if 0 in num.values():  # == 0 exactly when falsy, -0.0 included
+        num = {n: c for n, c in num.items() if c}
+    if den != 1 and (g := gcd(den, *num.values())) != 1:
+        return {n: c // g for n, c in num.items()}, den // g
+    return num, den
+
+
+def _over_lcm(ratios: Mapping[int, tuple[Scalar, int]]) -> tuple[dict, int]:
+    # nonzero (p, q) pairs in lowest terms over the lcm of their q: canonical
+    # without a gcd, since no prime of that lcm divides every numerator
+    den = lcm(*[q for _, q in ratios.values()])
+    return {n: p * (den // q) for n, (p, q) in ratios.items() if p}, den
+
+
+def _summed(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, int]:
+    # a / da + sign * b / db over the lcm of the denominators, a's taps first;
+    # a float c * -1 is exactly -c, so a - b keeps the bits of a + (-b)
+    den = lcm(da, db)
+    sa, sb = den // da, sign * (den // db)
+    num = dict(a) if sa == 1 else {n: c * sa for n, c in a.items()}
+    get = num.get
+    for n, c in b.items():
+        num[n] = get(n, 0) + c * sb
+    return num, den
 
 
 def _restored(num: dict, den: int, mode: str) -> LaurentPoly:

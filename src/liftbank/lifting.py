@@ -200,7 +200,12 @@ class LiftingCascade(Record):
                                    f"got {clip_repr(rounding)}", "rounding")
         elif rounding is not None:
             raise CascadeError("rounding applies to reversible cascades only", "rounding")
-        kk = as_scalar(k, mode)
+        try:
+            kk = as_scalar(k, mode)
+        except ModeError:
+            raise
+        except ValueError as exc:  # a malformed or non-finite gain
+            raise CascadeError(f"gain K: {exc}", "k") from None
         if kk == 0:
             raise CascadeError("gain K must be nonzero", "k")
         if mode != EXACT and not isfinite(1 / kk):
@@ -344,7 +349,7 @@ class LiftingCascade(Record):
         for i in reversed(range(len(self.steps))):
             s = self.steps[i]
             try:  # an infinite factor, or a filter scaled to 0 or a non-finite tap
-                inv_steps.append(LiftingStep(s.update, (-s.filter).scaled(factors[s.update])))
+                inv_steps.append(LiftingStep(s.update, s.filter.scaled(-factors[s.update])))
             except ValueError:
                 raise CascadeError(f"gain K = {self.k!r} scales the synthesis step for step {i} "
                                    "to 0 or infinity", "k") from None
@@ -352,7 +357,7 @@ class LiftingCascade(Record):
         if self.base is not None:
             x = self.base.adjugate()
             for s in self.steps:
-                x = x.lifted(s.update, s.filter) @ LiftingStep(s.update, -s.filter).matrix()
+                x = x.lifted(s.update, s.filter).colifted(s.update, -s.filter)
             try:
                 base = gamma(x, self.k)
             except ValueError:

@@ -117,8 +117,16 @@ class PolyphaseMatrix(Record):
         """
         a, b, c, d = self.entries()
         if update == 0:
-            return PolyphaseMatrix(a + g * c, b + g * d, c, d)
-        return PolyphaseMatrix(a, b, g * a + c, g * b + d)
+            return PolyphaseMatrix(a.plus_product(g, c), b.plus_product(g, d), c, d)
+        return PolyphaseMatrix(a, b, c.plus_product(g, a, True), d.plus_product(g, b, True))
+
+    def colifted(self, update: int, g: LaurentPoly) -> "PolyphaseMatrix":
+        """``self @ LiftingStep(update, g).matrix()`` as one column update: 2
+        polynomial products, in the operand order, so the float bits, of the 8."""
+        a, b, c, d = self.entries()
+        if update == 0:
+            return PolyphaseMatrix(a, b.plus_product(a, g, True), c, d.plus_product(c, g, True))
+        return PolyphaseMatrix(a.plus_product(b, g), b, c.plus_product(d, g), d)
 
     def determinant(self) -> LaurentPoly:
         return self.h00 * self.h11 - self.h01 * self.h10
@@ -134,8 +142,8 @@ class PolyphaseMatrix(Record):
         one = LaurentPoly.one(self.mode)
         if self.mode == EXACT:
             return det == one
-        a, b, c, d = (LaurentPoly({n: abs(x) for n, x in e.items()}, self.mode)
-                      for e in self.entries())
+        a, b, c, d = (LaurentPoly.from_ratios({n: (abs(x), 1) for n, x in e.items()}, self.mode)
+                      for e in self.entries())  # non-finite taps give a non-finite tol
         tol = BASE_DET_TOL * max([1.0] + [x for _, x in (a * d + b * c).items()])
         return isfinite(tol) and det.approx_eq(one, tol)
 

@@ -25,10 +25,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isfinite
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, isfinite
 from typing import Any
 
-from .laurent import EXACT, FLOAT, LaurentPoly, Scalar, as_scalar, clip_repr, parse_scalar
+from .laurent import (
+    EXACT, FLOAT, LaurentPoly, Scalar, as_ratio, as_scalar, clip_repr, parse_scalar,
+)
 from .lifting import ROUNDING_RULES, CascadeError, LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
 
@@ -52,9 +55,9 @@ class SpecFormatError(ValueError):
         ))
 
 
-def _scalar_from_json(value: Any, mode: str, where: str) -> Scalar:
+def _scalar_from_json(value: Any, mode: str, where: str, read=as_scalar) -> Any:
     try:
-        return as_scalar(value, mode)
+        return read(value, mode)
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(str(exc), where) from None
 
@@ -69,7 +72,7 @@ def _scalar_to_json(value: Scalar | None) -> Any:
 def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
     if not isinstance(value, list):
         raise SpecFormatError("taps must be a list of {n, c} objects", where)
-    taps: dict[int, Scalar] = {}
+    taps: dict[int, tuple] = {}  # n -> as_ratio(c)
     for i, item in enumerate(value):
         spot = f"{where}[{i}]"
         if not isinstance(item, dict) or set(item) != {"n", "c"}:
@@ -79,12 +82,17 @@ def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
             raise SpecFormatError(f"tap index must be an integer, got {clip_repr(n)}", spot)
         if n in taps:
             raise SpecFormatError(f"duplicate tap index {n}", spot)
-        taps[n] = _scalar_from_json(item["c"], mode, f"{spot}.c")
-    return LaurentPoly(taps, mode)
+        taps[n] = _scalar_from_json(item["c"], mode, f"{spot}.c", as_ratio)
+    return LaurentPoly.from_ratios(taps, mode)
 
 
 def _taps_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
-    return [{"n": n, "c": _scalar_to_json(c)} for n, c in p.items()]
+    pairs, den = p.numerators()
+    if p.mode != EXACT:
+        return [{"n": n, "c": c} for n, c in pairs]
+    # each c / den as str(Fraction(c, den)) writes it, without the Fraction
+    return [{"n": n, "c": f"{c // g}/{den // g}" if (g := gcd(c, den)) != den else str(c // g)}
+            for n, c in pairs]
 
 
 #: Spec keys for the cascade attribute names that differ from them.
@@ -196,8 +204,25 @@ def parse_spec(text: str) -> LiftingCascade:
 
 
 def _dumps(doc: Any) -> str:
-    """The one JSON text form of spec, matrix and report documents."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The one JSON text form of spec, matrix and report documents: what
+    ``json.dumps(doc, indent=2)`` writes, and a newline, without the
+    pure-Python encoder, whose closures form a cycle only the collector frees."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(o: Any, nl: str) -> str:
+    # o as json.dumps(o, indent=2) writes it, nested at the indent ``nl`` ends in
+    if isinstance(o, str):
+        return _quote(o)
+    if type(o) is int:
+        return str(o)
+    if not (o and isinstance(o, (list, tuple, dict))):
+        return json.dumps(o)  # None, bools, floats and empty containers
+    inner = nl + "  "
+    if isinstance(o, dict):
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + nl + "]"
 
 
 def serialize_spec(cascade: LiftingCascade) -> str:

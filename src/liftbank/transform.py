@@ -236,7 +236,9 @@ def synthesize_signal(cascade: LiftingCascade, subbands: SubbandPair) -> list:
     if L == 0:
         raise ValueError("empty subbands")
     y, den = _coerce(cascade, [*subbands.lowpass, *subbands.highpass], "subbands")
-    y0, y1 = _lift(cascade, (y[:L], den), (y[L:], den), inverse=True)
+    y0, y1 = y[:L], y[L:]
+    del y  # 2L samples no longer needed while _lift works on the halves
+    y0, y1 = _lift(cascade, (y0, den), (y1, den), inverse=True)
     out = [None] * (2 * L)
     out[0::2] = y0
     out[1::2] = y1

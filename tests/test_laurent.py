@@ -4,10 +4,13 @@ Exact mode gets hypothesis-driven algebra checks; float mode only needs the
 tolerance comparisons since its arithmetic is plain IEEE.
 """
 
+import math
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftbank import (
@@ -21,7 +24,7 @@ from liftbank import (
     parse_scalar,
     scalar_is_dyadic,
 )
-from liftbank.laurent import MAX_ECHO_CHARS, MAX_SCALAR_DIGITS
+from liftbank.laurent import MAX_ECHO_CHARS, MAX_SCALAR_DIGITS, as_ratio
 
 from conftest import lp
 
@@ -406,3 +409,66 @@ def test_float_ops_keep_the_reference_bits():
         assert repr((p * q - q).evaluate(-x)) == repr(
             ref_evaluate(ref_add(ref_mul(ra, rb), ref_neg(rb)), -x, 0.0)
         )
+
+
+def _outcome(read, value):
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(
+    st.text("0123456789+-/ _.e\u0661\u0662\t", max_size=9)
+    | st.from_regex(r" ?[-+]{0,2}[0-9\u0661_]{1,3}(/[-+ ]?[0-9_]{0,3})? ?", fullmatch=True)
+    | st.integers(-(10**30), 10**30)
+    | st.fractions()
+    | st.sampled_from([True, 0.5, None, "1/0", "0/5", "2/4"])
+)
+def test_as_ratio_reads_what_as_scalar_reads(value):
+    # the int fast path agrees with Fraction's literal on every value it
+    # takes, and leaves every refusal, with its message, to as_scalar
+    try:
+        p, q = as_ratio(value)
+    except (TypeError, ValueError) as exc:
+        got = type(exc), str(exc)
+    else:
+        assert q > 0 and math.gcd(p, q) == 1  # in lowest terms, as from_ratios takes them
+        got = F(p, q)
+    assert got == _outcome(as_scalar, value)
+    assert _outcome(lambda v: as_ratio(v, FLOAT), value) == _outcome(
+        lambda v: (as_scalar(v, FLOAT), 1), value
+    )
+
+
+@given(st.one_of(
+    st.tuples(st.dictionaries(st.integers(-4, 4), coeffs, max_size=5), st.just(EXACT)),
+    st.tuples(st.dictionaries(st.integers(-4, 4), st.floats(-9, 9), max_size=5), st.just(FLOAT)),
+))
+def test_from_ratios_builds_what_the_constructor_builds(case):
+    taps, mode = case
+    p = LaurentPoly.from_ratios({n: as_ratio(c, mode) for n, c in taps.items()}, mode)
+    q = LaurentPoly(taps, mode)
+    assert p == q and list(p.taps()) == list(q.taps())
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_plus_product_is_the_two_operation_form(mode):
+    rng = random.Random(mode)
+    for _ in range(300):
+        x, y, z = (lp({n: rng.randint(-3, 3) for n in rng.sample(range(-2, 3), 3)}, mode) for _ in range(3))
+        for out, ref in ((x.plus_product(y, z), x + y * z), (x.plus_product(y, z, True), y * z + x)):
+            assert out == ref and list(out.taps().items()) == list(ref.taps().items())
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_as_ratio_under_a_lowered_int_digit_limit_refuses_as_as_scalar_does():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ("1" * 1000, "1/" + "3" * 1000):
+            assert _outcome(as_ratio, text) == _outcome(as_scalar, text)
+            assert _outcome(as_ratio, text)[1].startswith("invalid scalar literal")
+    finally:
+        sys.set_int_max_str_digits(limit)

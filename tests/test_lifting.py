@@ -27,8 +27,10 @@ from liftbank import (
     LaurentPoly,
     LiftingCascade,
     LiftingStep,
+    ModeError,
     PolyphaseMatrix,
     RoundingRule,
+    SpecFormatError,
     analyze_signal,
     parse_spec,
     scalar_dc_recursion,
@@ -542,3 +544,17 @@ def test_cascade_errors_name_the_field():
     with pytest.raises(CascadeError) as info:
         LiftingCascade([], k=0)
     assert info.value.field == ("k",)
+
+
+@pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan"), "1e400", "two"])
+def test_unusable_float_gain_is_refused_at_k(k):
+    # like the other gain refusals, and unlike a bare ValueError, it names K
+    with pytest.raises(CascadeError, match="^gain K: ") as info:
+        LiftingCascade([], k=k, mode=FLOAT)
+    assert info.value.field == ("k",)
+    assert SpecFormatError.located(info.value).where == "$.k"
+
+
+def test_float_gain_in_exact_mode_stays_a_mode_error():
+    with pytest.raises(ModeError):
+        LiftingCascade([], k=0.5)

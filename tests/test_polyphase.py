@@ -89,14 +89,29 @@ def test_matmul_oracle():
 )
 def test_lifted_is_the_step_matrix_product(pair, update):
     m, g = pair
-    ref = LiftingStep(update, g).matrix() @ m
-    out = m.lifted(update, g)
-    assert out == ref
-    # same taps inserted in the same order: later float sums accumulate
-    # their terms in that order, so this is what keeps them bit-identical
-    assert [list(e.taps().items()) for e in out.entries()] == [
-        list(e.taps().items()) for e in ref.entries()
-    ]
+    step = LiftingStep(update, g).matrix()
+    for out, ref in ((m.lifted(update, g), step @ m), (m.colifted(update, g), m @ step)):
+        assert out == ref
+        # same taps inserted in the same order: later float sums accumulate
+        # their terms in that order, so this is what keeps them bit-identical
+        assert [[(n, repr(c)) for n, c in e.taps().items()] for e in out.entries()] == [
+            [(n, repr(c)) for n, c in e.taps().items()] for e in ref.entries()
+        ]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_row_and_column_updates_drop_cancelled_taps_in_place(mode):
+    # g * c cancels at tap 1, where a has a tap: the update must neither keep
+    # a zero there nor move a's tap 1 ahead of the product's tap 2
+    a = lp({1: 5, 2: 3}, mode)
+    g, c = lp({0: 1, 1: 1}, mode), lp({0: 1, 1: -1}, mode)
+    m = PolyphaseMatrix(a, a, c, c)
+    for update in (0, 1):
+        step = LiftingStep(update, g).matrix()
+        for out, ref in ((m.lifted(update, g), step @ m), (m.colifted(update, g), m @ step)):
+            assert [list(e.taps().items()) for e in out.entries()] == [
+                list(e.taps().items()) for e in ref.entries()
+            ]
 
 
 def test_filter_extraction_oracle():
@@ -185,6 +200,15 @@ def test_float_base_det_tolerance_scales_with_coefficients():
             LiftingCascade([], base=m, mode=FLOAT)
     # terms whose product overflows decide nothing: det overflows with them
     assert not base(1e200, 0.0, 0.0, 1e200).is_unimodular()
+    # an entry that is itself infinite, as a float product can make it, is
+    # refused the same way, and a cascade over it names the base
+    infinite = PolyphaseMatrix.diagonal(1e300, 1e-300, FLOAT) @ PolyphaseMatrix.diagonal(
+        1e10, 1e-10, FLOAT
+    )
+    assert infinite.h00.coeff(0) == float("inf")
+    assert not infinite.is_unimodular()
+    with pytest.raises(CascadeError, match="det 1"):
+        LiftingCascade([], base=infinite, mode=FLOAT)
     LiftingCascade([], base=base(1000.0, 1000.0, 1.0, 1.001 + 1e-10), mode=FLOAT)
 
 

@@ -1,9 +1,11 @@
 """Spec-file, matrix-file and signal-file round trips plus the rejection
 diagnostics (message + JSON-path position)."""
 
+import gc
 import glob
 import json
 import os
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,11 @@ from hypothesis import strategies as st
 from liftbank import (
     EXACT,
     FLOAT,
+    LaurentPoly,
+    LiftingCascade,
+    LiftingStep,
     SpecFormatError,
+    analyze,
     load_spec,
     parse_matrix,
     parse_spec,
@@ -22,8 +28,8 @@ from liftbank import (
     serialize_spec,
     write_signal,
 )
-from liftbank.banks import five_three, haar, haar_base, wa_lifted_haar
-from liftbank.specio import format_sample, parse_sample
+from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
+from liftbank.specio import _dumps, format_sample, parse_sample, serialize_report
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 FIXTURES = sorted(
@@ -387,3 +393,128 @@ def test_fuzzed_documents_parse_to_a_fixed_point_or_a_located_error(doc):
         return
     text = serialize_spec(cascade)
     assert serialize_spec(parse_spec(text)) == text
+
+
+
+# -- the JSON emitter and the numerator codec ----------------------------------
+
+_emitted_text = st.text(st.characters(codec=None), max_size=6) | st.sampled_from(
+    ["", "é", " ", "\x00\x1f\x7f", '"\\/', "\U0001f600", "n", "c"]
+)
+_emitted = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**40), 10**40)
+    | st.sampled_from([-0.0, 1e-07, 1e16, 0.1, -2.5, 1e300])
+    | st.floats()
+    | _emitted_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_emitted_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_emitted)
+def test_emitter_writes_what_json_dumps_indent_2_writes(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_emitter_refuses_what_json_refuses():
+    for bad in ({"k": F(1, 2)}, [object()], {1j: 0}):
+        with pytest.raises(TypeError):
+            _dumps(bad)
+
+
+def test_serializers_leave_no_garbage():
+    cascade, report = cdf97(), analyze(wa_lifted_haar())
+    matrix = cascade.evaluate()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(10):
+            serialize_spec(cascade)
+            serialize_matrix(matrix)
+            serialize_report(report)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _seeded_cascade(rng, mode):
+    def poly():
+        taps = {}
+        for n in rng.sample(range(-4, 5), rng.randint(1, 4)):
+            if mode == EXACT:
+                taps[n] = F(rng.randint(-(10**12), 10**12) or 1, rng.choice([1, 2, 3, 8, 5, 7 * 2**40]))
+            else:
+                taps[n] = rng.uniform(-4, 4) * 10.0 ** rng.randint(-20, 20)
+        return LaurentPoly(taps, mode)
+
+    def steps(count):
+        return [LiftingStep(rng.randint(0, 1), poly()) for _ in range(count)]
+
+    base = None
+    if rng.random() < 0.5:
+        base = LiftingCascade(steps(rng.randint(1, 3)), mode=mode).evaluate()
+    pool = [1, -1, 3, F(-7, 3), 10**40, F(-1, 10**30)] if mode == EXACT else [1.0, -2.5, 1e150, -1e-100, 0.1]
+    return LiftingCascade(steps(rng.randint(0, 6)), k=rng.choice(pool), base=base, mode=mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_seeded_cascades_round_trip_through_the_codec(mode):
+    rng = random.Random(f"codec/{mode}")
+    for _ in range(150):
+        cascade = _seeded_cascade(rng, mode)
+        text = serialize_spec(cascade)
+        parsed = parse_spec(text)
+        assert parsed == cascade
+        assert serialize_spec(parsed) == text
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+#: Tap literals and what parsing makes of them: the value, or the message
+#: (after the path) of the refusal at ``$.steps[0].taps[0].c``.
+_LITERALS = [
+    ("1/0", "invalid scalar literal '1/0'"),
+    ("+-1", "invalid scalar literal '+-1'"),
+    ("3/-4", "invalid scalar literal '3/-4'"),
+    ("-12/-3", "invalid scalar literal '-12/-3'"),
+    ("3/", "invalid scalar literal '3/'"),
+    ("/4", "invalid scalar literal '/4'"),
+    ("-", "invalid scalar literal '-'"),
+    ("", "invalid scalar literal ''"),
+    ("1__0", "invalid scalar literal '1__0'"),
+    ("1e5000000", "decimal scalar literal needs more than 4300 digits"),
+    ("1" * 4301, "decimal scalar literal needs more than 4300 digits"),
+    ("+3/4", F(3, 4)),
+    (" 3/4 ", F(3, 4)),
+    ("1_000", 1000),
+    ("١", 1),
+    ("١/٢", F(1, 2)),
+    ("-0/7", 0),
+    ("2/4", F(1, 2)),
+    ("-12/3", -4),
+    ("007", 7),
+    ("0.25", F(1, 4)),
+    ("-1.5e3", -1500),
+    ("1" * 4300, int("1" * 4300)),
+    ("1/" + "3" * 4300, F(1, int("3" * 4300))),
+]
+
+
+@pytest.mark.parametrize("literal, expected", _LITERALS, ids=[f"{i}:{t[:8]}" for i, (t, _) in enumerate(_LITERALS)])
+def test_tap_literals_parse_or_refuse_at_their_path(literal, expected):
+    doc = {"mode": "irreversible", "steps": [{"update": 0, "taps": [{"n": 0, "c": literal}, {"n": 1, "c": "1/3"}]}]}
+    if isinstance(expected, str):
+        with pytest.raises(SpecFormatError) as info:
+            parse_spec(json.dumps(doc))
+        assert info.value.where == "$.steps[0].taps[0].c"
+        assert str(info.value) == f"$.steps[0].taps[0].c: {expected}"
+    else:
+        assert parse_spec(json.dumps(doc)).steps[0].filter.taps() == {
+            n: c for n, c in {0: F(expected), 1: F(1, 3)}.items() if c
+        }

@@ -4,6 +4,7 @@ and agreement with direct filtering."""
 import functools
 import operator
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -436,3 +437,23 @@ def test_float_round_trip_within_amplitude(cascade, sig):
     recovered = synthesize_signal(cascade, analyze_signal(cascade, sig))
     amplitude = max(abs(v) for v in sig)
     assert max(abs(a - b) for a, b in zip(recovered, sig)) <= 1e-9 * amplitude
+
+
+@pytest.mark.parametrize("bank", [five_three(), cdf97()], ids=["5/3", "9/7"])
+def test_synthesis_peak_stays_below_analysis_peak(bank):
+    # synthesis drops its coerced 2L-sample list once it holds the two bands,
+    # so its traced peak stays under that of the analysis it inverts
+    rng = random.Random(15)
+    x = [rng.randint(-2048, 2047) if bank.reversible else rng.uniform(-1, 1) for _ in range(1 << 16)]
+    synthesize_signal(bank, analyze_signal(bank, x[:64]))  # compile the kernels first
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bands, analysis_peak = traced_peak(lambda: analyze_signal(bank, x))
+    _, synthesis_peak = traced_peak(lambda: synthesize_signal(bank, bands))
+    assert synthesis_peak < analysis_peak
