@@ -24,7 +24,7 @@ Exact (rational) arithmetic only; floats have no well-defined support.
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record
 from .laurent import EXACT, LaurentPoly, ModeError
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
@@ -56,8 +56,7 @@ class FactorStrategy(Record):
             raise ValueError(f"unknown reduction strategy {reduction!r}")
         if first_channel not in (LOWPASS_FIRST, HIGHPASS_FIRST):
             raise ValueError(f"unknown channel preference {first_channel!r}")
-        set_field(self, "reduction", reduction)
-        set_field(self, "first_channel", first_channel)
+        Record.__init__(self, reduction, first_channel)
 
 
 DEFAULT_STRATEGY = FactorStrategy()

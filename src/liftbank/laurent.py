@@ -24,8 +24,10 @@ reduced, and summed in the plain loops' order, so float results keep their
 bits.  Arithmetic, evaluation and the tap maps, ``reindexed`` and its
 inverse ``decimated``, run on the numerators; other modules read them
 through ``numerators()`` and build from (p, q) pairs through ``from_ratios``.
-Only ``coeff``, ``items``, ``taps`` and ``str`` build ``fractions.Fraction``
-values.
+Only ``coeff``, ``items``, ``taps``, ``str`` and ``evaluate`` build
+``fractions.Fraction`` values, each from its numerator and denominator
+reduced by one gcd, through one builder of coprime Fractions that the
+transform's output shares (``_coprime``).
 """
 
 from __future__ import annotations
@@ -57,32 +59,42 @@ _RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
 MAX_ECHO_CHARS = 64
 
 
+def clip(text: str) -> str:
+    """``text`` cut to :data:`MAX_ECHO_CHARS` characters for a message."""
+    return text if len(text) <= MAX_ECHO_CHARS else text[: MAX_ECHO_CHARS - 3] + "..."
+
+
 def clip_repr(value) -> str:
-    """``repr(value)`` cut to :data:`MAX_ECHO_CHARS` characters for a message."""
-    text = repr(value)
-    if len(text) <= MAX_ECHO_CHARS:
-        return text
-    return text[: MAX_ECHO_CHARS - 3] + "..."
+    """``repr(value)`` cut by :func:`clip`."""
+    return clip(repr(value))
 
 
 class ModeError(ValueError):
     """Raised when exact and float arithmetic would be mixed."""
 
 
-def _check_mode(mode: str) -> str:
+def _check_mode(mode: str) -> None:
     if mode not in (EXACT, FLOAT):
         raise ModeError(f"unknown arithmetic mode {mode!r}")
-    return mode
 
 
-def as_scalar(value, mode: str = EXACT) -> Scalar:
-    """Coerce ``value`` to the scalar type of ``mode``.
+def as_ratio(value, mode: str = EXACT) -> tuple[Scalar, int]:
+    """``value`` as (numerator, denominator): the one reader of scalars.
 
-    Exact mode accepts ints, Fractions and strings ("3", "-1/2", "0.25");
-    floats are rejected so binary rounding never sneaks into exact data.
-    Float mode accepts any real number or numeric string whose double is
-    finite: NaN, infinities and overflows are rejected here, once.
+    Exact mode gives ints in lowest terms over a positive int, from ints,
+    Fractions and literals ("3", "-1/2", "0.25"); floats are rejected so
+    binary rounding never sneaks into exact data.  Float mode gives a
+    finite double over 1 from any real number or literal: NaN, infinities
+    and overflows are rejected here, once.
     """
+    if mode == EXACT and type(value) in (Fraction, int):  # the common cases, checked first
+        return value.numerator, value.denominator
+    _check_mode(mode)
+    if isinstance(value, str):
+        p, q = _literal(value)
+        if mode == EXACT:
+            return p, q
+        value = _coprime(p, q)
     if mode == FLOAT:
         if type(value) is float:  # the per-sample case, checked first
             x = value
@@ -91,23 +103,15 @@ def as_scalar(value, mode: str = EXACT) -> Scalar:
                 x = float(value)
             except OverflowError:
                 x = inf
-        elif isinstance(value, str):
-            return parse_scalar(value, FLOAT)
         else:
             raise TypeError(f"cannot use {type(value).__name__} as a float scalar")
         if not isfinite(x):
             raise ValueError(f"float scalars must be finite, got {x!r}")
-        return x
-    if mode != EXACT:  # FLOAT returned above
-        _check_mode(mode)
-    if type(value) is Fraction:  # immutable: shared, not rebuilt
-        return value
+        return x, 1
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_scalar(value, EXACT)
+    if isinstance(value, (int, Fraction)):  # what Fraction(value) would read
+        return value.numerator, value.denominator
     if isinstance(value, float):
         raise ModeError(
             "float given in exact mode; write non-integer values as strings "
@@ -116,14 +120,16 @@ def as_scalar(value, mode: str = EXACT) -> Scalar:
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
-def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
-    """Parse a scalar literal: "p/q", an integer, or a decimal.
-
-    In exact mode decimals parse exactly ("0.25" -> 1/4); in float mode
-    everything collapses to a finite double.  A decimal whose mantissa and
-    exponent need more than :data:`MAX_SCALAR_DIGITS` digits is refused.
-    """
-    _check_mode(mode)
+def _literal(text: str) -> tuple[int, int]:
+    # integer and "p/q" literals read by int and one gcd, the rest by Fraction;
+    # an int digit limit set below MAX_SCALAR_DIGITS is Fraction's refusal
+    m = _RATIO.fullmatch(text) if len(text) <= MAX_SCALAR_DIGITS else None
+    try:
+        if m and (q := int(m[2] or 1)):
+            g = gcd(p := int(m[1]), q)
+            return p // g, q // g
+    except ValueError:
+        pass
     t = text.strip()
     if ("e" in t or "E" in t or len(t) > MAX_SCALAR_DIGITS) and "/" not in t:
         mantissa, _, exponent = t.lower().partition("e")
@@ -139,29 +145,49 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
         value = Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid scalar literal {clip_repr(text)}") from exc
-    return value if mode == EXACT else as_scalar(value, FLOAT)
+    return value.numerator, value.denominator
 
 
-def as_ratio(value, mode: str = EXACT) -> tuple[Scalar, int]:
-    """``value`` as the (numerator, denominator) of :meth:`LaurentPoly.from_ratios`:
-    exact ints in lowest terms over a positive int, ints and integer or "p/q"
-    literals read without ``Fraction``, or floats over 1; the rest goes
-    through :func:`as_scalar`."""
-    if mode != EXACT:
-        return as_scalar(value, mode), 1
-    if type(value) is Fraction:
-        return value.numerator, value.denominator
-    if type(value) is int:
-        return value, 1
-    m = _RATIO.fullmatch(value) if type(value) is str and len(value) <= MAX_SCALAR_DIGITS else None
-    try:  # an int digit limit set below MAX_SCALAR_DIGITS is as_scalar's refusal
-        if m and (q := int(m[2] or 1)):
-            g = gcd(p := int(m[1]), q)
-            return p // g, q // g
-    except ValueError:
-        pass
-    v = as_scalar(value)
-    return v.numerator, v.denominator
+def as_scalar(value, mode: str = EXACT) -> Scalar:
+    """``value`` as what :func:`as_ratio` reads: a ``Fraction`` or a float."""
+    if mode == EXACT and type(value) is Fraction:  # immutable: shared, not rebuilt
+        return value
+    p, q = as_ratio(value, mode)
+    return _coprime(p, q) if mode == EXACT else p
+
+
+def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
+    """A scalar literal, "p/q", an integer or a decimal, as :func:`as_scalar`.
+
+    In exact mode decimals parse exactly ("0.25" -> 1/4); in float mode
+    everything collapses to a finite double.  A decimal whose mantissa and
+    exponent need more than :data:`MAX_SCALAR_DIGITS` digits is refused.
+    """
+    return as_scalar(text, mode)
+
+
+#: Whether ``Fraction`` keeps its lowest-terms parts in just these two slots,
+#: as CPython's does (3.12's ``Fraction._from_coprime_ints`` fills them); if
+#: not, ``_coprime`` and ``_parts`` use its public constructor and properties.
+_SLOTTED = set(getattr(Fraction, "__slots__", ())) == {"_numerator", "_denominator"}
+
+
+def _coprime(p: int, q: int) -> Fraction:
+    # the Fraction p/q of a (p, q) in lowest terms with q > 0, without
+    # Fraction's own gcd and sign normalisation
+    if _SLOTTED:
+        f = object.__new__(Fraction)
+        f._numerator, f._denominator = p, q
+        return f
+    return Fraction(p, q)
+
+
+def _parts(values: list, slots: bool = True) -> tuple[list, list]:
+    # numerators and denominators of ints and plain Fractions, read from the
+    # slots when ``slots`` says every value is a Fraction
+    if slots and _SLOTTED:
+        return [v._numerator for v in values], [v._denominator for v in values]
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
 def format_scalar(x: Scalar) -> str:
@@ -237,14 +263,15 @@ class LaurentPoly:
         return not self._num
 
     def _edge(self, pairs) -> list[tuple[int, Scalar]]:
-        # (tap, numerator) pairs as (tap, coefficient): Fractions in exact mode
+        # (tap, numerator) pairs as (tap, coefficient): exact ones c / den by one gcd
         if self._mode != EXACT:
             return list(pairs)
-        return [(n, Fraction(c, self._den)) for n, c in pairs]
+        d = self._den
+        return [(n, _coprime(c // (g := gcd(c, d)), d // g)) for n, c in pairs]
 
     def coeff(self, n: int) -> Scalar:
-        c = self._num.get(n, 0)
-        return Fraction(c, self._den) if self._mode == EXACT else float(c)
+        c, d = self._num.get(n, 0), self._den
+        return _coprime(c // (g := gcd(c, d)), d // g) if self._mode == EXACT else float(c)
 
     def items(self) -> Iterator[tuple[int, Scalar]]:
         """Taps in ascending index order."""
@@ -325,8 +352,7 @@ class LaurentPoly:
         return self.scaled(other)
 
     def scaled(self, c) -> "LaurentPoly":
-        v = as_scalar(c, self._mode)
-        p, q = (v.numerator, v.denominator) if self._mode == EXACT else (v, 1)
+        p, q = as_ratio(c, self._mode)
         return self._new({n: p * x for n, x in self._num.items()}, self._den * q)
 
     def reindexed(self, scale: int, offset: int = 0) -> "LaurentPoly":
@@ -362,8 +388,8 @@ class LaurentPoly:
         sum(num(n) * p**(hi - n) * q**(n - lo)) * q**lo / (den * p**hi), for
         taps in [lo, hi], summed over integers.
         """
-        x = as_scalar(point, self._mode)
-        if x == 0:
+        p, q = as_ratio(point, self._mode)
+        if p == 0:
             if any(n > 0 for n in self._num):
                 raise ZeroDivisionError(
                     "evaluation at 0 with delay taps (negative exponents)"
@@ -372,15 +398,14 @@ class LaurentPoly:
         if self._mode != EXACT:
             total = 0.0
             for n, c in self._num.items():
-                total += c * x ** (-n)
+                total += c * p ** (-n)
             return total
-        p, q = x.numerator, x.denominator
         lo, hi = min(self._num, default=0), max(self._num, default=0)
         t = sum(c * p ** (hi - n) * q ** (n - lo) for n, c in self._num.items())
-        return Fraction(
-            t * q ** max(lo, 0) * p ** max(-hi, 0),
-            self._den * p ** max(hi, 0) * q ** max(-lo, 0),
-        )
+        a = t * q ** max(lo, 0) * p ** max(-hi, 0)
+        b = self._den * p ** max(hi, 0) * q ** max(-lo, 0)
+        g = gcd(a, b) if b > 0 else -gcd(a, b)  # p < 0 can make b negative
+        return _coprime(a // g, b // g)
 
     def is_dyadic(self) -> bool:
         """True iff every coefficient has a power-of-two denominator."""
@@ -423,24 +448,13 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        parts = []
+        terms = []
         for n, c in self.items():  # descending powers of z
-            if n == 0:
-                mag = format_scalar(abs(c))
-            else:
-                z = "z" if n == -1 else f"z^{-n}"
-                a = abs(c)
-                if a == 1:
-                    mag = z
-                else:
-                    mag = f"{format_scalar(a)}*{z}"
-            sign = "-" if (c < 0) else "+"
-            parts.append((sign, mag))
-        first_sign, first_mag = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_mag
-        for sign, mag in parts[1:]:
-            out += f" {sign} {mag}"
-        return out
+            a, z = abs(c), "z" if n == -1 else f"z^{-n}"
+            mag = format_scalar(a) if n == 0 else z if a == 1 else f"{format_scalar(a)}*{z}"
+            terms.append(("- " if c < 0 else "+ ") + mag)
+        text = " ".join(terms)  # "+ a - b": the first sign loses its space, a + its sign
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"

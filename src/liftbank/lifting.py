@@ -30,7 +30,7 @@ from math import inf, isfinite
 from typing import Iterable, Sequence
 
 from ._record import Record, set_field
-from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar, clip_repr
+from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar, clip, clip_repr
 from .polyphase import FilterPair, PolyphaseMatrix, gamma
 
 
@@ -80,16 +80,8 @@ ROUND_FLOOR = RoundingRule("floor", 0, 0, False)
 ROUND_CEILING = RoundingRule("ceiling", 2, 1, False)
 ROUND_HALF_EVEN = RoundingRule("half-even", 1, 1, True)
 
-ROUNDING_RULES = {
-    r.name: r
-    for r in (
-        ROUND_HALF_UP,
-        ROUND_HALF_DOWN,
-        ROUND_FLOOR,
-        ROUND_CEILING,
-        ROUND_HALF_EVEN,
-    )
-}
+ROUNDING_RULES = {r.name: r for r in (
+    ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN)}
 
 DEFAULT_ROUNDING = ROUND_HALF_UP
 
@@ -106,12 +98,12 @@ class LiftingStep(Record):
 
     def __init__(self, update: int, filter: LaurentPoly):
         if type(update) is not int or update not in (0, 1):
-            raise CascadeError(f"update must be 0 or 1, got {update!r}", "update")
+            raise CascadeError(f"update must be 0 or 1, got {clip_repr(update)}", "update")
         if filter.is_zero:
             raise CascadeError("zero lifting filter", "filter")
         if filter.mode != EXACT and not all(map(isfinite, filter.taps().values())):
             raise CascadeError("lifting filter has a non-finite tap", "filter")
-        set_field(self, "update", update)
+        set_field(self, "update", update)  # set_field, not Record.__init__: steps are built per op
         set_field(self, "filter", filter)
 
     @property
@@ -211,7 +203,7 @@ class LiftingCascade(Record):
         if mode != EXACT and not isfinite(1 / kk):
             raise CascadeError(f"gain K = {kk!r} has no finite reciprocal", "k")
         if reversible and kk != 1:
-            raise CascadeError(f"reversible cascades require K = 1, got {kk}", "k")
+            raise CascadeError(f"reversible cascades require K = 1, got {clip(str(kk))}", "k")
         if base is not None:
             if reversible:
                 raise CascadeError(
@@ -231,12 +223,7 @@ class LiftingCascade(Record):
                         "need power-of-two denominators",
                         "steps", i, "filter",
                     )
-        set_field(self, "steps", steps)
-        set_field(self, "k", kk)
-        set_field(self, "base", base)
-        set_field(self, "mode", mode)
-        set_field(self, "reversible", reversible)
-        set_field(self, "rounding", rounding)
+        Record.__init__(self, steps, kk, base, mode, reversible, rounding)
 
     # -- basics --------------------------------------------------------------
 

@@ -189,6 +189,8 @@ def analyze(cascade: LiftingCascade) -> AnalysisReport:
 
     ws = symmetry.classify_ws_group(cascade)
     hs = symmetry.classify_hs_group(cascade)
+    lo_sym, hi_sym = (symmetry.SymmetryClass(symmetry.NONE, None) if p.is_zero
+                      else symmetry.classify_filter(p) for p in (pair.lowpass, pair.highpass))
     if ws.kind == symmetry.WS_GROUP:
         group = ws.kind
     elif hs.kind == symmetry.HS_GROUP:
@@ -209,12 +211,8 @@ def analyze(cascade: LiftingCascade) -> AnalysisReport:
         k=cascade.k,
         reversible=cascade.reversible,
         mode=cascade.mode,
-        lowpass_symmetry=symmetry.classify_filter(pair.lowpass)
-        if not pair.lowpass.is_zero
-        else symmetry.SymmetryClass(symmetry.NONE, None),
-        highpass_symmetry=symmetry.classify_filter(pair.highpass)
-        if not pair.highpass.is_zero
-        else symmetry.SymmetryClass(symmetry.NONE, None),
+        lowpass_symmetry=lo_sym,
+        highpass_symmetry=hi_sym,
         linear_phase=symmetry.classify_linear_phase(pair),
         group_lifting=group,
         compliance=compliance,

@@ -43,8 +43,7 @@ class FilterPair(Record):
     def __init__(self, lowpass: LaurentPoly, highpass: LaurentPoly):
         if lowpass.mode != highpass.mode:
             raise ModeError("filter pair mixes arithmetic modes")
-        set_field(self, "lowpass", lowpass)
-        set_field(self, "highpass", highpass)
+        Record.__init__(self, lowpass, highpass)
 
     @property
     def mode(self) -> str:
@@ -80,12 +79,7 @@ class PolyphaseMatrix(Record):
     @classmethod
     def diagonal(cls, a, b, mode: str = EXACT) -> "PolyphaseMatrix":
         zero = LaurentPoly.zero(mode)
-        return cls(
-            LaurentPoly.monomial(a, 0, mode),
-            zero,
-            zero,
-            LaurentPoly.monomial(b, 0, mode),
-        )
+        return cls(LaurentPoly.monomial(a, 0, mode), zero, zero, LaurentPoly.monomial(b, 0, mode))
 
     @classmethod
     def from_filters(cls, pair: FilterPair) -> "PolyphaseMatrix":
@@ -101,12 +95,7 @@ class PolyphaseMatrix(Record):
             return NotImplemented
         a, b, c, d = self.entries()
         e, f, g, h = other.entries()
-        return PolyphaseMatrix(
-            a * e + b * g,
-            a * f + b * h,
-            c * e + d * g,
-            c * f + d * h,
-        )
+        return PolyphaseMatrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def lifted(self, update: int, g: LaurentPoly) -> "PolyphaseMatrix":
         """``LiftingStep(update, g).matrix() @ self`` as one row update.
@@ -184,10 +173,8 @@ class PolyphaseMatrix(Record):
 
     def evaluate(self, point) -> tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]:
         """Entry-wise evaluation at z = point."""
-        return (
-            (self.h00.evaluate(point), self.h01.evaluate(point)),
-            (self.h10.evaluate(point), self.h11.evaluate(point)),
-        )
+        rows = ((self.h00, self.h01), (self.h10, self.h11))
+        return tuple((a.evaluate(point), b.evaluate(point)) for a, b in rows)
 
     def to_filters(self) -> FilterPair:
         """H_i(z) = h_i0(z^2) + z * h_i1(z^2) for each row i."""

@@ -80,6 +80,8 @@ def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
         n = item["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise SpecFormatError(f"tap index must be an integer, got {clip_repr(n)}", spot)
+        if not -(2**63) < n < 2**63:  # 64-bit indices keep evaluation and messages bounded
+            raise SpecFormatError(f"tap index {clip_repr(n)} is beyond +-(2**63 - 1)", spot)
         if n in taps:
             raise SpecFormatError(f"duplicate tap index {n}", spot)
         taps[n] = _scalar_from_json(item["c"], mode, f"{spot}.c", as_ratio)
@@ -249,13 +251,8 @@ def _matrix_from_json(rows: Any, mode: str, where: str) -> PolyphaseMatrix:
         or any(not isinstance(r, list) or len(r) != 2 for r in rows)
     ):
         raise SpecFormatError("expected a 2x2 array of tap lists", where)
-    return PolyphaseMatrix(
-        *(
-            _taps_from_json(rows[i][j], mode, f"{where}[{i}][{j}]")
-            for i in range(2)
-            for j in range(2)
-        )
-    )
+    return PolyphaseMatrix(*(_taps_from_json(rows[i][j], mode, f"{where}[{i}][{j}]")
+                             for i in range(2) for j in range(2)))
 
 
 def parse_matrix(text: str, mode: str = EXACT) -> PolyphaseMatrix:
@@ -264,10 +261,8 @@ def parse_matrix(text: str, mode: str = EXACT) -> PolyphaseMatrix:
 
 
 def _matrix_to_json(m: PolyphaseMatrix) -> list:
-    return [
-        [_taps_to_json(m.h00), _taps_to_json(m.h01)],
-        [_taps_to_json(m.h10), _taps_to_json(m.h11)],
-    ]
+    return [[_taps_to_json(m.h00), _taps_to_json(m.h01)],
+            [_taps_to_json(m.h10), _taps_to_json(m.h11)]]
 
 
 def serialize_matrix(matrix: PolyphaseMatrix) -> str:

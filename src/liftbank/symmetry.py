@@ -85,16 +85,12 @@ def classify_ws_group(cascade) -> GroupLiftingClass:
         detail.append("cascade carries a base matrix")
     for i, step in enumerate(cascade.steps):
         cls = classify_filter(step.filter)
-        want = Fraction(1, 2) if step.update == 0 else Fraction(-1, 2)
-        if cls.kind != SYMMETRIC or cls.center != want:
-            got = (
-                f"{cls.kind} about {cls.center}"
-                if cls.kind != NONE
-                else "not symmetric"
-            )
+        want = 1 - 2 * step.update  # twice the center: +1/2 or -1/2
+        if cls.kind != SYMMETRIC or sum(step.filter.support()) != want:
+            got = f"{cls.kind} about {cls.center}" if cls.kind != NONE else "not symmetric"
             detail.append(
                 f"step {i} (update {step.update}): filter is {got}, "
-                f"needs symmetric about {want}"
+                f"needs symmetric about {want}/2"
             )
     if detail:
         return GroupLiftingClass(NEITHER, tuple(detail))

@@ -23,9 +23,12 @@ denominator 2**d, so R is the rounding rule's ``(u + bias) >> d``, and the
 synthesis side subtracts the identical rounded update, which makes the
 transform bit-exact on integers.  Any other step folds the scale factors
 onto the lcm of the two denominators into the taps and the destination,
-then reduces by one gcd: exact irreversible channels hold integers over a
-positive denominator and become ``Fraction`` objects only at the output;
-float channels hold doubles over 1, so the step is the plain sum.
+then reduces by one gcd.  Exact irreversible channels hold integers over a
+positive denominator: plain ``Fraction`` samples are read once, from their
+slots, over the lcm of their distinct denominators, and each output sample
+is v / den reduced by one gcd into a ``Fraction`` built without another
+(``laurent._coprime``).  Float channels hold doubles over 1, so the step is
+the plain sum; each output channel is checked once for a non-finite value.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import gcd, isfinite, lcm
 from typing import Callable, Sequence
 
 from ._record import Record
-from .laurent import EXACT, FLOAT, LaurentPoly, as_scalar
+from .laurent import EXACT, FLOAT, LaurentPoly, _coprime, _parts, as_ratio
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -55,10 +58,11 @@ class SubbandPair(Record):
 def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> tuple[list, int]:
     """Samples as one channel (numerators, denominator) of the cascade's scalars.
 
-    Reversible cascades take ints only.  An all-int sequence (reversible)
-    or an all-finite-float one (float mode) passes in one pass; anything
-    else is checked sample by sample, so a refusal names the first bad
-    sample.  Exact samples share one lcm, the float and integer ones 1.
+    Reversible cascades take ints only.  An all-int sequence (reversible),
+    an all-finite-float one (float mode) or an all-int-and-``Fraction`` one
+    (exact) is read in one pass; anything else goes through ``as_ratio``
+    sample by sample, so a refusal names the first bad sample.  Exact
+    samples share the lcm of their distinct denominators, the others 1.
     """
     kinds = set(map(type, values))
     if cascade.reversible and not kinds <= {int}:
@@ -71,11 +75,12 @@ def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> tuple[list,
         cascade.mode == FLOAT and kinds <= {float} and isfinite(sum(values))
     ):
         return list(values), 1
-    x = [as_scalar(v, cascade.mode) for v in values]
-    if cascade.mode == FLOAT:
-        return x, 1
-    den = lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den
+    if cascade.mode == EXACT and kinds <= {Fraction, int}:
+        nums, dens = _parts(values, int not in kinds)
+    else:
+        nums, dens = zip(*[as_ratio(v, cascade.mode) for v in values])
+    den = lcm(*set(dens))
+    return [p * (den // q) for p, q in zip(nums, dens)] if den > 1 else list(nums), den
 
 
 #: Samples per kernel call: a step's transient memory is one block per tap.
@@ -135,15 +140,25 @@ def _lifting_update(dst: list, taps: list, src: list, sign: int = 1,
         dst[lo:lo + m] = kernel(dst[lo:lo + m], runs, s, b, d, *coeffs)
 
 
-def _lift(cascade: LiftingCascade, c0: tuple, c1: tuple, inverse: bool) -> tuple[list, list]:
+def _lift(cascade: LiftingCascade, channels: Callable[[], tuple], inverse: bool,
+          locate: bool = False) -> tuple[list, list]:
     """Base, steps, gain; or, inverted, their inverses in reverse order.
 
-    ``c0`` and ``c1`` are (numerators, denominator) channels from
+    ``channels()`` gives the two (numerators, denominator) channels from
     :func:`_coerce`; ``update(dst, filt, src, sign)`` adds ``sign`` times
     ``src`` filtered by ``filt`` to ``dst``, ``gain(x, k, divide)`` scales
-    a channel by K or 1/K, and an inverse step subtracts its update.
+    a channel by K or 1/K, and an inverse step subtracts its update.  A
+    float result is checked once per channel; if it is not finite, a second
+    pass (``locate``) names the stage where a sample first went non-finite.
     """
+    c0, c1 = channels()
     L = len(c0[0])
+
+    def check(where: str, c0: tuple, c1: tuple) -> tuple:
+        if locate and not all(isfinite(v) for nums, _ in (c0, c1) for v in nums):
+            raise ValueError(f"float {'synthesis' if inverse else 'analysis'} "
+                             f"overflows: a sample is not finite after {where}")
+        return c0, c1
 
     def update(dst: tuple, filt: LaurentPoly, src: tuple, sign: int) -> tuple:
         (nums, da), (nb, db) = dst, src
@@ -165,8 +180,8 @@ def _lift(cascade: LiftingCascade, c0: tuple, c1: tuple, inverse: bool) -> tuple
         if cascade.mode == FLOAT:
             return [v / k for v in nums] if divide else [v * k for v in nums], 1
         # a Fraction's denominator is positive, so a negative gain keeps den > 0
-        r = 1 / k if divide else k
-        return [v * r.numerator for v in nums], den * r.denominator
+        p, q = as_ratio(1 / k if divide else k)
+        return [v * p for v in nums], den * q
 
     def apply_base(matrix: PolyphaseMatrix, c0: tuple, c1: tuple) -> tuple:
         # a row sums two updates of a fresh zero channel (0 + u is u: u is never -0.0)
@@ -174,22 +189,29 @@ def _lift(cascade: LiftingCascade, c0: tuple, c1: tuple, inverse: bool) -> tuple
         return tuple(update(update(([0] * L, 1), a, c0, 1), b, c1, 1) for a, b in rows)
 
     k, base = cascade.k, cascade.base
+    at_gain, at_base = f"the gain K = {k!r}", "the base matrix"
     if inverse:
-        c0, c1 = gain(c0, k, False), gain(c1, k, True)
+        c0, c1 = check(at_gain, gain(c0, k, False), gain(c1, k, True))
     elif base is not None:
-        c0, c1 = apply_base(base, c0, c1)
-    sign = -1 if inverse else 1
-    for step in reversed(cascade.steps) if inverse else cascade.steps:
+        c0, c1 = check(at_base, *apply_base(base, c0, c1))
+    sign, steps = -1 if inverse else 1, list(enumerate(cascade.steps))
+    for i, step in reversed(steps) if inverse else steps:
         if step.update == 0:
             c0 = update(c0, step.filter, c1, sign)
         else:
             c1 = update(c1, step.filter, c0, sign)
+        c0, c1 = check(f"step {i} (update {step.update})", c0, c1)
     if not inverse:
-        c0, c1 = gain(c0, k, True), gain(c1, k, False)
+        c0, c1 = check(at_gain, gain(c0, k, True), gain(c1, k, False))
     elif base is not None:
-        c0, c1 = apply_base(base.adjugate(), c0, c1)
-    exact = cascade.mode == EXACT and not cascade.reversible
-    return tuple([Fraction(v, den) for v in nums] if exact else nums for nums, den in (c0, c1))
+        c0, c1 = check(at_base, *apply_base(base.adjugate(), c0, c1))
+    if cascade.mode == FLOAT and not (locate or isfinite(sum(c0[0])) and isfinite(sum(c1[0]))):
+        return _lift(cascade, channels, inverse, locate=True)  # a mere overflowed sum passes it
+    if cascade.mode != EXACT or cascade.reversible:
+        return c0[0], c1[0]
+    # exact channels become Fractions here, each by one gcd
+    return tuple([_coprime(v // (g := gcd(v, den)), den // g) for v in nums]
+                 for nums, den in (c0, c1))
 
 
 # -- public API ----------------------------------------------------------------
@@ -217,7 +239,7 @@ def analyze_signal(cascade: LiftingCascade, samples: Sequence) -> SubbandPair:
             "(periodic extension needs whole sample pairs)"
         )
     x, den = _coerce(cascade, samples, "samples")
-    x0, x1 = _lift(cascade, (x[0::2], den), (x[1::2], den), inverse=False)
+    x0, x1 = _lift(cascade, lambda: ((x[0::2], den), (x[1::2], den)), inverse=False)
     return SubbandPair(tuple(x0), tuple(x1))
 
 
@@ -235,10 +257,12 @@ def synthesize_signal(cascade: LiftingCascade, subbands: SubbandPair) -> list:
         )
     if L == 0:
         raise ValueError("empty subbands")
-    y, den = _coerce(cascade, [*subbands.lowpass, *subbands.highpass], "subbands")
-    y0, y1 = y[:L], y[L:]
-    del y  # 2L samples no longer needed while _lift works on the halves
-    y0, y1 = _lift(cascade, (y0, den), (y1, den), inverse=True)
+
+    def halves() -> tuple:  # 2L samples need not stay alive while _lift works
+        y, den = _coerce(cascade, [*subbands.lowpass, *subbands.highpass], "subbands")
+        return (y[:L], den), (y[L:], den)
+
+    y0, y1 = _lift(cascade, halves, inverse=True)
     out = [None] * (2 * L)
     out[0::2] = y0
     out[1::2] = y1

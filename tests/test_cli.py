@@ -400,3 +400,18 @@ def test_analyze_overflowing_step_products_exits_two_at_steps(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: $.steps: "), captured.err
+
+
+def test_transform_names_the_gain_that_overflows_finite_samples(tmp_path, capsys):
+    # every sample is finite; the gain K = 1e308 takes the highpass band to inf
+    doc = json.loads(serialize_spec(load_spec(spec("cdf97.json"))))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({**doc, "k": 1e308}))
+    sig = tmp_path / "sig.txt"
+    sig.write_text("1\n2\n3\n4\n")
+    assert main(["transform", str(big), str(sig)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: float analysis overflows: a sample is not finite after the gain K = 1e+308\n"
+    )

@@ -5,13 +5,17 @@ tolerance comparisons since its arithmetic is plain IEEE.
 """
 
 import math
+import operator
+import pickle
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import liftbank.laurent as laurent
 
 from liftbank import (
     EXACT,
@@ -472,3 +476,67 @@ def test_as_ratio_under_a_lowered_int_digit_limit_refuses_as_as_scalar_does():
             assert _outcome(as_ratio, text)[1].startswith("invalid scalar literal")
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# -- the coprime Fraction builder ----------------------------------------------
+
+
+_big = st.integers(10**60, 10**80)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(-(10**6), 10**6) | _big | _big.map(operator.neg),
+    st.just(1) | st.integers(1, 10**6) | _big,
+)
+@example(-3, 1)
+@example(-(10**60) - 7, 10**61)
+@example(0, 5)
+def test_coprime_builder_gives_the_fraction_of_its_ratio(p, q):
+    g = math.gcd(p, q)
+    p, q = p // g, q // g  # in lowest terms with q > 0, as the builder takes them
+    got, want = laurent._coprime(p, q), F(p, q)
+    assert type(got) is F and got == want and hash(got) == hash(want)
+    assert (repr(got), str(got)) == (repr(want), str(want))
+    assert (got.numerator, got.denominator) == (p, q)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is F and back == want and repr(back) == repr(want)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="the slots are CPython's")
+def test_cpython_fractions_take_the_slot_builder():
+    # CPython's Fraction keeps two slots (3.10-3.13, the versions the tests run
+    # on); a release without them would fall back to Fraction(p, q) silently,
+    # every result the same, the exact transform about half as fast
+    assert laurent._SLOTTED
+
+
+def test_the_fallback_builder_and_reader_give_the_same_values(monkeypatch):
+    p = LaurentPoly({-1: F(-3, 4), 0: 2, 2: F(5, 6)})
+    x = [F(1, 2), F(-3), F(7, 4), F(0)]
+
+    def results():
+        return (list(p.items()), p.coeff(2), p.coeff(9), p.evaluate(F(-2, 3)), str(p),
+                as_scalar("6/4"), laurent._parts(x), laurent._parts([3, F(1, 2)], False))
+
+    fast = results()
+    monkeypatch.setattr(laurent, "_SLOTTED", False)
+    slow = results()
+    assert repr(fast) == repr(slow)
+    assert [type(v) for _, v in fast[0]] == [type(v) for _, v in slow[0]] == [F] * 3
+
+
+@settings(max_examples=300)
+@given(st.from_regex(r" ?[-+]{0,2}[0-9١]{1,4}(/[-+]?[0-9]{0,3})?(\.[0-9]?)?(e-?[0-9])? ?",
+                     fullmatch=True))
+def test_literals_read_as_fraction_reads_them(text):
+    # the int fast path for integer and "p/q" literals against Fraction itself
+    try:
+        want = F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        want = None
+    got = _outcome(as_ratio, text)
+    if want is None:
+        assert got == (ValueError, f"invalid scalar literal {text!r}")
+    else:
+        assert got == (want.numerator, want.denominator)

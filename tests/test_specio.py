@@ -518,3 +518,29 @@ def test_tap_literals_parse_or_refuse_at_their_path(literal, expected):
         assert parse_spec(json.dumps(doc)).steps[0].filter.taps() == {
             n: c for n, c in {0: F(expected), 1: F(1, 3)}.items() if c
         }
+
+
+@pytest.mark.parametrize("n", [2**63, -(2**63), 10**400 - 1],
+                         ids=["2**63", "-2**63", "400 digits"])
+def test_tap_indices_beyond_64_bits_are_refused_at_their_path(n):
+    # a float filter with such a tap could not be evaluated (the power
+    # overflows), and a det span of 400 digits would make an unbounded message
+    doc = json.loads(serialize_spec(cdf97()))
+    doc["steps"][1]["taps"][0]["n"] = n
+    err = spec_error(json.dumps(doc))
+    assert err.where == "$.steps[1].taps[0]" and "is beyond +-(2**63 - 1)" in str(err)
+    assert len(str(err)) < 200
+    doc["steps"][1]["taps"][0]["n"] = 2**63 - 1  # the largest index stays readable
+    assert parse_spec(json.dumps(doc)).steps[1].filter.support()[1] == 2**63 - 1
+
+
+@pytest.mark.parametrize("doc, where, start", [
+    ({"mode": "irreversible", "steps": [{"update": 10**400, "taps": [{"n": 0, "c": 1}]}]},
+     "$.steps[0].update", "update must be 0 or 1, got 1000"),
+    ({"mode": "reversible", "k": "1e400", "steps": []},
+     "$.k", "reversible cascades require K = 1, got 1000"),
+])
+def test_huge_values_are_echoed_clipped(doc, where, start):
+    err = spec_error(json.dumps(doc))
+    assert err.where == where and str(err).startswith(f"{where}: {start}")
+    assert str(err).endswith("...") and len(str(err)) < 120

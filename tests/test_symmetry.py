@@ -137,3 +137,15 @@ def test_hs_group_detail_lines():
     g = classify_hs_group(bad)
     assert g.kind == NEITHER
     assert any("whole-sample antisymmetric" in line for line in g.detail)
+
+
+def test_ws_group_details_name_each_step_and_its_wanted_center():
+    c = LiftingCascade([step(1, {0: F(1, 4), 1: F(1, 4)}), step(0, {-1: 1, 0: 1})])
+    assert classify_ws_group(c).detail == (
+        "step 0 (update 1): filter is symmetric about 1/2, needs symmetric about -1/2",
+        "step 1 (update 0): filter is symmetric about -1/2, needs symmetric about 1/2",
+    )
+    f = LiftingCascade([step(1, {0: 0.25, 1: 0.25}, FLOAT)], mode=FLOAT)
+    assert classify_ws_group(f).detail == (
+        "step 0 (update 1): filter is symmetric about 0.5, needs symmetric about -1/2",
+    )

@@ -23,6 +23,7 @@ from liftbank import (
     analyze_signal,
     synthesize_signal,
 )
+import liftbank.laurent as laurent
 from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
 from liftbank.transform import _BLOCK
 
@@ -457,3 +458,86 @@ def test_synthesis_peak_stays_below_analysis_peak(bank):
     bands, analysis_peak = traced_peak(lambda: analyze_signal(bank, x))
     _, synthesis_peak = traced_peak(lambda: synthesize_signal(bank, bands))
     assert synthesis_peak < analysis_peak
+
+
+# -- exact samples and bands: one read, one Fraction each -------------------------
+
+
+class _Half(F):
+    """A Fraction subclass: read as the plain Fraction it equals."""
+
+
+@pytest.mark.parametrize("samples, error, message", [
+    ([F(1, 2), True], TypeError, "bool is not a scalar"),
+    ([F(1, 2), "x"], ValueError, "invalid scalar literal 'x'"),
+    ([F(1, 2), "x", True, 0.5], ValueError, "invalid scalar literal 'x'"),
+    ([F(1, 2), 1.5], ValueError,
+     "float given in exact mode; write non-integer values as strings ('-1/2', '0.25') "
+     "or Fractions"),
+])
+def test_mixed_exact_samples_are_refused_at_the_first_bad_one(samples, error, message):
+    h = len(samples) // 2
+    with pytest.raises(error) as analysis:
+        analyze_signal(haar(), samples)
+    with pytest.raises(error) as synthesis:
+        synthesize_signal(haar(), SubbandPair(tuple(samples[:h]), tuple(samples[h:])))
+    assert str(analysis.value) == str(synthesis.value) == message
+
+
+@pytest.mark.parametrize("samples", [
+    [_Half(1, 2), F(3)], [F(1, 2), 3], [4, -2], ["1/2", "0.25"], [F(1, 3), _Half(5, 7), 2, "3/4"],
+])
+def test_mixed_exact_samples_read_as_the_plain_fractions_they_equal(samples):
+    plain = [F(v) for v in samples]
+    bands = analyze_signal(haar(), samples)
+    assert repr(bands) == repr(analyze_signal(haar(), plain))
+    assert {type(v) for v in bands.lowpass + bands.highpass} == {F}
+    h = len(samples) // 2
+    y, z = (synthesize_signal(haar(), SubbandPair(tuple(x[:h]), tuple(x[h:]))) for x in (samples, plain))
+    assert repr(y) == repr(z)
+
+
+def test_exact_transform_is_the_same_on_the_public_fraction_api(monkeypatch):
+    rng = random.Random(16)
+    cascades = [random_alternating_cascade(rng, max_steps=4) for _ in range(6)]
+    x = [F(rng.randint(-99, 99), rng.choice((1, 2, 3, 12))) for _ in range(40)]
+
+    def trips():
+        out = []
+        for c in cascades:
+            bands = analyze_signal(c, x)
+            out.append((bands, synthesize_signal(c, bands), [*c.steps[0].filter.items()]))
+        return out
+
+    fast = trips()
+    monkeypatch.setattr(laurent, "_SLOTTED", False)
+    slow = trips()
+    assert repr(fast) == repr(slow)
+    assert all(y == x for _, y, _ in fast)
+
+
+# -- float overflow is refused where it happens ---------------------------------
+
+
+def test_a_gain_that_overflows_the_bands_is_named():
+    with pytest.raises(ValueError, match=r"^float analysis overflows: a sample is not "
+                                         r"finite after the gain K = 1e\+308$"):
+        analyze_signal(cdf97().replace(k=1e308), [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"^float synthesis overflows: .* the gain K = 1e\+308$"):
+        synthesize_signal(cdf97().replace(k=1e308), SubbandPair((2.0, 1.0), (1.0, 1.0)))
+
+
+def test_a_step_that_overflows_a_channel_is_named():
+    steps = [LiftingStep(0, lp({0: 1.0}, FLOAT)), LiftingStep(1, lp({0: 1e308}, FLOAT))]
+    big = LiftingCascade(steps, mode=FLOAT)
+    with pytest.raises(ValueError, match=r"analysis overflows: .* after step 1 \(update 1\)$"):
+        analyze_signal(big, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"synthesis overflows: .* after step 3 \(update 0\)$"):
+        synthesize_signal(cdf97(), SubbandPair((1e308, -1e308), (1e308, 1e308)))
+
+
+def test_finite_bands_whose_sum_overflows_pass():
+    tiny = LiftingCascade([LiftingStep(0, lp({0: 1e-300}, FLOAT))], mode=FLOAT)
+    x = [1e308, 0.0, 1e308, 0.0]
+    bands = analyze_signal(tiny, x)
+    assert bands.lowpass == (1e308, 1e308) and synthesize_signal(tiny, bands) == x
