@@ -34,6 +34,10 @@ def _write_text(text: str, path) -> None:
             fh.write(text)
 
 
+def _symmetry(sym) -> str:
+    return sym.kind + ("" if sym.center is None else f" about {format_scalar(sym.center)}")
+
+
 def render_text_report(report: AnalysisReport) -> str:
     c = report.compliance
     lines = [
@@ -53,18 +57,8 @@ def render_text_report(report: AnalysisReport) -> str:
         + ", ".join(
             f"B_{i - 2} = {format_scalar(b)}" for i, b in enumerate(report.b_sequence)
         ),
-        f"lowpass sym:   {report.lowpass_symmetry.kind}"
-        + (
-            f" about {format_scalar(report.lowpass_symmetry.center)}"
-            if report.lowpass_symmetry.center is not None
-            else ""
-        ),
-        f"highpass sym:  {report.highpass_symmetry.kind}"
-        + (
-            f" about {format_scalar(report.highpass_symmetry.center)}"
-            if report.highpass_symmetry.center is not None
-            else ""
-        ),
+        f"lowpass sym:   {_symmetry(report.lowpass_symmetry)}",
+        f"highpass sym:  {_symmetry(report.highpass_symmetry)}",
         f"linear phase:  {report.linear_phase}",
         f"group lifting: {report.group_lifting}",
         f"part2:         {c.verdict}"
@@ -166,9 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser(
-        "validate", help="gain-normalization check; exit 0 iff compliant"
-    )
+    p = sub.add_parser("validate", help="gain-normalization check; exit 0 iff compliant")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_validate)
 
@@ -186,12 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="run a signal through the bank")
     p.add_argument("spec")
     p.add_argument("signal", help="signal file, one sample per line")
-    p.add_argument(
-        "--direction",
-        choices=("analyze", "synthesize"),
-        default="analyze",
-        help="analyze: signal -> subbands; synthesize: subbands -> signal",
-    )
+    p.add_argument("--direction", choices=("analyze", "synthesize"), default="analyze",
+                   help="analyze: signal -> subbands; synthesize: subbands -> signal")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_transform)
 
@@ -199,12 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix file (JSON 2x2 array of tap lists)")
     # factorization.HIGH_END and LOW_END, spelled out to leave that module unloaded
     p.add_argument("--reduction", choices=("high-end", "low-end"), default="high-end")
-    p.add_argument(
-        "--first",
-        choices=("lowpass", "highpass"),
-        default="lowpass",
-        help="channel whose entry is reduced on equal support",
-    )
+    p.add_argument("--first", choices=("lowpass", "highpass"), default="lowpass",
+                   help="channel whose entry is reduced on equal support")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_factor)
 
@@ -215,10 +199,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpecFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # FactorizationError and ModeError among them

@@ -1,13 +1,16 @@
 """Factoring unimodular polyphase matrices into lifting steps.
 
-The algorithm is a Euclidean reduction on the first column: left-multiplying
-by [[1, -Q], [0, 1]] subtracts Q times the highpass row from the lowpass row
-(and vice versa for the lower-triangular op), and a well-chosen monomial
-kills one extreme tap of the longer column entry.  Monomials accumulate into
-the quotient Q until the reduced entry's support is strictly shorter than
-the divisor's, at which point the roles swap.  det = 1 guarantees the
-survivor is a monomial once the other entry dies, so a final quotient clears
-the remaining off-diagonal entry.
+The algorithm is a Euclidean reduction on the first column.  Each step
+divides the longer column entry by the other with
+:meth:`LaurentPoly.divided`: monomial multiples of the divisor kill one
+extreme tap of the dividend at a time until the remainder is shorter than
+the divisor.  The division reads the column alone.  The step then lifts the
+dividend's row once by the whole quotient Q, left-multiplying by
+[[1, -Q], [0, 1]] (or its lower-triangular twin): the column entry becomes
+the remainder and the right entry gains -Q times the other row's, one
+polynomial product per step.  The roles then swap.  det = 1 guarantees the
+survivor is a monomial once the other entry dies, so a final quotient
+clears the remaining off-diagonal entry.
 
 Terminal shapes:
 
@@ -62,21 +65,6 @@ class FactorStrategy(Record):
 DEFAULT_STRATEGY = FactorStrategy()
 
 
-def _monomial_quotient(
-    p: LaurentPoly, q: LaurentPoly, reduction: str
-) -> LaurentPoly:
-    """The monomial m with p - m*q lacking p's chosen extreme tap."""
-    p_lo, p_hi = p.support()
-    q_lo, q_hi = q.support()
-    if reduction == HIGH_END:
-        tap = p_lo - q_lo
-        coeff = p.coeff(p_lo) / q.coeff(q_lo)
-    else:
-        tap = p_hi - q_hi
-        coeff = p.coeff(p_hi) / q.coeff(q_hi)
-    return LaurentPoly.monomial(coeff, tap, p.mode)
-
-
 def factor_lifting(
     matrix: PolyphaseMatrix, strategy: FactorStrategy = DEFAULT_STRATEGY
 ) -> LiftingCascade:
@@ -91,30 +79,27 @@ def factor_lifting(
     if matrix.mode != EXACT:
         raise ModeError("factorization requires exact arithmetic")
     if not matrix.is_unimodular():
-        raise FactorizationError(
-            f"matrix is not unimodular: det {matrix.describe_determinant()}"
-        )
+        raise FactorizationError(f"matrix is not unimodular: det {matrix.describe_determinant()}")
 
     m = matrix
     # the applied left factors, first-applied-first
     ops: list[LiftingStep] = []
+    low = strategy.reduction == HIGH_END
 
-    # Euclidean phase: shrink the first column until one entry dies.
-    column = (m.h00, m.h10)
-    while not column[0].is_zero and not column[1].is_zero:
-        span0, span1 = column[0].span(), column[1].span()
-        if span0 != span1:
-            u = 0 if span0 > span1 else 1
+    # Euclidean phase: divide the longer column entry by the other, and lift
+    # its row once by the quotient, until one entry dies.
+    while not m.h00.is_zero and not m.h10.is_zero:
+        # divide the longer column entry; on equal spans, the strategy's channel
+        span0, span1 = m.h00.span(), m.h10.span()
+        u = int(span0 < span1 or span0 == span1 and strategy.first_channel == HIGHPASS_FIRST)
+        a, b, c, d = m.entries()
+        quotient, r = a.divided(c, low) if u == 0 else c.divided(a, low)
+        g = -quotient
+        if u == 0:
+            m = PolyphaseMatrix(r, b.plus_product(g, d), c, d)
         else:
-            u = 0 if strategy.first_channel == LOWPASS_FIRST else 1
-        quotient = LaurentPoly.zero()
-        while not column[u].is_zero and column[u].span() >= column[1 - u].span():
-            q = _monomial_quotient(column[u], column[1 - u], strategy.reduction)
-            quotient = quotient + q
-            m = m.lifted(u, -q)
-            column = (m.h00, m.h10)
-        if not quotient.is_zero:
-            ops.append(LiftingStep(u, -quotient))
+            m = PolyphaseMatrix(a, b, r, d.plus_product(g, b, True))
+        ops.append(LiftingStep(u, g))
 
     # Cleanup phase: clear the remaining off-diagonal entry.
     h00, h01, h10, h11 = m.entries()
@@ -137,10 +122,6 @@ def factor_lifting(
 
     # det = 1 makes the residual diag(c z^-d, z^d/c); the gain c leaves the delay
     (tap, coeff), = h00.items()
-    base = None
-    if tap != 0:
-        zero = LaurentPoly.zero()
-        base = PolyphaseMatrix(
-            LaurentPoly.monomial(1, tap), zero, zero, LaurentPoly.monomial(1, -tap)
-        )
+    delay, advance, zero = LaurentPoly({tap: 1}), LaurentPoly({-tap: 1}), LaurentPoly()
+    base = PolyphaseMatrix(delay, zero, zero, advance) if tap else None
     return LiftingCascade(ops, k=coeff).synthesis().replace(base=base)

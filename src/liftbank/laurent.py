@@ -21,8 +21,8 @@ numerators are ints over a positive denominator, canonical (no zero
 numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
 ``==`` compares structure.  Float numerators are doubles over 1, never
 reduced, and summed in the plain loops' order, so float results keep their
-bits.  Arithmetic, evaluation and the tap maps, ``reindexed`` and its
-inverse ``decimated``, run on the numerators; other modules read them
+bits.  Arithmetic, Laurent division, evaluation and the tap maps, ``reindexed``
+and its inverse ``decimated``, run on the numerators; other modules read them
 through ``numerators()`` and build from (p, q) pairs through ``from_ratios``.
 Only ``coeff``, ``items``, ``taps``, ``str`` and ``evaluate`` build
 ``fractions.Fraction`` values, each from its numerator and denominator
@@ -67,6 +67,21 @@ def clip(text: str) -> str:
 def clip_repr(value) -> str:
     """``repr(value)`` cut by :func:`clip`."""
     return clip(repr(value))
+
+
+#: Most bits an exact evaluation away from z = +-1 may raise its point's
+#: numerator and denominator to: the powers of a far tap would not finish.
+MAX_EVAL_BITS = 1 << 16
+
+
+def tap_index(n) -> int:
+    """``n`` as a tap index, the one check: an int within +-(2**63 - 1), so
+    that evaluation and messages stay bounded."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"tap index must be an integer, got {clip_repr(n)}")
+    if not -(2**63) < n < 2**63:
+        raise ValueError(f"tap index {clip_repr(n)} is beyond +-(2**63 - 1)")
+    return n
 
 
 class ModeError(ValueError):
@@ -214,9 +229,7 @@ class LaurentPoly:
         _check_mode(mode)
         ratios = {}
         for n, c in (taps or {}).items():
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise TypeError(f"tap index must be an int, got {n!r}")
-            ratios[n] = as_ratio(c, mode)
+            ratios[tap_index(n)] = as_ratio(c, mode)
         self._set(*_over_lcm(ratios), mode)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
@@ -348,6 +361,28 @@ class LaurentPoly:
             return self._new(*_summed({n: c for n, c in p.items() if c}, dp, self._num, self._den))
         return self._new(*_summed(self._num, self._den, p, dp))
 
+    def divided(self, d: "LaurentPoly", low: bool = True) -> tuple["LaurentPoly", "LaurentPoly"]:
+        """(q, r) with ``self == q * d + r``, r zero or shorter than ``d``: monomial
+        multiples of ``d`` kill r's lowest tap (``low``) or its highest, one at
+        a time, a tap that cancels on the way included.  Exact only."""
+        if self._mode != EXACT or d._mode != EXACT:
+            raise ModeError("Laurent division requires exact arithmetic")
+        if not d._num:
+            raise ZeroDivisionError("Laurent division by the zero polynomial")
+        dn, dd = d._num, d._den
+        end, width = (min(dn) if low else max(dn)), max(dn) - min(dn)
+        num, den, killed = self._num, self._den, {}
+        while num and max(num) - min(num) >= width:
+            t = min(num) if low else max(num)
+            # the monomial a/b = (num[t] / den) / (dn[end] / dd) at tap s
+            s, a, b = t - end, num[t] * dd, den * dn[end]
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+            killed[s] = a, b
+            shifted = {n + s: c for n, c in dn.items()}
+            num, den = _reduced(*_summed(num, den, shifted, dd * b, -a))
+        return LaurentPoly.from_ratios(killed), _restored(num, den, EXACT)
+
     def __rmul__(self, other) -> "LaurentPoly":
         return self.scaled(other)
 
@@ -386,7 +421,9 @@ class LaurentPoly:
         point = 0 is only legal when no tap needs a negative exponent there,
         i.e. when every tap index is <= 0.  At point = p/q an exact value is
         sum(num(n) * p**(hi - n) * q**(n - lo)) * q**lo / (den * p**hi), for
-        taps in [lo, hi], summed over integers.
+        taps in [lo, hi], summed over integers.  Away from z = +-1 an exact
+        evaluation whose powers need more than :data:`MAX_EVAL_BITS` bits,
+        and a float one that overflows, raise ``ValueError``.
         """
         p, q = as_ratio(point, self._mode)
         if p == 0:
@@ -397,10 +434,17 @@ class LaurentPoly:
             return self.coeff(0)
         if self._mode != EXACT:
             total = 0.0
-            for n, c in self._num.items():
-                total += c * p ** (-n)
+            try:
+                for n, c in self._num.items():
+                    total += c * p ** (-n)
+            except OverflowError:
+                raise ValueError(f"float evaluation at {clip_repr(point)} overflows") from None
             return total
         lo, hi = min(self._num, default=0), max(self._num, default=0)
+        bits = (hi - lo + max(-lo, hi)) * (abs(p).bit_length() + q.bit_length())
+        if (abs(p) != 1 or q != 1) and bits > MAX_EVAL_BITS:  # +-1 powers stay small
+            raise ValueError(
+                f"exact evaluation at {clip_repr(point)} needs over {MAX_EVAL_BITS} bits")
         t = sum(c * p ** (hi - n) * q ** (n - lo) for n, c in self._num.items())
         a = t * q ** max(lo, 0) * p ** max(-hi, 0)
         b = self._den * p ** max(hi, 0) * q ** max(-lo, 0)
@@ -490,5 +534,5 @@ def _summed(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, in
 
 
 def _restored(num: dict, den: int, mode: str) -> LaurentPoly:
-    # a copy or an unpickled polynomial: the stored map, unchecked, as it was
+    # a copy, an unpickled polynomial or a remainder: the stored map, unchecked, as it was
     return LaurentPoly.__new__(LaurentPoly)._set(num, den, mode)

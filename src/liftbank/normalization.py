@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._record import Record
-from .laurent import EXACT, LaurentPoly, Scalar, as_scalar, format_scalar
+from .laurent import EXACT, LaurentPoly, Scalar, as_scalar, clip, format_scalar
 from .lifting import DCTrace, LiftingCascade
 from .polyphase import FilterPair
 from . import symmetry
@@ -98,7 +98,7 @@ def _compliance(cascade: LiftingCascade, trace: DCTrace) -> ComplianceReport:
             kind = "reversible" if cascade.reversible else "irreversible"
             reasons.insert(
                 0,
-                f"B_{idx} = {format_scalar(actual)} != {format_scalar(required)}"
+                f"B_{idx} = {clip(format_scalar(actual))} != {clip(format_scalar(required))}"
                 f" ({kind} requirement)",
             )
         verdict = COMPLIANT if ok else NON_COMPLIANT

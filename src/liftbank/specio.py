@@ -30,7 +30,7 @@ from math import gcd, isfinite
 from typing import Any
 
 from .laurent import (
-    EXACT, FLOAT, LaurentPoly, Scalar, as_ratio, as_scalar, clip_repr, parse_scalar,
+    EXACT, FLOAT, LaurentPoly, Scalar, as_ratio, as_scalar, clip_repr, parse_scalar, tap_index,
 )
 from .lifting import ROUNDING_RULES, CascadeError, LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
@@ -77,11 +77,10 @@ def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
         spot = f"{where}[{i}]"
         if not isinstance(item, dict) or set(item) != {"n", "c"}:
             raise SpecFormatError('tap must be an object with keys "n" and "c"', spot)
-        n = item["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise SpecFormatError(f"tap index must be an integer, got {clip_repr(n)}", spot)
-        if not -(2**63) < n < 2**63:  # 64-bit indices keep evaluation and messages bounded
-            raise SpecFormatError(f"tap index {clip_repr(n)} is beyond +-(2**63 - 1)", spot)
+        try:
+            n = tap_index(item["n"])
+        except (TypeError, ValueError) as exc:
+            raise SpecFormatError(str(exc), spot) from None
         if n in taps:
             raise SpecFormatError(f"duplicate tap index {n}", spot)
         taps[n] = _scalar_from_json(item["c"], mode, f"{spot}.c", as_ratio)

@@ -44,6 +44,17 @@ def test_validate_noncompliant_exits_one(capsys):
     assert "B_0 = 3 != 1 (reversible requirement)" in out.err
 
 
+def test_validate_clips_huge_values_in_its_reason(tmp_path, capsys):
+    doc = json.loads(open(spec("haar.json")).read())
+    doc["k"] = "1e400"
+    path = tmp_path / "huge_k.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "non-compliant\n"
+    assert out.err == f"B_1 = 1 != {'1' + '0' * 60}... (irreversible requirement)\n"
+
+
 def test_validate_missing_file_exits_two(capsys):
     assert main(["validate", spec("no_such.json")]) == 2
     assert "error:" in capsys.readouterr().err

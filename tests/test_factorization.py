@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liftbank import (
     FLOAT,
+    LaurentPoly,
     FactorStrategy,
     FactorizationError,
     HIGH_END,
@@ -222,3 +223,50 @@ def test_factored_cascades_are_canonical_inputs():
     # check accepts it directly, and this particular one lands compliant
     out = factor_lifting(haar_base(), FactorStrategy(first_channel=HIGHPASS_FIRST))
     assert check_part2(out).compliant
+
+
+def _per_monomial_factor(matrix, strategy):
+    """The Euclidean reduction lifting the whole matrix once per quotient
+    monomial, with the same cleanup and synthesis as ``factor_lifting``."""
+    m, ops = matrix, []
+    while not m.h00.is_zero and not m.h10.is_zero:
+        span0, span1 = m.h00.span(), m.h10.span()
+        if span0 != span1:
+            u = 0 if span0 > span1 else 1
+        else:
+            u = 0 if strategy.first_channel == LOWPASS_FIRST else 1
+        quotient = lp({})
+        column = (m.h00, m.h10)
+        while not column[u].is_zero and column[u].span() >= column[1 - u].span():
+            (p_lo, p_hi), (q_lo, q_hi) = column[u].support(), column[1 - u].support()
+            t, e = (p_lo, q_lo) if strategy.reduction == HIGH_END else (p_hi, q_hi)
+            q = LaurentPoly.monomial(column[u].coeff(t) / column[1 - u].coeff(e), t - e)
+            quotient = quotient + q
+            m = m.lifted(u, -q)
+            column = (m.h00, m.h10)
+        ops.append(LiftingStep(u, -quotient))
+    h00, h01, h10, h11 = m.entries()
+    if h10.is_zero:
+        cleanup = [(0, -(h01 * h00))]
+    else:
+        cleanup = [(1, h11 * h10), (0, -h01), (1, -h10), (0, -h01)]
+    for u, g in cleanup:
+        if not g.is_zero:
+            m = m.lifted(u, g)
+            ops.append(LiftingStep(u, g))
+    (tap, coeff), = m.h00.items()
+    base = PolyphaseMatrix(lp({tap: 1}), lp({}), lp({}), lp({-tap: 1})) if tap else None
+    return LiftingCascade(ops, k=coeff).synthesis().replace(base=base)
+
+
+def test_one_division_per_step_matches_the_per_monomial_reduction():
+    rng = random.Random(17)
+    strategies = [FactorStrategy(HIGH_END), FactorStrategy(LOW_END),
+                  FactorStrategy(HIGH_END, HIGHPASS_FIRST)]
+    for _ in range(60):
+        matrix = random_alternating_cascade(rng, max_steps=6, max_taps=3).evaluate()
+        for strategy in strategies:
+            out = factor_lifting(matrix, strategy)
+            assert out.evaluate() == matrix
+            want = _per_monomial_factor(matrix, strategy)
+            assert (out.steps, out.k, out.base) == (want.steps, want.k, want.base)

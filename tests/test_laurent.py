@@ -132,6 +132,69 @@ def test_evaluate_respects_sign_convention():
     assert lp({1: 1}).evaluate(2) == F(1, 2)
 
 
+def test_tap_indices_beyond_64_bits_are_refused_by_the_constructor():
+    assert lp({2**63 - 1: 1}).support() == (2**63 - 1, 2**63 - 1)
+    for n in (2**63, -(2**63), 10**400):
+        for mode, c in ((EXACT, 1), (FLOAT, 1.0)):
+            with pytest.raises(ValueError, match=r"is beyond \+-\(2\*\*63 - 1\)"):
+                LaurentPoly({n: c}, mode)
+    with pytest.raises(TypeError, match="must be an integer, got True"):
+        lp({True: 1})
+
+
+def test_float_evaluation_overflow_is_a_located_value_error():
+    p = LaurentPoly({-(2**62): 1.0}, FLOAT)  # 2.0 ** 2**62 overflows
+    with pytest.raises(ValueError, match=r"^float evaluation at 2\.0 overflows$"):
+        p.evaluate(2.0)
+    assert p.evaluate(1.0) == 1.0 and p.evaluate(-1.0) == 1.0
+    assert LaurentPoly({2**62: 1.0}, FLOAT).evaluate(2.0) == 0.0  # underflow is no error
+
+
+def test_exact_evaluation_refuses_unbounded_powers_away_from_plus_minus_one():
+    # 2 ** 10**7 finishes in milliseconds, guarded or not
+    far = lp({10**7: 1})
+    for point in (2, F(1, 2), -3, F(-2, 3)):
+        with pytest.raises(ValueError, match=r"^exact evaluation at .* needs over 65536 bits$"):
+            far.evaluate(point)
+    assert lp({1000: 1, -1000: 3}).evaluate(2) == F(1, 2**1000) + 3 * 2**1000
+    # +-1, the points the library evaluates at, stay unguarded
+    huge = lp({2**62: 3, -(2**62) + 1: -1})
+    assert huge.evaluate(1) == 2 and huge.evaluate(-1) == 4
+
+
+def _divided_oracle(p, d, low):
+    """Kill p's extreme tap by a monomial multiple of d until p is shorter than d,
+    one whole-polynomial update per monomial."""
+    q = LaurentPoly.zero()
+    while not p.is_zero and p.span() >= d.span():
+        (p_lo, p_hi), (d_lo, d_hi) = p.support(), d.support()
+        t, e = (p_lo, d_lo) if low else (p_hi, d_hi)
+        m = LaurentPoly.monomial(p.coeff(t) / d.coeff(e), t - e)
+        q, p = q + m, p - m * d
+    return q, p
+
+
+@settings(max_examples=300)
+@given(polys, polys.filter(lambda d: not d.is_zero), st.booleans())
+def test_division_matches_the_per_monomial_loop(p, d, low):
+    q, r = p.divided(d, low)
+    assert (q, r) == _divided_oracle(p, d, low)
+    assert r == p - q * d
+    assert r.is_zero or r.span() < d.span()
+
+
+def test_division_cancels_and_refuses():
+    # killing tap 0 of 1 + 2z^-1 + 3z^-2 cancels tap 1 too: one monomial suffices
+    p, d = lp({0: 1, 1: 2, 2: 3}), lp({0: 1, 1: 2})
+    assert p.divided(d) == (lp({0: 1}), lp({2: 3}))
+    assert p.divided(d, low=False) == (lp({0: F(1, 4), 1: F(3, 2)}), lp({0: F(3, 4)}))
+    assert lp({0: 1}).divided(lp({0: 1, 1: 1})) == (lp({}), lp({0: 1}))
+    with pytest.raises(ZeroDivisionError):
+        lp({0: 1}).divided(lp({}))
+    with pytest.raises(ModeError):
+        lp({0: 1.0}, FLOAT).divided(lp({0: 1.0}, FLOAT))
+
+
 def test_mode_mixing_rejected():
     with pytest.raises(ModeError):
         lp({0: 1}) + lp({0: 1.0}, FLOAT)
