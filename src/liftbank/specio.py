@@ -87,8 +87,13 @@ def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
     return LaurentPoly.from_ratios(taps, mode)
 
 
-def _taps_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
+def _taps_to_json(p: LaurentPoly, where: str = "") -> list[dict[str, Any]]:
     pairs, den = p.numerators()
+    for i in (0, len(pairs) - 1) if where and pairs else ():  # a spec must read back:
+        try:  # the taps ascend, so the two ends bound the rest
+            tap_index(pairs[i][0])
+        except ValueError as exc:
+            raise SpecFormatError(str(exc), f"{where}[{i}]") from None
     if p.mode != EXACT:
         return [{"n": n, "c": c} for n, c in pairs]
     # each c / den as str(Fraction(c, den)) writes it, without the Fraction
@@ -181,10 +186,9 @@ def cascade_to_document(cascade: LiftingCascade) -> dict:
     if cascade.reversible:
         doc["rounding"] = cascade.rounding.name
     if cascade.base is not None:
-        doc["base"] = _matrix_to_json(cascade.base)
-    doc["steps"] = [
-        {"update": s.update, "taps": _taps_to_json(s.filter)} for s in cascade.steps
-    ]
+        doc["base"] = _matrix_to_json(cascade.base, "$.base")
+    doc["steps"] = [{"update": s.update, "taps": _taps_to_json(s.filter, f"$.steps[{i}].taps")}
+                    for i, s in enumerate(cascade.steps)]
     return doc
 
 
@@ -259,13 +263,13 @@ def parse_matrix(text: str, mode: str = EXACT) -> PolyphaseMatrix:
     return _matrix_from_json(_json_loads(text), mode, "$")
 
 
-def _matrix_to_json(m: PolyphaseMatrix) -> list:
-    return [[_taps_to_json(m.h00), _taps_to_json(m.h01)],
-            [_taps_to_json(m.h10), _taps_to_json(m.h11)]]
+def _matrix_to_json(m: PolyphaseMatrix, where: str) -> list:
+    return [[_taps_to_json(p, f"{where}[{i}][{j}]") for j, p in enumerate(row)]
+            for i, row in enumerate(((m.h00, m.h01), (m.h10, m.h11)))]
 
 
 def serialize_matrix(matrix: PolyphaseMatrix) -> str:
-    return _dumps(_matrix_to_json(matrix))
+    return _dumps(_matrix_to_json(matrix, "$"))
 
 
 # -- analysis reports ---------------------------------------------------------

@@ -1,38 +1,29 @@
 """Running lifting cascades on finite signals with periodic extension.
 
-The analysis side demultiplexes x into even samples x0 and odd samples x1,
-applies each lifting step in order (update-0 steps add a filtered copy of
-x1 to x0, update-1 steps the other way around), then scales the channels by
-1/K and K.  All filtering is circular at the subband rate: tap n of a
-lifting filter reads the neighbor (i - n) mod L.
+Analysis splits x into even samples x0 and odd samples x1, then runs the
+base, each step (update 0 adds a filtered copy of x1 to x0, update 1 the
+other way) and the gain 1/K, K; tap n reads the neighbor (i - n) mod L.
+Synthesis undoes the gain, each step by subtracting its update, the base.
 
-Every transform runs one lifting order: base, steps, gain; the synthesis
-side undoes the gain, then each step in reverse by subtracting the update
-that step added, then the base.  Every update, in every arithmetic, is one
-fused pass: ``dst[i] ± R(c0*x0[i] + ... + c{k-1}*x{k-1}[i])``, where x_j is
-the source rotated by tap j, computed by one comprehension compiled once
-per tap count, rounding kind and sign, a block of samples at a time.  The
-sum runs left to right from 0, as a tap-by-tap loop does, so float results
-keep their bits and signed zeros.  Filters are read through
-``numerators()``: integer tap numerators over one denominator.
+A reversible cascade (K = 1, no base, taps over 2**d) runs on packed
+channels: L integers in one int of L W-bit slots, v stored as v + 2**(W-1).
+A tap rotates the source by whole slots, so a step is a few big-int
+operations, and ``(u + bias) >> d`` rounds every slot at once; synthesis
+subtracts the same rounded update, so the round trip is bit-exact.  W is
+64, through ``array('q')``, while a bound on every channel and update stays
+below 2**61, else the next multiple of 64 with as much room.
 
-Every channel is one pair (numerators, denominator), built once from the
-whole sample sequence.  Reversible cascades hold integers over 1 and round
-each update before adding it in place: their taps share a power-of-two
-denominator 2**d, so R is the rounding rule's ``(u + bias) >> d``, and the
-synthesis side subtracts the identical rounded update, which makes the
-transform bit-exact on integers.  Any other step folds the scale factors
-onto the lcm of the two denominators into the taps and the destination,
-then reduces by one gcd.  Exact irreversible channels hold integers over a
-positive denominator: plain ``Fraction`` samples are read once, from their
-slots, over the lcm of their distinct denominators, and each output sample
-is v / den reduced by one gcd into a ``Fraction`` built without another
-(``laurent._coprime``).  Float channels hold doubles over 1, so the step is
-the plain sum; each output channel is checked once for a non-finite value.
+Other channels are (numerators, denominator), doubles over 1 or integers
+over one lcm, and an update is one comprehension of ``dst[i] + (c0*x0[i]
++ ...)`` over the source rotated by each tap, summed left to right from 0
+so floats keep their bits and signed zeros; an exact step reduces by one
+gcd, and each output v / den is a ``Fraction`` built without another.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache
 from math import gcd, isfinite, lcm
@@ -87,72 +78,131 @@ def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> tuple[list,
 _BLOCK = 4096
 
 #: An update of destination sample a by filtered sum u: as is (the leading
-#: 0 turns a sum of -0.0 products into +0.0), over a destination scaled by
-#: s, or rounded as (u + b) >> d, plus the low bit of u >> d for "even".
-_FORMS = {
-    "sum": "a {op} (0 + {u})",
-    "scaled": "a * s {op} ({u})",
-    "bias": "a {op} (({u} + b) >> d)",
-    "even": "a {op} (((u := {u}) + b + ((u >> d) & 1)) >> d)",
-}
+#: 0 turns a sum of -0.0 products into +0.0), or over a destination scaled by s.
+_FORMS = {"sum": "a + (0 + {u})", "scaled": "a * s + ({u})"}
 
 
 @cache
-def _kernel(k: int, form: str, subtract: bool) -> Callable:
+def _kernel(k: int, form: str) -> Callable:
     """The comprehension of a k-tap update, compiled as namedtuple compiles.
 
-    Its source holds only the tap numbers 0..k-1, one of ``_FORMS`` and
-    + or -.  Products are summed left to right, as a tap-by-tap loop sums.
+    Its source holds only the tap numbers 0..k-1 and one of ``_FORMS``.
+    Products are summed left to right, as a tap-by-tap loop sums.
     """
     cs, xs = [f"c{j}" for j in range(k)], [f"x{j}" for j in range(k)]
     u = " + ".join(f"{c}*{x}" for c, x in zip(cs, xs)) or "0"
-    update = _FORMS[form].format(op="-" if subtract else "+", u=u)
-    namespace = {"__builtins__": {}, "zip": zip}
+    update, namespace = _FORMS[form].format(u=u), {"__builtins__": {}, "zip": zip}
     exec(
-        f"def kernel({', '.join(['dst', 'runs', 's', 'b', 'd', *cs])}):\n"
+        f"def kernel({', '.join(['dst', 'runs', 's', *cs])}):\n"
         f"    return [{update} for {', '.join(['a', *xs])}, in zip(dst, *runs)]\n",
         namespace,
     )
     return namespace["kernel"]
 
 
-def _lifting_update(dst: list, taps: list, src: list, sign: int = 1,
-                    rounding=None, d: int = 0, s: int = 1) -> None:
-    """dst[i] = s * dst[i] + sign * R(sum of c * src[(i - n) % L]), in place.
-
-    ``taps`` are (n, c) pairs.  R rounds num / 2**d by the ``rounding``
-    rule's bias ``halves * 2**(d-1) - below`` and its ``to_even`` flag;
-    without a rule, or at d = 0, R is the identity, s may scale dst, and
-    the sign goes into the taps, since a float a - u is -0.0 where
-    a + (-u) is +0.0.
-    """
-    coeffs = [c for _, c in taps]
-    if rounding is not None and d:
-        form = "even" if rounding.to_even else "bias"
-        b = (rounding.halves << (d - 1)) - rounding.below
-    else:
-        form, b, coeffs, sign = "sum" if s == 1 else "scaled", 0, [sign * c for c in coeffs], 1
-    kernel, L = _kernel(len(taps), form, sign < 0), len(src)
+def _lifting_update(dst: list, taps: list, src: list, s: int = 1) -> None:
+    """dst[i] = s * dst[i] + sum of c * src[(i - n) % L] over (n, c) ``taps``, in place."""
+    kernel, L = _kernel(len(taps), "sum" if s == 1 else "scaled"), len(src)
     for lo in range(0, L, _BLOCK):
         m = min(_BLOCK, L - lo)
         runs = [src[i:i + m] if i + m <= L else src[i:] + src[: i + m - L]
                 for i in [(lo - n) % L for n, _ in taps]]
-        dst[lo:lo + m] = kernel(dst[lo:lo + m], runs, s, b, d, *coeffs)
+        dst[lo:lo + m] = kernel(dst[lo:lo + m], runs, s, *[c for _, c in taps])
 
 
-def _lift(cascade: LiftingCascade, channels: Callable[[], tuple], inverse: bool,
-          locate: bool = False) -> tuple[list, list]:
+#: Whether 64-bit slots can go through ``array('q')``: 8-byte little-endian words.
+_QWORDS = array("q").itemsize == 8 and sys.byteorder == "little"
+
+
+def _bounded(nums: list) -> tuple:
+    """(samples, bound on their magnitudes): an ``array('q')`` where they fit,
+    bounded by 2**(8k) where the high 8 - k bytes of every word just repeat
+    its sign byte, 0x00 or 0xff; else the list and its exact bound."""
+    try:
+        words = array("q", nums) if _QWORDS else None
+    except OverflowError:
+        words = None
+    if words is None:
+        return nums, max(max(nums), -min(nums))
+    data = words.tobytes()
+    top = data[7::8]
+    k = 8 if top.translate(None, b"\0\xff") else max(
+        (j + 1 for j in range(7) if data[j::8] != top), default=0)
+    return words, 1 << 8 * k
+
+
+def _pack(nums: Sequence[int], width: int, offsets: int) -> int:
+    """One int holding nums[i] + 2**(width-1) in bits [i*width, (i+1)*width);
+    ``offsets`` has bit width-1 of every slot set."""
+    if width == 64 and isinstance(nums, array):
+        return int.from_bytes(nums.tobytes(), "little") ^ offsets
+    w, half = width // 8, 1 << (width - 1)
+    return int.from_bytes(b"".join((v + half).to_bytes(w, "little") for v in nums), "little")
+
+
+def _unpack(x: int, L: int, width: int, offsets: int) -> Sequence[int]:
+    """The L samples of a packed channel, as an ``array('q')`` or a list."""
+    if width == 64 and _QWORDS:
+        return array("q", (x ^ offsets).to_bytes(8 * L, "little"))
+    w, half = width // 8, 1 << (width - 1)
+    data = x.to_bytes(w * L, "little")
+    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * L, w)]
+
+
+def _packed_update(dst: int, taps: list, src: int, sign: int, rule, d: int,
+                   width: int, ones: int, full: int, offsets: int) -> int:
+    """dst[i] + sign * R(sum of c * src[(i - n) % L]) on packed channels.
+
+    ``ones``, ``offsets``, ``full``: bit 0, bit W-1, every bit of L slots.
+    The tap sum u carries sum(c) * 2**(W-1) per slot; rounding trades that
+    for 2**(W-1) plus the bias, keeping slots in [0, 2**W), and half-even
+    adds each slot's bit d, the low bit of u >> d wherever it can decide.
+    Cleared of low d bits and offsets, every slot shifts by d exactly.
+    """
+    lw, bias = full.bit_length(), (rule.halves << (d - 1)) - rule.below if d else 0
+    u = bias * ones + (bool(d) - sum(c for _, c in taps)) * offsets
+    for n, c in taps:
+        k = n * width % lw
+        if 2 * k <= lw:  # up by k bits, the top slots wrapped to the bottom
+            u += c * (((src << k) & full) | (src >> (lw - k)))
+        else:  # down by lw - k bits, the bottom slots wrapped to the top
+            u += c * ((src >> (lw - k)) | ((src & ((1 << (lw - k)) - 1)) << k))
+    if d:
+        if rule.to_even:
+            u += (u >> d) & ones
+        u = ((u & (full ^ ones * ((1 << d) - 1))) - offsets) >> d
+    return dst + u if sign > 0 else dst - u
+
+
+def _lift(cascade: LiftingCascade, coerced: Callable[[], tuple], inverse: bool,
+          locate: bool = False) -> tuple[Sequence, Sequence]:
     """Base, steps, gain; or, inverted, their inverses in reverse order.
 
-    ``channels()`` gives the two (numerators, denominator) channels from
-    :func:`_coerce`; ``update(dst, filt, src, sign)`` adds ``sign`` times
-    ``src`` filtered by ``filt`` to ``dst``, ``gain(x, k, divide)`` scales
-    a channel by K or 1/K, and an inverse step subtracts its update.  A
-    float result is checked once per channel; if it is not finite, a second
+    ``coerced()`` gives the samples (or both bands) from :func:`_coerce`, split
+    here into two channels; ``update(dst, filt, src, sign)`` adds ``sign``
+    times ``src`` filtered by ``filt`` to ``dst``, ``gain(x, k, divide)``
+    scales a channel by K or 1/K, and an inverse step subtracts its update.
+    A float result is checked once per channel; if it is not finite, a second
     pass (``locate``) names the stage where a sample first went non-finite.
     """
-    c0, c1 = channels()
-    L = len(c0[0])
+    x, den = coerced()
+    L, rule = len(x) // 2, cascade.rounding
+    c0, c1 = ((x[:L], den), (x[L:], den)) if inverse else ((x[0::2], den), (x[1::2], den))
+    del x  # 2L samples need not stay alive while the channels lift
+    if rule is not None:  # reversible: each channel packed in one int of L slots
+        (c0, b0), (c1, b1) = _bounded(c0[0]), _bounded(c1[0])
+        bounds, top = [b0, b1], max(b0, b1)
+        for s in cascade.steps[::-1] if inverse else cascade.steps:
+            # taps c over q = 2**d: the tap sum and bias stay below t, dst gains at most t >> d
+            (taps, q), m = s.filter.numerators(), s.update
+            t = sum(abs(c) for _, c in taps) * bounds[1 - m] + 2 * q
+            bounds[m] += t // q
+            top = max(top, t, bounds[m])
+        width = 64 * ((top.bit_length() + 66) // 64)  # every bound below 2**(width-3)
+        ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * L, "little")
+        full, offsets = (1 << L * width) - 1, ones << (width - 1)
+        c0 = _pack(c0, width, offsets)  # each array goes as soon as it is packed
+        c1 = _pack(c1, width, offsets)
 
     def check(where: str, c0: tuple, c1: tuple) -> tuple:
         if locate and not all(isfinite(v) for nums, _ in (c0, c1) for v in nums):
@@ -161,14 +211,15 @@ def _lift(cascade: LiftingCascade, channels: Callable[[], tuple], inverse: bool,
         return c0, c1
 
     def update(dst: tuple, filt: LaurentPoly, src: tuple, sign: int) -> tuple:
-        (nums, da), (nb, db) = dst, src
         taps, q = filt.numerators()
-        if cascade.rounding is not None:  # reversible: integers over 1, taps over 2**d
-            _lifting_update(nums, taps, nb, sign, cascade.rounding, q.bit_length() - 1)
-            return dst
+        if rule is not None:  # reversible: packed integers, taps over 2**d
+            d = q.bit_length() - 1
+            return _packed_update(dst, taps, src, sign, rule, d, width, ones, full, offsets)
+        (nums, da), (nb, db) = dst, src
         den = lcm(da, q * db)
         sb = den // (q * db)
-        _lifting_update(nums, [(n, c * sb) for n, c in taps], nb, sign, s=den // da)
+        # the sign goes into the taps: a float a - u is -0.0 where a + (-u) is +0.0
+        _lifting_update(nums, [(n, sign * (c * sb)) for n, c in taps], nb, s=den // da)
         g = gcd(den, *nums) if den > 1 else 1  # a float channel stays over 1
         return (nums, den) if g == 1 else ([v // g for v in nums], den // g)
 
@@ -206,8 +257,10 @@ def _lift(cascade: LiftingCascade, channels: Callable[[], tuple], inverse: bool,
     elif base is not None:
         c0, c1 = check(at_base, *apply_base(base.adjugate(), c0, c1))
     if cascade.mode == FLOAT and not (locate or isfinite(sum(c0[0])) and isfinite(sum(c1[0]))):
-        return _lift(cascade, channels, inverse, locate=True)  # a mere overflowed sum passes it
-    if cascade.mode != EXACT or cascade.reversible:
+        return _lift(cascade, coerced, inverse, locate=True)  # a mere overflowed sum passes it
+    if rule is not None:
+        return _unpack(c0, L, width, offsets), _unpack(c1, L, width, offsets)
+    if cascade.mode != EXACT:
         return c0[0], c1[0]
     # exact channels become Fractions here, each by one gcd
     return tuple([_coprime(v // (g := gcd(v, den)), den // g) for v in nums]
@@ -234,12 +287,9 @@ def analyze_signal(cascade: LiftingCascade, samples: Sequence) -> SubbandPair:
     """
     n = len(samples)
     if n == 0 or n % 2 != 0:
-        raise ValueError(
-            f"signal length must be even and nonzero, got {n} "
-            "(periodic extension needs whole sample pairs)"
-        )
-    x, den = _coerce(cascade, samples, "samples")
-    x0, x1 = _lift(cascade, lambda: ((x[0::2], den), (x[1::2], den)), inverse=False)
+        raise ValueError(f"signal length must be even and nonzero, got {n} "
+                         "(periodic extension needs whole sample pairs)")
+    x0, x1 = _lift(cascade, lambda: _coerce(cascade, samples, "samples"), inverse=False)
     return SubbandPair(tuple(x0), tuple(x1))
 
 
@@ -252,18 +302,14 @@ def synthesize_signal(cascade: LiftingCascade, subbands: SubbandPair) -> list:
     """
     L = len(subbands.lowpass)
     if L != len(subbands.highpass):
-        raise ValueError(
-            f"subband lengths differ: {L} vs {len(subbands.highpass)}"
-        )
+        raise ValueError(f"subband lengths differ: {L} vs {len(subbands.highpass)}")
     if L == 0:
         raise ValueError("empty subbands")
-
-    def halves() -> tuple:  # 2L samples need not stay alive while _lift works
-        y, den = _coerce(cascade, [*subbands.lowpass, *subbands.highpass], "subbands")
-        return (y[:L], den), (y[L:], den)
-
-    y0, y1 = _lift(cascade, halves, inverse=True)
+    bands = list(_lift(cascade, lambda: _coerce(
+        cascade, [*subbands.lowpass, *subbands.highpass], "subbands"), inverse=True))
     out = [None] * (2 * L)
-    out[0::2] = y0
-    out[1::2] = y1
+    for parity in (0, 1):  # one band, then the other, dropped once interleaved,
+        y = bands.pop(0)  # a block at a time: a whole-band slice copies L pointers aside
+        for lo in range(0, L, _BLOCK):
+            out[2 * lo + parity:2 * (lo + _BLOCK):2] = y[lo:lo + _BLOCK]
     return out

@@ -116,6 +116,19 @@ def test_transform_round_trip(tmp_path):
     assert back.read_text() == sig.read_text()
 
 
+def test_transform_round_trip_of_samples_beyond_64_bits(tmp_path):
+    # a 2**70 sample takes the reversible transform onto wider slots
+    sig, bands, back = tmp_path / "sig.txt", tmp_path / "bands.txt", tmp_path / "back.txt"
+    write_signal([2**70, -5, 3, -(2**70) + 1, 7, 0, -1, 2**69], sig)
+    assert main(["transform", spec("fivethree.json"), str(sig), "-o", str(bands)]) == 0
+    assert max(abs(int(v)) for v in bands.read_text().split()) > 2**69
+    assert main([
+        "transform", spec("fivethree.json"), str(bands),
+        "--direction", "synthesize", "-o", str(back),
+    ]) == 0
+    assert back.read_text() == sig.read_text()
+
+
 def test_transform_irreversible_to_stdout(tmp_path, capsys):
     sig = tmp_path / "sig.txt"
     write_signal([2, 3], sig)

@@ -534,6 +534,34 @@ def test_tap_indices_beyond_64_bits_are_refused_at_their_path(n):
     assert parse_spec(json.dumps(doc)).steps[1].filter.support()[1] == 2**63 - 1
 
 
+@pytest.mark.parametrize("far, n", [
+    (LaurentPoly({2**62: 1}) * LaurentPoly({2**62: 1}), 2**63),
+    (LaurentPoly({2**62: 1}).reindexed(4), 2**64),
+    (LaurentPoly({-(2**62): 1}).reindexed(2, 1), -(2**63) + 1),
+], ids=["product", "reindexed", "lowest readable"])
+def test_specs_are_written_only_where_they_read_back(far, n):
+    # arithmetic can leave the tap bound the reader keeps; the writers refuse
+    # such a tap at its path instead of writing a document the reader refuses
+    assert far.support() == (n, n)
+    one = LaurentPoly.one()
+    documents = [  # (what is written, its writer and reader, the path of the far tap)
+        (LiftingCascade([LiftingStep(1, one), LiftingStep(0, far)]), serialize_spec, parse_spec,
+         "$.steps[1].taps[0]"),
+        (LiftingCascade([], base=LiftingStep(1, far).matrix()), serialize_spec, parse_spec,
+         "$.base[1][0][0]"),
+        (LiftingStep(0, one + far).matrix(), serialize_matrix, parse_matrix,
+         "$[0][1][1]" if n > 0 else "$[0][1][0]"),
+    ]
+    for obj, write, read, where in documents:
+        if -(2**63) < n < 2**63:
+            assert read(write(obj)) == obj
+            continue
+        with pytest.raises(SpecFormatError) as info:
+            write(obj)
+        assert info.value.where == where and "is beyond +-(2**63 - 1)" in str(info.value)
+        assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("doc, where, start", [
     ({"mode": "irreversible", "steps": [{"update": 10**400, "taps": [{"n": 0, "c": 1}]}]},
      "$.steps[0].update", "update must be 0 or 1, got 1000"),

@@ -24,6 +24,7 @@ from liftbank import (
     synthesize_signal,
 )
 import liftbank.laurent as laurent
+import liftbank.transform as transform
 from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
 from liftbank.transform import _BLOCK
 
@@ -365,6 +366,85 @@ def test_float_kernel_keeps_the_signed_zeros_of_the_tap_by_tap_order(seed):
         _circular_lift(cascade, x0, x1, inverse=False))
     out = synthesize_signal(cascade, SubbandPair(tuple(x0), tuple(x1)))
     assert repr((out[0::2], out[1::2])) == repr(_circular_lift(cascade, x0, x1, inverse=True))
+
+
+# -- the packed reversible update ----------------------------------------------
+
+#: The rules written out: u / 2**d rounds to (u + bias(h) [+ the low bit of
+#: u >> d]) >> d with h = 2**(d-1); at d = 0 the update is u itself.
+_BIASES = {
+    "half-up": (lambda h: h, False),
+    "half-down": (lambda h: h - 1, False),
+    "floor": (lambda h: 0, False),
+    "ceiling": (lambda h: 2 * h - 1, False),
+    "half-even": (lambda h: h - 1, True),
+}
+
+
+def _per_sample(cascade, x0, x1, inverse):
+    """A reversible cascade one sample at a time: dst[i] +- R(sum of c * src[(i - n) % L])."""
+    bias, even = _BIASES[cascade.rounding.name]
+    channels = [list(x0), list(x1)]
+    for s in reversed(cascade.steps) if inverse else cascade.steps:
+        taps, q = s.filter.numerators()
+        d, dst, src = q.bit_length() - 1, channels[s.update], channels[1 - s.update]
+        for i in range(len(src)):
+            u = sum(c * src[(i - n) % len(src)] for n, c in taps)
+            r = (u + bias(q // 2) + (even and (u >> d) & 1)) >> d if d else u
+            dst[i] += -r if inverse else r
+    return channels
+
+
+def _check_per_sample(cascade, x0, x1):
+    sig = [v for pair in zip(x0, x1) for v in pair]
+    bands = analyze_signal(cascade, sig)
+    assert [list(bands.lowpass), list(bands.highpass)] == _per_sample(cascade, x0, x1, False)
+    out = synthesize_signal(cascade, SubbandPair(tuple(x0), tuple(x1)))
+    assert [out[0::2], out[1::2]] == _per_sample(cascade, x0, x1, True)
+    assert synthesize_signal(cascade, bands) == sig
+    assert all(type(v) is int for v in (*bands.lowpass, *bands.highpass, *out))
+
+
+@pytest.fixture
+def slot_widths(monkeypatch):
+    """The slot widths the transforms pack channels at."""
+    widths, pack = set(), transform._pack
+    monkeypatch.setattr(transform, "_pack", lambda nums, width, *rest: widths.add(width)
+                        or pack(nums, width, *rest))
+    return widths
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4097])
+@pytest.mark.parametrize("rule", sorted(ROUNDING_RULES))
+def test_packed_update_matches_the_per_sample_reference(rule, L, slot_widths):
+    # 1 to 8 taps reaching beyond +-L, d = 0 to 4, samples on both sides of
+    # what 64-bit slots hold
+    rng = random.Random(f"packed/{rule}/{L}")
+    for k in range(1, 9) if L < 99 else (1, 4, 8):
+        for bits in (12, 56, 70):
+            steps = [LiftingStep(m, _taps(rng, j, 3 * L + 3)) for m, j in
+                     ((k % 2, k), (1 - k % 2, rng.randrange(1, 9)), (k % 2, rng.randrange(1, 9)))]
+            cascade = LiftingCascade(steps, reversible=True, rounding=ROUNDING_RULES[rule])
+            x0, x1 = ([rng.randint(-(1 << bits), 1 << bits) for _ in range(L)] for _ in range(2))
+            _check_per_sample(cascade, x0, x1)
+    assert slot_widths >= {64, 128}
+
+
+@pytest.mark.parametrize("rule", sorted(ROUNDING_RULES))
+def test_slots_widen_where_only_the_last_step_outgrows_64_bits(rule, slot_widths):
+    # 16-bit samples; each step multiplies their bound by about 2**20, so two
+    # steps stay within 64-bit slots and the third needs 128
+    rng = random.Random(rule)
+    x0, x1 = ([rng.randint(-(1 << 15), 1 << 15) for _ in range(37)] for _ in range(2))
+    steps = [LiftingStep(m, lp({-1: F(-(1 << 21) + 1, 2), 0: F(1, 2), 2: F(3, 4)}))
+             for m in (0, 1, 0)]
+    for n, width in ((2, 64), (3, 128)):
+        cascade = LiftingCascade(steps[:n], reversible=True, rounding=ROUNDING_RULES[rule])
+        slot_widths.clear()
+        bands = analyze_signal(cascade, [v for pair in zip(x0, x1) for v in pair])
+        assert slot_widths == {width}
+        assert max(map(abs, bands.lowpass if n % 2 else bands.highpass)).bit_length() > 20 * n + 8
+        _check_per_sample(cascade, x0, x1)
 
 
 # -- properties over random cascades -------------------------------------------
