@@ -51,9 +51,9 @@ def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> tuple[list,
 
     Reversible cascades take ints only.  An all-int sequence (reversible),
     an all-finite-float one (float mode) or an all-int-and-``Fraction`` one
-    (exact) is read in one pass; anything else goes through ``as_ratio``
-    sample by sample, so a refusal names the first bad sample.  Exact
-    samples share the lcm of their distinct denominators, the others 1.
+    (exact) is read in one pass, a list of the first two kinds uncopied;
+    anything else goes through ``as_ratio`` sample by sample, so a refusal
+    names the first bad sample.  Exact samples share one lcm denominator.
     """
     kinds = set(map(type, values))
     if cascade.reversible and not kinds <= {int}:
@@ -65,7 +65,7 @@ def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> tuple[list,
     if cascade.reversible or (
         cascade.mode == FLOAT and kinds <= {float} and isfinite(sum(values))
     ):
-        return list(values), 1
+        return values if type(values) is list else list(values), 1
     if cascade.mode == EXACT and kinds <= {Fraction, int}:
         nums, dens = _parts(values, int not in kinds)
     else:
