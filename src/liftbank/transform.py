@@ -117,7 +117,7 @@ _QWORDS = array("q").itemsize == 8 and sys.byteorder == "little"
 def _bounded(nums: list) -> tuple:
     """(samples, bound on their magnitudes): an ``array('q')`` where they fit,
     bounded by 2**(8k) where the high 8 - k bytes of every word just repeat
-    its sign byte, 0x00 or 0xff; else the list and its exact bound."""
+    its sign byte, 0x00 or 0xff, and exactly from 2**48 up; else the list."""
     try:
         words = array("q", nums) if _QWORDS else None
     except OverflowError:
@@ -128,7 +128,7 @@ def _bounded(nums: list) -> tuple:
     top = data[7::8]
     k = 8 if top.translate(None, b"\0\xff") else max(
         (j + 1 for j in range(7) if data[j::8] != top), default=0)
-    return words, 1 << 8 * k
+    return words, 1 << 8 * k if k < 7 else max(max(words), -min(words))
 
 
 def _pack(nums: Sequence[int], width: int, offsets: int) -> int:
