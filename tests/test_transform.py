@@ -421,7 +421,7 @@ def test_packed_update_matches_the_per_sample_reference(rule, L, slot_widths):
     # what 64-bit slots hold
     rng = random.Random(f"packed/{rule}/{L}")
     for k in range(1, 9) if L < 99 else (1, 4, 8):
-        for bits in (12, 56, 70):
+        for bits in (12, 44, 56, 70):
             steps = [LiftingStep(m, _taps(rng, j, 3 * L + 3)) for m, j in
                      ((k % 2, k), (1 - k % 2, rng.randrange(1, 9)), (k % 2, rng.randrange(1, 9)))]
             cascade = LiftingCascade(steps, reversible=True, rounding=ROUNDING_RULES[rule])
