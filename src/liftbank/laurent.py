@@ -26,8 +26,8 @@ and its inverse ``decimated``, run on the numerators; other modules read them
 through ``numerators()`` and build from (p, q) pairs through ``from_ratios``.
 Only ``coeff``, ``items``, ``taps``, ``str`` and ``evaluate`` build
 ``fractions.Fraction`` values, each from its numerator and denominator
-reduced by one gcd, through one builder of coprime Fractions that the
-transform's output shares (``_coprime``).
+reduced by one gcd, through one builder of coprime Fractions (``_coprime``);
+the exact transform's output is built in one batch next to it.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
 
 
 #: Whether ``Fraction`` keeps its lowest-terms parts in just these two slots,
-#: as CPython's does (3.12's ``Fraction._from_coprime_ints`` fills them); if
-#: not, ``_coprime`` and ``_parts`` use its public constructor and properties.
+#: as CPython's does (3.12's ``Fraction._from_coprime_ints`` fills them); if not,
+#: the builders and ``_parts`` use its public constructor and properties.
 _SLOTTED = set(getattr(Fraction, "__slots__", ())) == {"_numerator", "_denominator"}
 
 
@@ -195,6 +195,19 @@ def _coprime(p: int, q: int) -> Fraction:
         f._numerator, f._denominator = p, q
         return f
     return Fraction(p, q)
+
+
+def _fractions(nums, den: int) -> list[Fraction]:
+    # every v / den of ``nums`` (den > 0) as a Fraction in lowest terms, by one
+    # gcd each, in one loop: ``_coprime`` inlined, with the same fallback
+    if not _SLOTTED:
+        return [Fraction(v, den) for v in nums]
+    out, new = [], object.__new__
+    for v in nums:
+        f, g = new(Fraction), gcd(v, den)
+        f._numerator, f._denominator = v // g, den // g
+        out.append(f)
+    return out
 
 
 def _parts(values: list, slots: bool = True) -> tuple[list, list]:

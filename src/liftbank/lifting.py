@@ -342,8 +342,8 @@ class LiftingCascade(Record):
                                    "to 0 or infinity", "k") from None
         base = None
         if self.base is not None:
-            x = self.base.adjugate()
-            for s in self.steps:
+            x = self.base.adjugate()  # the identity, conjugated by anything, stays the identity
+            for s in self.steps if x != PolyphaseMatrix.identity(self.mode) else ():
                 x = x.lifted(s.update, s.filter).colifted(s.update, -s.filter)
             try:
                 base = gamma(x, self.k)

@@ -5,19 +5,16 @@ base, each step (update 0 adds a filtered copy of x1 to x0, update 1 the
 other way) and the gain 1/K, K; tap n reads the neighbor (i - n) mod L.
 Synthesis undoes the gain, each step by subtracting its update, the base.
 
-A reversible cascade (K = 1, no base, taps over 2**d) runs on packed
-channels: L integers in one int of L W-bit slots, v stored as v + 2**(W-1).
+Exact channels, reversible or not, are integers over one denominator, run
+packed: L integers in one int of L W-bit slots, v stored as v + 2**(W-1).
 A tap rotates the source by whole slots, so a step is a few big-int
-operations, and ``(u + bias) >> d`` rounds every slot at once; synthesis
-subtracts the same rounded update, so the round trip is bit-exact.  W is
-64, through ``array('q')``, while a bound on every channel and update stays
-below 2**61, else the next multiple of 64 with as much room.
-
-Other channels are (numerators, denominator), doubles over 1 or integers
-over one lcm, and an update is one comprehension of ``dst[i] + (c0*x0[i]
-+ ...)`` over the source rotated by each tap, summed left to right from 0
-so floats keep their bits and signed zeros; an exact step reduces by one
-gcd, and each output v / den is a ``Fraction`` built without another.
+operations; a reversible one rounds ``(u + bias) >> d`` in every slot at
+once, an irreversible one folds both denominators onto their lcm.  W is
+64, through ``array('q')``, while a bound walk of the stages stays below
+2**61, else the next multiple of 64 with as much room; each output v / den
+becomes a ``Fraction`` by one gcd.  A float update is one comprehension of
+``dst[i] + (c0*x0[i] + ...)`` over lists of doubles rotated by each tap,
+summed left to right from 0 so results keep their bits and signed zeros.
 """
 
 from __future__ import annotations
@@ -26,11 +23,11 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import cache
-from math import gcd, isfinite, lcm
+from math import isfinite, lcm
 from typing import Callable, Sequence
 
 from ._record import Record
-from .laurent import EXACT, FLOAT, LaurentPoly, _coprime, _parts, as_ratio
+from .laurent import EXACT, FLOAT, LaurentPoly, _fractions, _parts, as_ratio
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -46,68 +43,79 @@ class SubbandPair(Record):
         return len(self.lowpass) + len(self.highpass)
 
 
-def _coerce(cascade: LiftingCascade, values: Sequence, what: str) -> tuple[list, int]:
-    """Samples as one channel (numerators, denominator) of the cascade's scalars.
+def _located(name: str, values: Sequence, mode: str):
+    """``as_ratio`` of each of ``values``; a refusal is prefixed ``name[i]: ``."""
+    for i, v in enumerate(values):
+        try:
+            yield as_ratio(v, mode)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{name}[{i}]: {exc}") from None
 
-    Reversible cascades take ints only.  An all-int sequence (reversible),
-    an all-finite-float one (float mode) or an all-int-and-``Fraction`` one
-    (exact) is read in one pass, a list of the first two kinds uncopied;
-    anything else goes through ``as_ratio`` sample by sample, so a refusal
-    names the first bad sample.  Exact samples share one lcm denominator.
+
+def _coerce(cascade: LiftingCascade, parts: tuple, names: tuple) -> tuple[list, int]:
+    """The parts of a signal, ``(samples,)`` or ``(lowpass, highpass)``, as
+    lists of numerators over one denominator (one lcm, for exact samples).
+
+    Reversible cascades take ints only.  All-int parts (reversible), all-
+    finite-float ones (float mode) or all-int-and-``Fraction`` ones (exact)
+    are read in one pass, reversible parts and a lone float list uncopied;
+    anything else goes through ``as_ratio`` sample by sample.  A refusal
+    names the first bad sample in signal order: ``samples[i]: ...``, or
+    ``lowpass[i]``, ``highpass[i]``.
     """
-    kinds = set(map(type, values))
+    kinds, mode = set().union(*[map(type, p) for p in parts]), cascade.mode
     if cascade.reversible and not kinds <= {int}:
-        for v in values:
+        for name, i, v in ((n, i, v) for n, p in zip(names, parts) for i, v in enumerate(p)):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(
-                    f"reversible transforms take integer {what}, got {v!r}"
-                )
+                raise ValueError(f"{name}[{i}]: reversible transforms take integer "
+                                 f"{'samples' if len(parts) == 1 else 'subbands'}, got {v!r}")
     if cascade.reversible or (
-        cascade.mode == FLOAT and kinds <= {float} and isfinite(sum(values))
+        mode == FLOAT and kinds <= {float} and all(isfinite(sum(p)) for p in parts)
     ):
-        return values if type(values) is list else list(values), 1
-    if cascade.mode == EXACT and kinds <= {Fraction, int}:
-        nums, dens = _parts(values, int not in kinds)
+        # the float kernel updates its lists in place: a caller's list only where split
+        return [p if cascade.reversible or type(p) is list and len(parts) == 1 else list(p)
+                for p in parts], 1
+    if mode == EXACT and kinds <= {Fraction, int}:
+        ratios = [_parts(p, int not in kinds) for p in parts]
     else:
-        nums, dens = zip(*[as_ratio(v, cascade.mode) for v in values])
-    den = lcm(*set(dens))
-    return [p * (den // q) for p, q in zip(nums, dens)] if den > 1 else list(nums), den
+        ratios = [tuple(zip(*_located(name, p, mode))) for name, p in zip(names, parts)]
+    den = lcm(*set().union(*[dens for _, dens in ratios]))
+    return [[p * (den // q) for p, q in zip(nums, dens)] if den > 1 else list(nums)
+            for nums, dens in ratios], den
 
 
 #: Samples per kernel call: a step's transient memory is one block per tap.
 _BLOCK = 4096
 
-#: An update of destination sample a by filtered sum u: as is (the leading
-#: 0 turns a sum of -0.0 products into +0.0), or over a destination scaled by s.
-_FORMS = {"sum": "a + (0 + {u})", "scaled": "a * s + ({u})"}
-
-
 @cache
-def _kernel(k: int, form: str) -> Callable:
-    """The comprehension of a k-tap update, compiled as namedtuple compiles.
+def _kernel(k: int) -> Callable:
+    """The comprehension of a k-tap float update, compiled as namedtuple compiles.
 
-    Its source holds only the tap numbers 0..k-1 and one of ``_FORMS``.
-    Products are summed left to right, as a tap-by-tap loop sums.
+    Its source holds only the tap numbers 0..k-1.  Products are summed left to
+    right, as a tap-by-tap loop sums; a leading 0 makes a -0.0 sum +0.0.
     """
     cs, xs = [f"c{j}" for j in range(k)], [f"x{j}" for j in range(k)]
     u = " + ".join(f"{c}*{x}" for c, x in zip(cs, xs)) or "0"
-    update, namespace = _FORMS[form].format(u=u), {"__builtins__": {}, "zip": zip}
+    namespace = {"__builtins__": {}, "zip": zip}
     exec(
-        f"def kernel({', '.join(['dst', 'runs', 's', *cs])}):\n"
-        f"    return [{update} for {', '.join(['a', *xs])}, in zip(dst, *runs)]\n",
+        f"def kernel({', '.join(['dst', 'runs', *cs])}):\n"
+        f"    return [a + (0 + {u}) for {', '.join(['a', *xs])}, in zip(dst, *runs)]\n",
         namespace,
     )
     return namespace["kernel"]
 
 
-def _lifting_update(dst: list, taps: list, src: list, s: int = 1) -> None:
-    """dst[i] = s * dst[i] + sum of c * src[(i - n) % L] over (n, c) ``taps``, in place."""
-    kernel, L = _kernel(len(taps), "sum" if s == 1 else "scaled"), len(src)
+def _lifting_update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
+    """dst[i] + sign * (sum of c * src[(i - n) % L] over the taps of ``filt``), in place."""
+    # the sign goes into the taps: a float a - u is -0.0 where a + (-u) is +0.0
+    taps = [(n, sign * c) for n, c in filt.numerators()[0]]
+    kernel, L = _kernel(len(taps)), len(src)
     for lo in range(0, L, _BLOCK):
         m = min(_BLOCK, L - lo)
         runs = [src[i:i + m] if i + m <= L else src[i:] + src[: i + m - L]
                 for i in [(lo - n) % L for n, _ in taps]]
-        dst[lo:lo + m] = kernel(dst[lo:lo + m], runs, s, *[c for _, c in taps])
+        dst[lo:lo + m] = kernel(dst[lo:lo + m], runs, *[c for _, c in taps])
+    return dst
 
 
 #: Whether 64-bit slots can go through ``array('q')``: 8-byte little-endian words.
@@ -149,13 +157,14 @@ def _unpack(x: int, L: int, width: int, offsets: int) -> Sequence[int]:
     return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * L, w)]
 
 
-def _packed_update(dst: int, taps: list, src: int, sign: int, rule, d: int,
-                   width: int, ones: int, full: int, offsets: int) -> int:
+def _packed_update(dst: int, taps: list, src: int, sign: int, width: int, ones: int,
+                   full: int, offsets: int, rule=None, d: int = 0) -> int:
     """dst[i] + sign * R(sum of c * src[(i - n) % L]) on packed channels.
 
     ``ones``, ``offsets``, ``full``: bit 0, bit W-1, every bit of L slots.
-    The tap sum u carries sum(c) * 2**(W-1) per slot; rounding trades that
-    for 2**(W-1) plus the bias, keeping slots in [0, 2**W), and half-even
+    R(u) is u without a ``rule`` (exact channels) or at d = 0, else u / 2**d
+    rounded: the tap sum carries sum(c) * 2**(W-1) per slot, which rounding
+    trades for 2**(W-1) plus the bias, keeping slots in [0, 2**W); half-even
     adds each slot's bit d, the low bit of u >> d wherever it can decide.
     Cleared of low d bits and offsets, every slot shifts by d exactly.
     """
@@ -178,93 +187,100 @@ def _lift(cascade: LiftingCascade, coerced: Callable[[], tuple], inverse: bool,
           locate: bool = False) -> tuple[Sequence, Sequence]:
     """Base, steps, gain; or, inverted, their inverses in reverse order.
 
-    ``coerced()`` gives the samples (or both bands) from :func:`_coerce`, split
-    here into two channels; ``update(dst, filt, src, sign)`` adds ``sign``
-    times ``src`` filtered by ``filt`` to ``dst``, ``gain(x, k, divide)``
-    scales a channel by K or 1/K, and an inverse step subtracts its update.
-    A float result is checked once per channel; if it is not finite, a second
-    pass (``locate``) names the stage where a sample first went non-finite.
+    ``coerced()`` gives :func:`_coerce`'s parts: the samples, split here into
+    two channels, or both bands.  ``run`` walks the stages over a channel form:
+    ``update(dst, filt, src, sign)`` adds ``sign`` times ``src`` filtered by
+    ``filt`` to ``dst``, ``gain(x, divide)`` scales by K or 1/K.  Exact channels
+    are walked as (bound, den) to size the slots, then packed.  A float result
+    is checked once per channel; if not finite, a second pass (``locate``)
+    names the stage where a sample first was not.
     """
-    x, den = coerced()
-    L, rule = len(x) // 2, cascade.rounding
-    c0, c1 = ((x[:L], den), (x[L:], den)) if inverse else ((x[0::2], den), (x[1::2], den))
-    del x  # 2L samples need not stay alive while the channels lift
-    if rule is not None:  # reversible: each channel packed in one int of L slots
-        (c0, b0), (c1, b1) = _bounded(c0[0]), _bounded(c1[0])
-        bounds, top = [b0, b1], max(b0, b1)
-        for s in cascade.steps[::-1] if inverse else cascade.steps:
-            # taps c over q = 2**d: the tap sum and bias stay below t, dst gains at most t >> d
-            (taps, q), m = s.filter.numerators(), s.update
-            t = sum(abs(c) for _, c in taps) * bounds[1 - m] + 2 * q
-            bounds[m] += t // q
-            top = max(top, t, bounds[m])
-        width = 64 * ((top.bit_length() + 66) // 64)  # every bound below 2**(width-3)
-        ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * L, "little")
-        full, offsets = (1 << L * width) - 1, ones << (width - 1)
-        c0 = _pack(c0, width, offsets)  # each array goes as soon as it is packed
-        c1 = _pack(c1, width, offsets)
+    parts, den = coerced()
+    c0, c1 = (parts[0][0::2], parts[0][1::2]) if len(parts) == 1 else parts
+    del parts  # 2L samples need not stay alive while the channels lift
+    L, rule, k, base = len(c0), cascade.rounding, cascade.k, cascade.base
+    at_gain, at_base = f"the gain K = {k!r}", "the base matrix"
 
-    def check(where: str, c0: tuple, c1: tuple) -> tuple:
-        if locate and not all(isfinite(v) for nums, _ in (c0, c1) for v in nums):
-            raise ValueError(f"float {'synthesis' if inverse else 'analysis'} "
-                             f"overflows: a sample is not finite after {where}")
+    def run(c0, c1, update, gain, zero, check=lambda where, c0, c1: (c0, c1)) -> tuple:
+        def apply_base(matrix: PolyphaseMatrix, c0, c1) -> tuple:
+            # a row sums two updates of a fresh zero channel
+            rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
+            return tuple(update(update(zero(), a, c0, 1), b, c1, 1) for a, b in rows)
+
+        scale = gain if k != 1 else lambda x, divide: x  # K = 1 (every reversible cascade)
+        if inverse:
+            c0, c1 = check(at_gain, scale(c0, False), scale(c1, True))
+        elif base is not None:
+            c0, c1 = check(at_base, *apply_base(base, c0, c1))
+        sign, steps = -1 if inverse else 1, list(enumerate(cascade.steps))
+        for i, step in reversed(steps) if inverse else steps:
+            if step.update == 0:
+                c0 = update(c0, step.filter, c1, sign)
+            else:
+                c1 = update(c1, step.filter, c0, sign)
+            c0, c1 = check(f"step {i} (update {step.update})", c0, c1)
+        if not inverse:
+            return check(at_gain, scale(c0, True), scale(c1, False))
+        return (c0, c1) if base is None else check(at_base, *apply_base(base.adjugate(), c0, c1))
+
+    if cascade.mode == FLOAT:  # lists of doubles, updated in place by the kernel
+        def check(where: str, c0: list, c1: list) -> tuple:
+            if locate and not all(isfinite(v) for c in (c0, c1) for v in c):
+                raise ValueError(f"float {'synthesis' if inverse else 'analysis'} "
+                                 f"overflows: a sample is not finite after {where}")
+            return c0, c1
+
+        c0, c1 = run(c0, c1, _lifting_update, lambda x, divide: [v / k for v in x] if divide
+                     else [v * k for v in x], lambda: [0] * L, check)  # 0 + u is u, never -0.0
+        if not (locate or isfinite(sum(c0)) and isfinite(sum(c1))):
+            return _lift(cascade, coerced, inverse, locate=True)  # a mere overflowed sum passes it
         return c0, c1
 
+    # exact: integers over den, each channel packed in one int of L slots
+    (c0, b0), (c1, b1) = _bounded(c0), _bounded(c1)
+    top, ratios = [b0, b1], {d: as_ratio(1 / k if d else k) for d in (False, True)}
+
+    def bound(dst: tuple, filt: LaurentPoly, src: tuple, sign: int) -> tuple:
+        (a, da), (b, db), (taps, q) = dst, src, filt.numerators()
+        t = sum(abs(c) for _, c in taps) * b
+        if rule is not None:  # taps over q = 2**d: the tap sum and bias stay
+            top.append(t + 2 * q)  # below t + 2q, and dst gains at most that >> d
+            return a + top[-1] // q, 1
+        den = lcm(da, q * db)  # dst is scaled by den / da, the taps by den / (q * db)
+        return den // da * a + den // (q * db) * t, den
+
+    def seen(where: str, c0: tuple, c1: tuple) -> tuple:  # the bounds after every stage
+        top.extend((c0[0], c1[0]))
+        return c0, c1
+
+    run((b0, den), (b1, den), bound, lambda x, divide: (abs(ratios[divide][0]) * x[0],
+        x[1] * ratios[divide][1]), lambda: (0, 1), seen)
+    width = 64 * ((max(top).bit_length() + 66) // 64)  # every bound below 2**(width-3)
+    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * L, "little")
+    full, offsets = (1 << L * width) - 1, ones << (width - 1)
+    slots = (width, ones, full, offsets)
+
     def update(dst: tuple, filt: LaurentPoly, src: tuple, sign: int) -> tuple:
-        taps, q = filt.numerators()
-        if rule is not None:  # reversible: packed integers, taps over 2**d
-            d = q.bit_length() - 1
-            return _packed_update(dst, taps, src, sign, rule, d, width, ones, full, offsets)
-        (nums, da), (nb, db) = dst, src
+        (x, da), (y, db), (taps, q) = dst, src, filt.numerators()
+        if rule is not None:  # taps over 2**d, rounded
+            return _packed_update(x, taps, y, sign, *slots, rule, q.bit_length() - 1), 1
         den = lcm(da, q * db)
-        sb = den // (q * db)
-        # the sign goes into the taps: a float a - u is -0.0 where a + (-u) is +0.0
-        _lifting_update(nums, [(n, sign * (c * sb)) for n, c in taps], nb, s=den // da)
-        g = gcd(den, *nums) if den > 1 else 1  # a float channel stays over 1
-        return (nums, den) if g == 1 else ([v // g for v in nums], den // g)
+        s, sb = den // da, den // (q * db)
+        if s > 1:  # v + 2**(W-1) becomes s * v + 2**(W-1)
+            x = x * s - (s - 1) * offsets
+        return _packed_update(x, [(n, c * sb) for n, c in taps], y, sign, *slots), den
 
-    def gain(x: tuple, k, divide: bool) -> tuple:
-        # K = 1, as every reversible cascade has, leaves the channel alone
-        if k == 1:
-            return x
-        nums, den = x
-        if cascade.mode == FLOAT:
-            return [v / k for v in nums] if divide else [v * k for v in nums], 1
+    def gain(x: tuple, divide: bool) -> tuple:
         # a Fraction's denominator is positive, so a negative gain keeps den > 0
-        p, q = as_ratio(1 / k if divide else k)
-        return [v * p for v in nums], den * q
+        (p, q), (v, den) = ratios[divide], x
+        return v * p - (p - 1) * offsets, den * q
 
-    def apply_base(matrix: PolyphaseMatrix, c0: tuple, c1: tuple) -> tuple:
-        # a row sums two updates of a fresh zero channel (0 + u is u: u is never -0.0)
-        rows = ((matrix.h00, matrix.h01), (matrix.h10, matrix.h11))
-        return tuple(update(update(([0] * L, 1), a, c0, 1), b, c1, 1) for a, b in rows)
-
-    k, base = cascade.k, cascade.base
-    at_gain, at_base = f"the gain K = {k!r}", "the base matrix"
-    if inverse:
-        c0, c1 = check(at_gain, gain(c0, k, False), gain(c1, k, True))
-    elif base is not None:
-        c0, c1 = check(at_base, *apply_base(base, c0, c1))
-    sign, steps = -1 if inverse else 1, list(enumerate(cascade.steps))
-    for i, step in reversed(steps) if inverse else steps:
-        if step.update == 0:
-            c0 = update(c0, step.filter, c1, sign)
-        else:
-            c1 = update(c1, step.filter, c0, sign)
-        c0, c1 = check(f"step {i} (update {step.update})", c0, c1)
-    if not inverse:
-        c0, c1 = check(at_gain, gain(c0, k, True), gain(c1, k, False))
-    elif base is not None:
-        c0, c1 = check(at_base, *apply_base(base.adjugate(), c0, c1))
-    if cascade.mode == FLOAT and not (locate or isfinite(sum(c0[0])) and isfinite(sum(c1[0]))):
-        return _lift(cascade, coerced, inverse, locate=True)  # a mere overflowed sum passes it
+    c0 = _pack(c0, width, offsets), den  # each array goes as soon as it is packed
+    c1 = _pack(c1, width, offsets), den
+    c0, c1 = run(c0, c1, update, gain, lambda: (offsets, 1))
     if rule is not None:
-        return _unpack(c0, L, width, offsets), _unpack(c1, L, width, offsets)
-    if cascade.mode != EXACT:
-        return c0[0], c1[0]
-    # exact channels become Fractions here, each by one gcd
-    return tuple([_coprime(v // (g := gcd(v, den)), den // g) for v in nums]
-                 for nums, den in (c0, c1))
+        return _unpack(c0[0], L, width, offsets), _unpack(c1[0], L, width, offsets)
+    return tuple(_fractions(_unpack(v, L, width, offsets), den) for v, den in (c0, c1))
 
 
 # -- public API ----------------------------------------------------------------
@@ -289,7 +305,7 @@ def analyze_signal(cascade: LiftingCascade, samples: Sequence) -> SubbandPair:
     if n == 0 or n % 2 != 0:
         raise ValueError(f"signal length must be even and nonzero, got {n} "
                          "(periodic extension needs whole sample pairs)")
-    x0, x1 = _lift(cascade, lambda: _coerce(cascade, samples, "samples"), inverse=False)
+    x0, x1 = _lift(cascade, lambda: _coerce(cascade, (samples,), ("samples",)), inverse=False)
     return SubbandPair(tuple(x0), tuple(x1))
 
 
@@ -306,7 +322,7 @@ def synthesize_signal(cascade: LiftingCascade, subbands: SubbandPair) -> list:
     if L == 0:
         raise ValueError("empty subbands")
     bands = list(_lift(cascade, lambda: _coerce(
-        cascade, [*subbands.lowpass, *subbands.highpass], "subbands"), inverse=True))
+        cascade, (subbands.lowpass, subbands.highpass), ("lowpass", "highpass")), inverse=True))
     out = [None] * (2 * L)
     for parity in (0, 1):  # one band, then the other, dropped once interleaved,
         y = bands.pop(0)  # a block at a time: a whole-band slice copies L pointers aside

@@ -9,6 +9,7 @@ import operator
 import pickle
 import random
 import sys
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -587,6 +588,22 @@ def test_the_fallback_builder_and_reader_give_the_same_values(monkeypatch):
     slow = results()
     assert repr(fast) == repr(slow)
     assert [type(v) for _, v in fast[0]] == [type(v) for _, v in slow[0]] == [F] * 3
+
+
+def test_the_batch_builder_gives_lowest_terms_on_both_paths(monkeypatch):
+    # what the exact transform builds its output from: ints (or an array of
+    # them) over one positive denominator, each reduced by its own gcd
+    nums, den = [6, -4, 0, 9, -12, 7, 35 * 2**70], 12
+
+    def results():
+        return laurent._fractions(nums, den), laurent._fractions(array("q", nums[:-1]), 1)
+
+    fast = results()
+    monkeypatch.setattr(laurent, "_SLOTTED", False)
+    slow = results()
+    assert repr(fast) == repr(slow) == repr(([F(v, den) for v in nums], [F(v) for v in nums[:-1]]))
+    assert all(type(v) is F and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+               for v in fast[0] + fast[1])
 
 
 @settings(max_examples=300)

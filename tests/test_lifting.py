@@ -47,6 +47,7 @@ from liftbank.banks import (
     identity_six_step,
     wa_lifted_haar,
 )
+from liftbank.polyphase import gamma
 
 from conftest import (
     REFERENCE_ROUNDING,
@@ -301,6 +302,27 @@ def test_synthesis_and_transforms_take_no_checked_inverse(monkeypatch):
         assert (s.evaluate() @ c.evaluate()).is_identity()
         x = [3, -1, 4, 1, -5, 9]
         assert synthesize_signal(c, analyze_signal(c, x)) == x
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_identity_base_synthesis_equals_the_conjugated_base(mode):
+    # synthesis() keeps an identity base as it is; conjugating it through
+    # every step and the gain gives the same matrix, field for field
+    rng = random.Random(mode)
+    cascades = [random_alternating_cascade(rng, mode=mode) for _ in range(20)]
+    if mode == FLOAT:
+        cascades += [cdf97()] + [random_float_cascade(rng) for _ in range(20)]
+    for c in cascades:
+        c = c.replace(base=PolyphaseMatrix.identity(mode))
+        x = c.base.adjugate()
+        for s in c.steps:
+            x = x.lifted(s.update, s.filter).colifted(s.update, -s.filter)
+        conjugated = gamma(x, c.k)
+        got = c.synthesis()
+        assert got.base.entries() == conjugated.entries()
+        assert [repr(e.taps()) for e in got.base.entries()] == [
+            repr(e.taps()) for e in conjugated.entries()]
+        assert serialize_spec(got) == serialize_spec(got.replace(base=conjugated))
 
 
 def test_float_synthesis_with_an_extreme_gain_fails_at_k():

@@ -4,8 +4,10 @@ and agreement with direct filtering."""
 import functools
 import operator
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from liftbank import (
     synthesize_signal,
 )
 import liftbank.laurent as laurent
+from liftbank.laurent import as_ratio
 import liftbank.transform as transform
 from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
 from liftbank.transform import _BLOCK
@@ -396,13 +399,22 @@ def _per_sample(cascade, x0, x1, inverse):
 
 
 def _check_per_sample(cascade, x0, x1):
+    """Both directions against the per-sample reference (``_reference`` for
+    exact irreversible cascades), the round trip, and the output type: ints,
+    or Fractions in lowest terms over a positive denominator."""
     sig = [v for pair in zip(x0, x1) for v in pair]
+    ref = _per_sample if cascade.reversible else _reference
     bands = analyze_signal(cascade, sig)
-    assert [list(bands.lowpass), list(bands.highpass)] == _per_sample(cascade, x0, x1, False)
+    assert [list(bands.lowpass), list(bands.highpass)] == list(ref(cascade, x0, x1, False))
     out = synthesize_signal(cascade, SubbandPair(tuple(x0), tuple(x1)))
-    assert [out[0::2], out[1::2]] == _per_sample(cascade, x0, x1, True)
+    assert [out[0::2], out[1::2]] == list(ref(cascade, x0, x1, True))
     assert synthesize_signal(cascade, bands) == sig
-    assert all(type(v) is int for v in (*bands.lowpass, *bands.highpass, *out))
+    values = (*bands.lowpass, *bands.highpass, *out)
+    if cascade.reversible:
+        assert all(type(v) is int for v in values)
+    else:
+        assert all(type(v) is F and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+                   for v in values)
 
 
 @pytest.fixture
@@ -445,6 +457,37 @@ def test_slots_widen_where_only_the_last_step_outgrows_64_bits(rule, slot_widths
         assert slot_widths == {width}
         assert max(map(abs, bands.lowpass if n % 2 else bands.highpass)).bit_length() > 20 * n + 8
         _check_per_sample(cascade, x0, x1)
+
+
+# -- the packed exact update -----------------------------------------------------
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4097])
+def test_packed_exact_update_matches_the_per_sample_reference(L, slot_widths):
+    # taps over 3, 5 and 7 (and their products), a base, a negative rational gain
+    rng = random.Random(f"packed-exact/{L}")
+    dens = (1, 3, 5, 7, 15, 21)
+    for k in range(1, 9) if L < 99 else (1, 5):
+        m = k % 2
+        base = LiftingStep(1 - m, _taps(rng, rng.randrange(1, 4), 3 * L + 3, dens=dens)).matrix()
+        steps = [LiftingStep(j % 2 ^ m, _taps(rng, rng.randrange(1, 9), 3 * L + 3, dens=dens))
+                 for j in range(1 + k % 3)]
+        gain = F(-rng.randrange(1, 30), rng.choice((1, 3, 5, 7)))
+        cascade = LiftingCascade(steps, k=gain, base=base if k % 4 else None)
+        x0, x1 = ([F(rng.randint(-999, 999), rng.choice((1, 2, 3, 4))) for _ in range(L)]
+                  for _ in range(2))
+        _check_per_sample(cascade, x0, x1)
+    assert 64 in slot_widths
+
+
+def test_a_16_step_rational_cascade_packs_into_wide_slots(slot_widths):
+    # each step grows the numerators by about 2**10, so the bound passes 2**61
+    rng = random.Random(16)
+    steps = [LiftingStep(i % 2, _taps(rng, 3, 4, dens=(3, 5, 7))) for i in range(16)]
+    cascade = LiftingCascade(steps, k=F(-5, 7))
+    x0, x1 = ([F(rng.randint(-999, 999), rng.choice((1, 3))) for _ in range(37)] for _ in range(2))
+    _check_per_sample(cascade, x0, x1)
+    assert min(slot_widths) > 64
 
 
 # -- properties over random cascades -------------------------------------------
@@ -561,7 +604,38 @@ def test_mixed_exact_samples_are_refused_at_the_first_bad_one(samples, error, me
         analyze_signal(haar(), samples)
     with pytest.raises(error) as synthesis:
         synthesize_signal(haar(), SubbandPair(tuple(samples[:h]), tuple(samples[h:])))
-    assert str(analysis.value) == str(synthesis.value) == message
+    # each refusal names the sample, in the signal or in its band
+    i = next(j for j, v in enumerate(samples) if type(v) is not F)
+    assert str(analysis.value) == f"samples[{i}]: {message}"
+    band = f"lowpass[{i}]" if i < h else f"highpass[{i - h}]"
+    assert str(synthesis.value) == f"{band}: {message}"
+
+
+@pytest.mark.parametrize("cascade, samples, error, analysis, synthesis", [
+    (five_three(reversible=False), [F(1, 2), 2.5, 3, 4], ValueError, "samples[1]", "lowpass[1]"),
+    (five_three(reversible=False), [F(1, 2), 3, None, 4], TypeError, "samples[2]", "highpass[0]"),
+    (haar(), [0, 1, 2, 3, 4, 5.0], ValueError, "samples[5]", "highpass[2]"),
+    (cdf97(), [1.0, 2.0, 3.0, None], TypeError, "samples[3]", "highpass[1]"),
+    (cdf97(), [1.0, "x", float("nan"), 0.0], ValueError, "samples[1]", "lowpass[1]"),
+    (cdf97(), [1.0, 2.0, 3.0, 4.0, 5.0, float("inf")], ValueError, "samples[5]", "highpass[2]"),
+    (five_three(), [0, 1, 2, None], ValueError, "samples[3]", "highpass[1]"),
+])
+def test_refusals_name_the_sample(cascade, samples, error, analysis, synthesis):
+    # the same refusal text as a lone scalar gets, after the sample's place
+    # in the signal, or in its band
+    h = len(samples) // 2
+    with pytest.raises(error) as got:
+        analyze_signal(cascade, samples)
+    where, _, text = str(got.value).partition(": ")
+    assert where == analysis and text
+    with pytest.raises(error) as got:
+        synthesize_signal(cascade, SubbandPair(tuple(samples[:h]), tuple(samples[h:])))
+    if cascade.reversible:  # which bands, where analysis takes samples
+        text = text.replace("integer samples", "integer subbands")
+    assert str(got.value) == f"{synthesis}: {text}"
+    if not cascade.reversible:
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            as_ratio(samples[int(where[8:-1])], cascade.mode)
 
 
 @pytest.mark.parametrize("samples", [
