@@ -490,6 +490,22 @@ def test_a_16_step_rational_cascade_packs_into_wide_slots(slot_widths):
     assert min(slot_widths) > 64
 
 
+@pytest.mark.parametrize("k, steps, bits", [
+    (1, [(0, {1: F(1, 8193)})], 50),  # the destination, scaled by 8193
+    (8193, [], 8),  # the highpass band, times the gain
+    (1, [(0, {1: F(1, 8193)}), (0, {0: 1})], 8),  # the taps, over the destination's 8193
+])
+def test_exact_slots_widen_where_a_scaled_channel_outgrows_64_bits(k, steps, bits, slot_widths):
+    # 51-bit samples times 8193 pass 2**63, which 64-bit slots cannot hold
+    rng = random.Random(f"{k}/{len(steps)}")
+    x0 = [rng.randint(-(1 << bits), 1 << bits) for _ in range(37)]
+    x1 = [rng.randint(-(1 << 50), 1 << 50) for _ in range(37)]
+    x0[5], x1[7] = 1 << bits, 1 << 50
+    cascade = LiftingCascade([LiftingStep(m, lp(taps)) for m, taps in steps], k=F(k))
+    _check_per_sample(cascade, x0, x1)
+    assert 128 in slot_widths
+
+
 # -- properties over random cascades -------------------------------------------
 
 # denominators 3, 5 and 7 keep the exact kernel off the dyadic special case
