@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from .laurent import EXACT, format_scalar, parse_scalar
 from .lifting import CascadeError
-from .normalization import AnalysisReport, analyze, check_part2
 from .specio import (
     SpecFormatError,
     format_sample,
@@ -23,7 +23,19 @@ from .specio import (
     serialize_report,
     serialize_spec,
 )
-# rescaling, transform and factorization are imported by the subcommands that run them
+# normalization, rescaling, transform and factorization are imported by the
+# subcommands that run them
+if TYPE_CHECKING:
+    from .normalization import AnalysisReport
+
+
+def __getattr__(name):
+    # cli.analyze and cli.check_part2 stay readable, from normalization on use
+    if name in ("analyze", "check_part2"):
+        from . import normalization
+
+        return getattr(normalization, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _write_text(text: str, path) -> None:
@@ -68,6 +80,8 @@ def render_text_report(report: AnalysisReport) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    from .normalization import analyze
+
     cascade = load_spec(args.spec)
     try:
         report = analyze(cascade)
@@ -79,6 +93,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .normalization import check_part2
+
     report = check_part2(load_spec(args.spec))
     print(report.verdict)
     for reason in report.reasons:

@@ -13,8 +13,10 @@ once, an irreversible one folds both denominators onto their lcm.  W is
 64, through ``array('q')``, while a bound walk of the stages stays below
 2**61, else the next multiple of 64 with as much room; each output v / den
 becomes a ``Fraction`` by one gcd.  A float update is one comprehension of
-``dst[i] + (c0*x0[i] + ...)`` over lists of doubles rotated by each tap,
-summed left to right from 0 so results keep their bits and signed zeros.
+``dst[i] + (0.0 + c0*x0[i] + ...)`` over lists of doubles rotated by each
+tap, summed left to right so results keep their bits and signed zeros.  The
+sum starts from 0.0, not 0, and a base row from a channel of 0.0: an int
+operand would send every add down CPython's generic path.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def _located(name: str, values: Sequence, mode: str):
 
 def _coerce(cascade: LiftingCascade, parts: tuple, names: tuple) -> tuple[list, int]:
     """The parts of a signal, ``(samples,)`` or ``(lowpass, highpass)``, as
-    lists of numerators over one denominator (one lcm, for exact samples).
+    sequences of numerators over one denominator (one lcm, for exact samples);
+    float ones are lists.
 
     Reversible cascades take ints only.  All-int parts (reversible), all-
     finite-float ones (float mode) or all-int-and-``Fraction`` ones (exact)
@@ -80,8 +83,9 @@ def _coerce(cascade: LiftingCascade, parts: tuple, names: tuple) -> tuple[list, 
     else:
         ratios = [tuple(zip(*_located(name, p, mode))) for name, p in zip(names, parts)]
     den = lcm(*set().union(*[dens for _, dens in ratios]))
-    return [[p * (den // q) for p, q in zip(nums, dens)] if den > 1 else list(nums)
-            for nums, dens in ratios], den
+    # packed exact channels leave their lists be; float ones must be lists
+    return [[p * (den // q) for p, q in zip(nums, dens)] if den > 1
+            else nums if mode == EXACT else list(nums) for nums, dens in ratios], den
 
 
 #: Samples per kernel call: a step's transient memory is one block per tap.
@@ -92,14 +96,15 @@ def _kernel(k: int) -> Callable:
     """The comprehension of a k-tap float update, compiled as namedtuple compiles.
 
     Its source holds only the tap numbers 0..k-1.  Products are summed left to
-    right, as a tap-by-tap loop sums; a leading 0 makes a -0.0 sum +0.0.
+    right, as a tap-by-tap loop sums; a leading 0.0 makes a -0.0 sum +0.0, as
+    0 would, and keeps every add float + float, which CPython specializes.
     """
     cs, xs = [f"c{j}" for j in range(k)], [f"x{j}" for j in range(k)]
-    u = " + ".join(f"{c}*{x}" for c, x in zip(cs, xs)) or "0"
+    u = " + ".join(f"{c}*{x}" for c, x in zip(cs, xs)) or "0.0"
     namespace = {"__builtins__": {}, "zip": zip}
     exec(
         f"def kernel({', '.join(['dst', 'runs', *cs])}):\n"
-        f"    return [a + (0 + {u}) for {', '.join(['a', *xs])}, in zip(dst, *runs)]\n",
+        f"    return [a + (0.0 + {u}) for {', '.join(['a', *xs])}, in zip(dst, *runs)]\n",
         namespace,
     )
     return namespace["kernel"]
@@ -231,7 +236,7 @@ def _lift(cascade: LiftingCascade, coerced: Callable[[], tuple], inverse: bool,
             return c0, c1
 
         c0, c1 = run(c0, c1, _lifting_update, lambda x, divide: [v / k for v in x] if divide
-                     else [v * k for v in x], lambda: [0] * L, check)  # 0 + u is u, never -0.0
+                     else [v * k for v in x], lambda: [0.0] * L, check)  # 0.0 + u is never -0.0
         if not (locate or isfinite(sum(c0)) and isfinite(sum(c1))):
             return _lift(cascade, coerced, inverse, locate=True)  # a mere overflowed sum passes it
         return c0, c1

@@ -105,6 +105,8 @@ def test_subcommand_imports_only_what_it_runs(name, tmp_path):
     if name in ("analyze", "validate"):
         for module in ("transform", "factorization", "rescaling", "banks"):
             assert f"liftbank.{module}" not in loaded
+    else:  # the gain report and its symmetry checks load only where they run
+        assert not loaded & {"liftbank.normalization", "liftbank.symmetry"}
     if name == "factor":
         assert "liftbank.factorization" in loaded
         assert "liftbank.transform" not in loaded

@@ -371,6 +371,29 @@ def test_float_kernel_keeps_the_signed_zeros_of_the_tap_by_tap_order(seed):
     assert repr((out[0::2], out[1::2])) == repr(_circular_lift(cascade, x0, x1, inverse=True))
 
 
+@pytest.mark.parametrize("entries", [
+    ({}, {0: -1.0}, {0: 1.0}, {}),  # the swap: each row reads one channel
+    ({1: 1.0}, {}, {}, {-1: 1.0}),  # a delay pair
+    ({0: 1.0}, {}, {-1: -0.5, 1: 0.25}, {0: 1.0}),  # a lifting step
+], ids=["swap", "delays", "step"])
+def test_float_base_with_a_zero_entry_keeps_the_bits_of_the_tap_by_tap_order(entries):
+    # a zero entry lifts with no tap: its row sums from the zero channel alone
+    base = PolyphaseMatrix(*(LaurentPoly(t, FLOAT) for t in entries))
+    c97 = cdf97()
+    cascade = LiftingCascade(c97.steps, k=c97.k, base=base, mode=FLOAT)
+    rng = random.Random(repr(entries))
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, -(2.0 ** -1060), 1.0]
+    for L in (1, 2, 5, 9):
+        x0 = [rng.choice(values) for _ in range(L)]
+        x1 = [rng.choice(values) for _ in range(L)]
+        bands = analyze_signal(cascade, [v for pair in zip(x0, x1) for v in pair])
+        out = synthesize_signal(cascade, SubbandPair(tuple(x0), tuple(x1)))
+        assert repr((list(bands.lowpass), list(bands.highpass))) == repr(
+            _circular_lift(cascade, x0, x1, inverse=False))
+        assert repr((out[0::2], out[1::2])) == repr(_circular_lift(cascade, x0, x1, inverse=True))
+        assert all(type(v) is float for v in (*bands.lowpass, *bands.highpass, *out))
+
+
 # -- the packed reversible update ----------------------------------------------
 
 #: The rules written out: u / 2**d rounds to (u + bias(h) [+ the low bit of
