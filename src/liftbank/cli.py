@@ -30,11 +30,11 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name):
-    # cli.analyze and cli.check_part2 stay readable, from normalization on use
-    if name in ("analyze", "check_part2"):
-        from . import normalization
+    # cli.analyze stays readable, from normalization on use
+    if name == "analyze":
+        from .normalization import analyze
 
-        return getattr(normalization, name)
+        return analyze
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

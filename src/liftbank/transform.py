@@ -56,8 +56,7 @@ def _located(name: str, values: Sequence, mode: str):
 
 def _coerce(cascade: LiftingCascade, parts: tuple, names: tuple) -> tuple[list, int]:
     """The parts of a signal, ``(samples,)`` or ``(lowpass, highpass)``, as
-    sequences of numerators over one denominator (one lcm, for exact samples);
-    float ones are lists.
+    lists of numerators over one denominator (one lcm, for exact samples).
 
     Reversible cascades take ints only.  All-int parts (reversible), all-
     finite-float ones (float mode) or all-int-and-``Fraction`` ones (exact)
@@ -83,9 +82,8 @@ def _coerce(cascade: LiftingCascade, parts: tuple, names: tuple) -> tuple[list, 
     else:
         ratios = [tuple(zip(*_located(name, p, mode))) for name, p in zip(names, parts)]
     den = lcm(*set().union(*[dens for _, dens in ratios]))
-    # packed exact channels leave their lists be; float ones must be lists
-    return [[p * (den // q) for p, q in zip(nums, dens)] if den > 1
-            else nums if mode == EXACT else list(nums) for nums, dens in ratios], den
+    return [[p * (den // q) for p, q in zip(nums, dens)] if den > 1 else list(nums)
+            for nums, dens in ratios], den
 
 
 #: Samples per kernel call: a step's transient memory is one block per tap.
