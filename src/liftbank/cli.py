@@ -1,32 +1,31 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, dispatch and exit codes.
 
 Subcommands: analyze, validate, rescale, compare, transform, factor.  All
 output is deterministic (same input, same bytes).  Exit codes: 0 success or
 positive verdict, 1 negative verdict or semantic error in valid input,
-2 unreadable input (I/O or parse failure).
+2 unreadable input (I/O or parse failure, a file that is not UTF-8).
+Every file is read and written, and both analyze reports rendered, by ``specio``.
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
-from .laurent import EXACT, format_scalar, parse_scalar
+from .laurent import format_scalar, parse_scalar
 from .lifting import CascadeError
 from .specio import (
     SpecFormatError,
-    format_sample,
+    _lines,
+    _write,
     load_spec,
     parse_matrix,
     read_signal,
+    render_text_report,
     serialize_report,
     serialize_spec,
+    write_signal,
 )
 # normalization, rescaling, transform and factorization are imported by the
 # subcommands that run them
-if TYPE_CHECKING:
-    from .normalization import AnalysisReport
 
 
 def __getattr__(name):
@@ -38,47 +37,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _write_text(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _symmetry(sym) -> str:
-    return sym.kind + ("" if sym.center is None else f" about {format_scalar(sym.center)}")
-
-
-def render_text_report(report: AnalysisReport) -> str:
-    c = report.compliance
-    lines = [
-        f"arithmetic:    {report.mode}",
-        f"type:          {'reversible' if report.reversible else 'irreversible'}",
-        f"k:             {format_scalar(report.k)}",
-        f"steps:         {len(report.b_sequence) - 2}"
-        + (f" (m_init = {report.m_init})" if report.m_init is not None else ""),
-        f"lowpass:       {report.filters.lowpass}",
-        f"highpass:      {report.filters.highpass}",
-        f"dc gain:       lowpass {format_scalar(report.dc_lowpass)}, "
-        f"highpass {format_scalar(report.dc_highpass)}",
-        f"nyquist gain:  lowpass {format_scalar(report.nyquist_lowpass)}, "
-        f"highpass {format_scalar(report.nyquist_highpass)}",
-        f"determinant:   {report.determinant}",
-        "b sequence:    "
-        + ", ".join(
-            f"B_{i - 2} = {format_scalar(b)}" for i, b in enumerate(report.b_sequence)
-        ),
-        f"lowpass sym:   {_symmetry(report.lowpass_symmetry)}",
-        f"highpass sym:  {_symmetry(report.highpass_symmetry)}",
-        f"linear phase:  {report.linear_phase}",
-        f"group lifting: {report.group_lifting}",
-        f"part2:         {c.verdict}"
-        + (f" ({'; '.join(c.reasons)})" if c.reasons else ""),
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_analyze(args) -> int:
     from .normalization import analyze
 
@@ -88,7 +46,7 @@ def _cmd_analyze(args) -> int:
     except CascadeError as exc:  # a field the parser passed, such as an overflowing K
         raise SpecFormatError.located(exc) from None
     render = serialize_report if args.format == "json" else render_text_report
-    sys.stdout.write(render(report))
+    _write(render(report))
     return 0
 
 
@@ -111,7 +69,7 @@ def _cmd_rescale(args) -> int:
     except ValueError as exc:
         raise SpecFormatError(str(exc), "--kappa")
     rescaled = rescale_cascade(cascade, kappa)
-    _write_text(serialize_spec(rescaled), args.output)
+    _write(serialize_spec(rescaled), args.output)
     return 0
 
 
@@ -138,7 +96,7 @@ def _cmd_transform(args) -> int:
     samples = read_signal(args.signal, cascade.mode, cascade.reversible)
     if args.direction == "analyze":
         bands = analyze_signal(cascade, samples)
-        out = list(bands.lowpass) + list(bands.highpass)
+        out = bands.lowpass + bands.highpass
     else:
         if len(samples) % 2 != 0:
             raise ValueError(
@@ -148,19 +106,18 @@ def _cmd_transform(args) -> int:
         half = len(samples) // 2
         bands = SubbandPair(tuple(samples[:half]), tuple(samples[half:]))
         out = synthesize_signal(cascade, bands)
-    _write_text("".join(format_sample(s) + "\n" for s in out), args.output)
+    write_signal(out, args.output)
     return 0
 
 
 def _cmd_factor(args) -> int:
     from .factorization import HIGHPASS_FIRST, LOWPASS_FIRST, FactorStrategy, factor_lifting
 
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        matrix = parse_matrix(fh.read(), EXACT)
+    matrix = parse_matrix("".join(_lines(args.matrix)))
     first = LOWPASS_FIRST if args.first == "lowpass" else HIGHPASS_FIRST
     strategy = FactorStrategy(reduction=args.reduction, first_channel=first)
     cascade = factor_lifting(matrix, strategy)
-    _write_text(serialize_spec(cascade), args.output)
+    _write(serialize_spec(cascade), args.output)
     return 0
 
 

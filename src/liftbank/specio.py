@@ -1,4 +1,5 @@
-"""Reading and writing cascade spec files, matrix files and signal files.
+"""Every file and text form the command line reads or writes: cascade spec
+files, matrix files, signal files and analysis reports.
 
 Spec files are JSON documents:
 
@@ -16,21 +17,26 @@ through binary floating point; float-mode documents use plain JSON numbers.
 Serialization is canonical (taps sorted by index, fixed key order), which
 makes parse -> serialize -> parse the identity.
 
-Signal files are UTF-8 text, one sample per line, LF endings.  Subband
-files produced by the command-line transform hold the lowpass block first,
-then the highpass block.
+Signal files are one sample per line.  Subband files produced by the
+command-line transform hold the lowpass block first, then the highpass
+block.  Every file is read through ``_lines`` as UTF-8 (other bytes are a
+``SpecFormatError`` at the path) and written through ``_write`` as UTF-8
+with LF endings, or to stdout.  ``analyze`` reports are rendered here as
+text and as JSON.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, isfinite
 from typing import Any
 
 from .laurent import (
-    EXACT, FLOAT, LaurentPoly, Scalar, as_ratio, as_scalar, clip_repr, parse_scalar, tap_index,
+    EXACT, FLOAT, LaurentPoly, Scalar, as_ratio, as_scalar, clip_repr, format_scalar,
+    parse_scalar, tap_index,
 )
 from .lifting import ROUNDING_RULES, CascadeError, LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
@@ -53,6 +59,24 @@ class SpecFormatError(ValueError):
             f"[{p}]" if isinstance(p, int) else "." + _SPEC_KEYS.get(p, p)
             for p in prefix + exc.field
         ))
+
+
+def _lines(path):
+    """The lines of the UTF-8 text file at ``path``, read one at a time."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(f"not UTF-8 text ({exc.reason})", f"{path}") from None
+
+
+def _write(text: str, path=None) -> None:
+    """``text`` to the file at ``path`` as UTF-8 with LF endings, or to stdout."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _scalar_from_json(value: Any, mode: str, where: str, read=as_scalar) -> Any:
@@ -235,13 +259,11 @@ def serialize_spec(cascade: LiftingCascade) -> str:
 
 
 def load_spec(path) -> LiftingCascade:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    return parse_spec("".join(_lines(path)))
 
 
 def save_spec(cascade: LiftingCascade, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_spec(cascade))
+    _write(serialize_spec(cascade), path)
 
 
 # -- matrix files -------------------------------------------------------------
@@ -273,6 +295,40 @@ def serialize_matrix(matrix: PolyphaseMatrix) -> str:
 
 
 # -- analysis reports ---------------------------------------------------------
+
+
+def _symmetry(sym) -> str:
+    return sym.kind + ("" if sym.center is None else f" about {format_scalar(sym.center)}")
+
+
+def render_text_report(report) -> str:
+    """An ``AnalysisReport`` as text: what ``liftbank analyze`` prints."""
+    c = report.compliance
+    lines = [
+        f"arithmetic:    {report.mode}",
+        f"type:          {'reversible' if report.reversible else 'irreversible'}",
+        f"k:             {format_scalar(report.k)}",
+        f"steps:         {len(report.b_sequence) - 2}"
+        + (f" (m_init = {report.m_init})" if report.m_init is not None else ""),
+        f"lowpass:       {report.filters.lowpass}",
+        f"highpass:      {report.filters.highpass}",
+        f"dc gain:       lowpass {format_scalar(report.dc_lowpass)}, "
+        f"highpass {format_scalar(report.dc_highpass)}",
+        f"nyquist gain:  lowpass {format_scalar(report.nyquist_lowpass)}, "
+        f"highpass {format_scalar(report.nyquist_highpass)}",
+        f"determinant:   {report.determinant}",
+        "b sequence:    "
+        + ", ".join(
+            f"B_{i - 2} = {format_scalar(b)}" for i, b in enumerate(report.b_sequence)
+        ),
+        f"lowpass sym:   {_symmetry(report.lowpass_symmetry)}",
+        f"highpass sym:  {_symmetry(report.highpass_symmetry)}",
+        f"linear phase:  {report.linear_phase}",
+        f"group lifting: {report.group_lifting}",
+        f"part2:         {c.verdict}"
+        + (f" ({'; '.join(c.reasons)})" if c.reasons else ""),
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def serialize_report(report) -> str:
@@ -335,26 +391,18 @@ def format_sample(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
         den = value.denominator
-        twos = 0
-        while den % 2 == 0:
-            den //= 2
-            twos += 1
+        twos = (den & -den).bit_length() - 1  # the power of 2 in den
         fives = 0
         while den % 5 == 0:
             den //= 5
             fives += 1
-        if den != 1:
+        if den >> twos != 1:
             return str(value)  # p/q fallback
-        digits = max(twos, fives)
-        scaled = value * 10**digits
-        num = scaled.numerator  # exact by construction
+        num, digits = value.numerator, max(twos, fives)  # value * 10**digits is an integer
+        head, tail = divmod(abs(num) * 10**digits // value.denominator, 10**digits)
         sign = "-" if num < 0 else ""
-        mag = abs(num)
-        head, tail = divmod(mag, 10**digits)
-        return f"{sign}{head}.{str(tail).zfill(digits)}"
+        return f"{sign}{head}.{tail:0{digits}}" if digits else f"{sign}{head}"
     if isinstance(value, float):
         if not isfinite(value):
             raise ValueError(f"float sample is not finite: {value!r}")
@@ -379,17 +427,13 @@ def parse_sample(text: str, mode: str, reversible: bool, where: str):
 
 def read_signal(path, mode: str = EXACT, reversible: bool = False) -> list:
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip() == "":
-                continue
-            samples.append(
-                parse_sample(line, mode, reversible, f"{path}:{lineno}")
-            )
+    for lineno, line in enumerate(_lines(path), start=1):
+        if line.strip() == "":
+            continue
+        samples.append(parse_sample(line, mode, reversible, f"{path}:{lineno}"))
     return samples
 
 
 def write_signal(samples, path) -> None:
-    text = "".join(format_sample(s) + "\n" for s in samples)  # refusals before any write
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    # every sample is formatted, and any refused, before the file opens
+    _write("".join(format_sample(s) + "\n" for s in samples), path)

@@ -109,25 +109,20 @@ def classify_hs_group(cascade) -> GroupLiftingClass:
         return GroupLiftingClass(NEITHER, ("cascade has no base matrix",))
 
     pair = cascade.base.to_filters()
+    # det 1 (within tolerance, for floats) gives each base row a nonzero entry,
+    # so neither filter is zero and both have a support
     lo_sup = pair.lowpass.support()
     hi_sup = pair.highpass.support()
-    if lo_sup is None or hi_sup is None:
-        detail.append("base has a zero scalar filter")
-    else:
-        if (lo_sup[1] - lo_sup[0]) != (hi_sup[1] - hi_sup[0]):
-            detail.append(
-                f"base filters differ in length: supports {lo_sup} vs {hi_sup}"
-            )
-        if sum(lo_sup) != sum(hi_sup):
-            detail.append(
-                f"base filters are not concentric: supports {lo_sup} vs {hi_sup}"
-            )
-        lo_cls = classify_filter(pair.lowpass)
-        hi_cls = classify_filter(pair.highpass)
-        if lo_cls.kind != SYMMETRIC or sum(lo_sup) % 2 == 0:
-            detail.append("base lowpass is not half-sample symmetric")
-        if hi_cls.kind != ANTISYMMETRIC or sum(hi_sup) % 2 == 0:
-            detail.append("base highpass is not half-sample antisymmetric")
+    if (lo_sup[1] - lo_sup[0]) != (hi_sup[1] - hi_sup[0]):
+        detail.append(f"base filters differ in length: supports {lo_sup} vs {hi_sup}")
+    if sum(lo_sup) != sum(hi_sup):
+        detail.append(f"base filters are not concentric: supports {lo_sup} vs {hi_sup}")
+    lo_cls = classify_filter(pair.lowpass)
+    hi_cls = classify_filter(pair.highpass)
+    if lo_cls.kind != SYMMETRIC or sum(lo_sup) % 2 == 0:
+        detail.append("base lowpass is not half-sample symmetric")
+    if hi_cls.kind != ANTISYMMETRIC or sum(hi_sup) % 2 == 0:
+        detail.append("base highpass is not half-sample antisymmetric")
 
     for i, step in enumerate(cascade.steps):
         if classify_filter(step.filter) != SymmetryClass(ANTISYMMETRIC, 0):

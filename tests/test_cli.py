@@ -45,7 +45,8 @@ def test_validate_noncompliant_exits_one(capsys):
 
 
 def test_validate_clips_huge_values_in_its_reason(tmp_path, capsys):
-    doc = json.loads(open(spec("haar.json")).read())
+    with open(spec("haar.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     doc["k"] = "1e400"
     path = tmp_path / "huge_k.json"
     path.write_text(json.dumps(doc))
@@ -65,6 +66,24 @@ def test_parse_error_exits_two(tmp_path, capsys):
     bad.write_text("{ nope")
     assert main(["validate", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["analyze"], b'{"mode": "irreversible", "steps": []}'),
+        (["factor"], b"[[[], []], [[], []]]"),
+        (["transform", spec("haar.json")], b"1\n2\n"),
+    ],
+    ids=["spec", "matrix", "signal"],
+)
+def test_file_that_is_not_utf8_exits_two_at_its_path(tmp_path, capsys, argv, text):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(text + b"\n\xe9\n")  # a Latin-1 e-acute
+    assert main([*argv, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: not UTF-8 text (invalid continuation byte)\n"
 
 
 def test_analyze_text_is_deterministic(capsys):

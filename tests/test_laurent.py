@@ -89,7 +89,7 @@ def test_reindexed_refuses_a_zero_scale():
 
 @given(polys, coeffs)
 def test_scaling(p, c):
-    assert p.scaled(c) == LaurentPoly.monomial(c, 0) * p
+    assert p.scaled(c) == LaurentPoly.monomial(c, 0) * p == p * c == c * p
 
 
 @given(polys, polys, st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
@@ -104,6 +104,7 @@ def test_zero_coefficients_never_stored():
     q = lp({0: 1, 1: -2}) + lp({1: 2})
     assert q.taps() == {0: F(1)}
     assert (lp({3: 5}) - lp({3: 5})).is_zero
+    assert not lp({0: 0}) and lp({0: 1})
 
 
 def test_support_and_span():
@@ -217,6 +218,8 @@ def test_dyadic_detection():
     assert not lp({0: F(1, 3)}).is_dyadic()
     assert scalar_is_dyadic(F(5, 16))
     assert not scalar_is_dyadic(F(1, 6))
+    with pytest.raises(ModeError):
+        scalar_is_dyadic(0.5)
 
 
 @given(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6))
@@ -269,6 +272,8 @@ def test_approx_eq():
     b = LaurentPoly({0: 1.0 + 1e-13, 1: 0.5}, FLOAT)
     assert a.approx_eq(b)
     assert not a.approx_eq(LaurentPoly({0: 1.1}, FLOAT))
+    with pytest.raises(TypeError, match="expects a LaurentPoly"):
+        a.approx_eq(1.0)
 
 
 def test_exact_approx_eq_is_equality():
@@ -284,6 +289,9 @@ def test_exact_approx_eq_is_equality():
 def test_structural_equality_includes_mode():
     assert lp({0: 1}) != LaurentPoly({0: 1.0}, FLOAT)
     assert lp({0: 1}) == lp({0: F(1)})
+    assert lp({0: 1}).__eq__(1) is NotImplemented and lp({0: 1}) != 1
+    with pytest.raises(TypeError):
+        lp({0: 1}) + 1
 
 
 def test_str_forms():

@@ -427,6 +427,10 @@ def test_zero_gain_rejected():
 def test_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         LiftingCascade([step(0, {0: 1})], mode=FLOAT)
+    with pytest.raises(ModeError, match="base matrix mode"):
+        LiftingCascade([step(0, {0: 1})], base=PolyphaseMatrix.identity(FLOAT))
+    with pytest.raises(TypeError, match="LiftingStep"):
+        LiftingCascade([lp({0: 1})])
 
 
 def test_replace():

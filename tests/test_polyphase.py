@@ -78,6 +78,9 @@ def test_matmul_oracle():
     assert p.h01 == s
     assert p.h10 == t
     assert p.h11 == lp({0: 1})
+    assert str(u) == "[[1, 1/2*z^-1], [0, 1]]"
+    with pytest.raises(TypeError):
+        u @ s
 
 
 @given(
@@ -119,6 +122,7 @@ def test_filter_extraction_oracle():
     pair = haar_base().to_filters()
     assert pair.lowpass == lp({0: F(1, 2), -1: F(1, 2)})   # 1/2 + (1/2)z
     assert pair.highpass == lp({0: -1, -1: 1})             # -1 + z
+    assert pair.mode == EXACT
 
 
 @given(matrices)

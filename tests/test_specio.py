@@ -24,6 +24,7 @@ from liftbank import (
     parse_matrix,
     parse_spec,
     read_signal,
+    save_spec,
     serialize_matrix,
     serialize_spec,
     write_signal,
@@ -242,9 +243,14 @@ def test_format_sample_shapes():
     assert format_sample(F(1, 10)) == "0.1"
     assert format_sample(F(1, 3)) == "1/3"
     assert format_sample(F(8, 2)) == "4"
+    assert format_sample(F(-8, 2)) == "-4"
+    assert format_sample(F(-7, 40)) == "-0.175"
+    assert format_sample(F(1, 80)) == "0.0125"
     assert format_sample(0.1) == "0.1"
     with pytest.raises(TypeError):
         format_sample(True)
+    with pytest.raises(TypeError, match="cannot format str"):
+        format_sample("7")
 
 
 def test_format_sample_refuses_non_finite_floats(tmp_path):
@@ -274,6 +280,22 @@ def test_signal_file_round_trip(tmp_path):
     write_signal(samples, path)
     assert read_signal(path) == samples
     assert path.read_text() == "3\n-0.25\n1/3\n"
+
+
+def test_save_spec_writes_the_canonical_text(tmp_path):
+    path = tmp_path / "spec.json"
+    save_spec(wa_lifted_haar(), path)
+    assert path.read_bytes() == serialize_spec(wa_lifted_haar()).encode("utf-8")
+    assert load_spec(path) == wa_lifted_haar()
+
+
+def test_files_that_are_not_utf8_are_refused_at_the_path(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1\n2\n\xe9\n")
+    for read in (load_spec, read_signal):
+        with pytest.raises(SpecFormatError, match="not UTF-8") as info:
+            read(path)
+        assert info.value.where == str(path)
 
 
 def test_signal_file_skips_blank_lines(tmp_path):
