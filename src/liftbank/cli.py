@@ -94,15 +94,16 @@ def _cmd_transform(args) -> int:
 
     cascade = load_spec(args.spec)
     samples = read_signal(args.signal, cascade.mode, cascade.reversible)
+    if not samples or len(samples) % 2:
+        need = ("a signal needs whole sample pairs for periodic extension"
+                if args.direction == "analyze"
+                else "a subband file needs lowpass then highpass blocks of equal length")
+        raise ValueError(f"{args.signal}: got {len(samples)} samples, "
+                         f"not a nonzero even number; {need}")
     if args.direction == "analyze":
         bands = analyze_signal(cascade, samples)
         out = bands.lowpass + bands.highpass
     else:
-        if len(samples) % 2 != 0:
-            raise ValueError(
-                "subband file must hold lowpass then highpass blocks of equal "
-                f"length; got {len(samples)} samples"
-            )
         half = len(samples) // 2
         bands = SubbandPair(tuple(samples[:half]), tuple(samples[half:]))
         out = synthesize_signal(cascade, bands)

@@ -26,8 +26,8 @@ and its inverse ``decimated``, run on the numerators; other modules read them
 through ``numerators()`` and build from (p, q) pairs through ``from_ratios``.
 Only ``coeff``, ``items``, ``taps``, ``str`` and ``evaluate`` build
 ``fractions.Fraction`` values, each from its numerator and denominator
-reduced by one gcd, through one builder of coprime Fractions (``_coprime``);
-the exact transform's output is built in one batch next to it.
+reduced by one gcd: the tap readers and the exact transform's output by one
+batch builder (``_fractions``), ``evaluate`` by its one-value form (``_coprime``).
 """
 
 from __future__ import annotations
@@ -289,15 +289,15 @@ class LaurentPoly:
         return not self._num
 
     def _edge(self, pairs) -> list[tuple[int, Scalar]]:
-        # (tap, numerator) pairs as (tap, coefficient): exact ones c / den by one gcd
+        # (tap, numerator) pairs as (tap, coefficient): exact ones by _fractions
         if self._mode != EXACT:
             return list(pairs)
-        d = self._den
-        return [(n, _coprime(c // (g := gcd(c, d)), d // g)) for n, c in pairs]
+        taps, nums = zip(*pairs) if pairs else ((), ())
+        return list(zip(taps, _fractions(nums, self._den)))
 
     def coeff(self, n: int) -> Scalar:
-        c, d = self._num.get(n, 0), self._den
-        return _coprime(c // (g := gcd(c, d)), d // g) if self._mode == EXACT else float(c)
+        c = self._num.get(n, 0)
+        return _fractions((c,), self._den)[0] if self._mode == EXACT else float(c)
 
     def items(self) -> Iterator[tuple[int, Scalar]]:
         """Taps in ascending index order."""
@@ -316,15 +316,11 @@ class LaurentPoly:
 
     def support(self) -> tuple[int, int] | None:
         """(min tap, max tap), or None for the zero polynomial."""
-        if not self._num:
-            return None
-        return min(self._num), max(self._num)
+        return (min(self._num), max(self._num)) if self._num else None
 
     def span(self) -> int:
         """Length of the support interval (0 for the zero polynomial)."""
-        if not self._num:
-            return 0
-        return max(self._num) - min(self._num) + 1
+        return max(self._num) - min(self._num) + 1 if self._num else 0
 
     # -- algebra -----------------------------------------------------------
 

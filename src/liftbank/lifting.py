@@ -277,10 +277,7 @@ class LiftingCascade(Record):
         ``("k",)`` when only the gain scaling overflows, else at ``("steps",)``.
         """
         e = self.partial_product(len(self.steps) - 1)
-        inv_k = 1 / self.k
-        h = PolyphaseMatrix(
-            e.h00.scaled(inv_k), e.h01.scaled(inv_k), e.h10.scaled(self.k), e.h11.scaled(self.k)
-        )
+        h = e.rows_scaled(1 / self.k, self.k)
         if self.mode != EXACT and not _finite(h):
             if _finite(e):
                 raise CascadeError(f"gain K = {self.k!r} overflows the polyphase matrix", "k")

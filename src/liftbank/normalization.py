@@ -98,7 +98,7 @@ def _compliance(cascade: LiftingCascade, trace: DCTrace) -> ComplianceReport:
             kind = "reversible" if cascade.reversible else "irreversible"
             reasons.insert(
                 0,
-                f"B_{idx} = {clip(format_scalar(actual))} != {clip(format_scalar(required))}"
+                f"B_{idx} = {_echo(actual)} != {_echo(required)}"
                 f" ({kind} requirement)",
             )
         verdict = COMPLIANT if ok else NON_COMPLIANT
@@ -115,6 +115,15 @@ def _compliance(cascade: LiftingCascade, trace: DCTrace) -> ComplianceReport:
         tolerance_qualified=qualified,
         reasons=tuple(reasons),
     )
+
+
+def _echo(x: Scalar) -> str:
+    # the value's text cut by clip, or, past Python's int->str digit limit,
+    # its size: a verdict on a huge E_0(1) must not fail on its own message
+    try:
+        return clip(format_scalar(x))
+    except ValueError:
+        return f"a {max(abs(x.numerator), x.denominator).bit_length()}-bit rational"
 
 
 class RenormalizationResult(Record):
@@ -142,7 +151,7 @@ def renormalize(cascade: LiftingCascade) -> RenormalizationResult:
         return RenormalizationResult(
             cascade, False, "reversible cascade: gain is fixed at 1"
         )
-    e0_dc = cascade.dc_trace().vectors[-1][0]
+    e0_dc = check_part2(cascade).actual_b
     if e0_dc == 0:
         raise ValueError(
             "unnormalized lowpass DC gain is 0; no gain choice can "

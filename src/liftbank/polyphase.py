@@ -117,6 +117,12 @@ class PolyphaseMatrix(Record):
             return PolyphaseMatrix(a, b.plus_product(a, g, True), c, d.plus_product(c, g, True))
         return PolyphaseMatrix(a.plus_product(b, g), b, c.plus_product(d, g), d)
 
+    def rows_scaled(self, a, b) -> "PolyphaseMatrix":
+        """``diagonal(a, b) @ self`` as four scalings, with that product's taps,
+        tap order, float bits and refusal of a non-finite factor."""
+        h00, h01, h10, h11 = self.entries()
+        return PolyphaseMatrix(h00.scaled(a), h01.scaled(a), h10.scaled(b), h11.scaled(b))
+
     def determinant(self) -> LaurentPoly:
         return self.h00 * self.h11 - self.h01 * self.h10
 

@@ -8,8 +8,9 @@ of the polyphase matrix group, :func:`liftbank.polyphase.gamma`:
 Two irreversible cascades are *equivalent modulo rescaling* when one turns
 into the other by pushing a diagonal factor through the steps: for kappa > 0
 the rescaled cascade multiplies update-0 filters by kappa^2, update-1
-filters by 1/kappa^2, replaces the base B by diag(kappa, 1/kappa) @ B and
-the gain K by K*kappa.  Both cascades evaluate to the same analysis matrix.
+filters by 1/kappa^2, the gain K by kappa and the base B's rows by kappa
+and 1/kappa: diag(kappa, 1/kappa) @ B as one row scaling, ``rows_scaled``.
+Both cascades evaluate to the same analysis matrix.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ def rescale_cascade(cascade: LiftingCascade, kappa) -> LiftingCascade:
             raise ValueError(f"kappa = {kk!r} scales the filter of step {i} "
                              f"to 0 or infinity ({exc})") from None
     base = cascade.base if cascade.base is not None else PolyphaseMatrix.identity(cascade.mode)
-    try:  # K * kappa, 1/kappa or an entry of diag(kappa, 1/kappa) @ base is 0 or infinite
-        base = PolyphaseMatrix.diagonal(kk, 1 / kk, cascade.mode) @ base
-        return cascade.replace(steps=steps, k=cascade.k * kk, base=base)
+    try:  # K * kappa, 1/kappa or an entry of the scaled base is 0 or infinite
+        return cascade.replace(steps=steps, k=cascade.k * kk, base=base.rows_scaled(kk, 1 / kk))
     except ValueError as exc:
         raise ValueError(f"kappa = {kk!r} scales the gain or the base "
                          f"to 0 or infinity ({exc})") from None

@@ -163,7 +163,20 @@ def test_transform_odd_subband_file_fails(tmp_path, capsys):
         "--direction", "synthesize",
     ])
     assert code == 1
-    assert "lowpass then highpass" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "lowpass then highpass" in err and str(bands) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("direction", ["analyze", "synthesize"])
+@pytest.mark.parametrize("samples", [[1, 2, 3], []], ids=["odd", "empty"])
+def test_transform_length_refusal_names_the_file(tmp_path, capsys, direction, samples):
+    sig = tmp_path / "sig.txt"
+    write_signal(samples, sig)
+    assert main(["transform", spec("fivethree.json"), str(sig), "--direction", direction]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {sig}: got {len(samples)} samples")
+    assert out == ""
 
 
 def test_transform_reversible_rejects_fractions(tmp_path, capsys):

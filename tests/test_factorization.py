@@ -204,6 +204,21 @@ def test_renormalize_error_cases():
         renormalize(LiftingCascade([step(0, {0: -1})]))
 
 
+def test_a_dc_gain_past_the_int_str_limit_is_judged_and_renormalized():
+    # E_0(1) = 1 + 2 * 10**4400 has more digits than str() writes by default
+    dc = 1 + 2 * 10**4400
+    c = LiftingCascade([step(1, {0: 1}), step(0, {0: 10**4400})])
+    report = check_part2(c)
+    assert report.verdict == "non-compliant" and report.actual_b == dc
+    # "a 14618-bit rational" where str() refuses it, its first digits where not
+    reason = report.reasons[0]
+    assert reason.startswith("B_1 = ") and reason.endswith(" != 1 (irreversible requirement)")
+    assert len(reason) < 120
+    out = renormalize(c)
+    assert out.changed and out.cascade.k == dc
+    assert check_part2(out.cascade).compliant
+
+
 def test_renormalize_over_a_base_is_compliant():
     base = haar_base() @ PolyphaseMatrix.diagonal(F(-2, 3), F(-3, 2))
     for c in (

@@ -31,8 +31,14 @@ from liftbank import (
     PolyphaseMatrix,
     RoundingRule,
     SpecFormatError,
+    analyze,
     analyze_signal,
+    check_part2,
+    factor_lifting,
+    find_rescaling,
     parse_spec,
+    renormalize,
+    rescale_cascade,
     scalar_dc_recursion,
     serialize_spec,
     synthesize_signal,
@@ -302,6 +308,34 @@ def test_synthesis_and_transforms_take_no_checked_inverse(monkeypatch):
         assert (s.evaluate() @ c.evaluate()).is_identity()
         x = [3, -1, 4, 1, -5, 9]
         assert synthesize_signal(c, analyze_signal(c, x)) == x
+
+
+def test_the_library_forms_no_full_polyphase_product(monkeypatch):
+    # every product inside the library is a row or column update, a row
+    # scaling or gamma; @, diagonal() and matrix() are the tests' references
+    def refuse(*args, **kwargs):
+        raise AssertionError("full polyphase product formed inside the library")
+
+    banks = [haar(), five_three(), five_three(reversible=False), wa_lifted_haar(), cdf97()]
+    monkeypatch.setattr(PolyphaseMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(PolyphaseMatrix, "diagonal", refuse)
+    monkeypatch.setattr(LiftingStep, "matrix", refuse)
+    x = [3, -1, 4, 1, -5, 9]
+    for c in banks:
+        assert analyze(c).compliance == check_part2(c)
+        r = renormalize(c).cascade
+        assert r.reversible or check_part2(r).compliant
+        assert c.synthesis().evaluate().approx_eq(c.evaluate().adjugate(), 1e-9)
+        back = synthesize_signal(c, analyze_signal(c, x))
+        assert back == (x if c.mode == EXACT else pytest.approx(x))
+        assert find_rescaling(c, c).relation == "identical"
+        if not c.reversible:
+            kappa = 2.0 if c.mode == FLOAT else F(3, 2)
+            rescaled = rescale_cascade(c, kappa)
+            assert rescaled.evaluate().approx_eq(c.evaluate(), 1e-12)
+            assert find_rescaling(c, rescaled).kappa == kappa
+        if c.mode == EXACT:
+            assert factor_lifting(c.evaluate()).evaluate() == c.evaluate()
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

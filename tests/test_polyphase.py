@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -115,6 +116,44 @@ def test_row_and_column_updates_drop_cancelled_taps_in_place(mode):
             assert [list(e.taps().items()) for e in out.entries()] == [
                 list(e.taps().items()) for e in ref.entries()
             ]
+
+
+def _random_matrix(rng, mode):
+    def entry():
+        taps = {}
+        for n in rng.sample(range(-3, 4), rng.randint(0, 4)):
+            if mode == FLOAT:
+                x = math.ldexp(rng.uniform(0.5, 1), rng.randint(-1070, 1020))
+                taps[n] = rng.choice((-1, 1)) * x
+            else:
+                taps[n] = F(rng.randint(-40, 40), rng.randint(1, 40))
+        return LaurentPoly(taps, mode)
+    return PolyphaseMatrix(entry(), entry(), entry(), entry())
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_rows_scaled_is_the_diagonal_product_bit_for_bit(mode):
+    # taps, tap order and float bits of diagonal(a, b) @ m, underflow to 0 or
+    # a subnormal and overflow to inf included, and the same refusal of a
+    # factor that is not a finite scalar
+    rng = random.Random(mode)
+    if mode == FLOAT:
+        factors = [1.0, -2.5, 0.0, -0.0, 1e-300, 1e300, 5e-324, 2.2e-308, 1.7976931348623157e308,
+                   -3.3e-200, math.inf, -math.inf, math.nan]
+    else:
+        factors = [F(1), F(-3, 2), F(0), F(7, 12), F(2**70, 3), 5, "1/3"]
+
+    def outcome(f):
+        try:
+            return [(e, repr(e.taps())) for e in f().entries()]
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    for _ in range(300):
+        m = _random_matrix(rng, mode)
+        a, b = rng.choice(factors), rng.choice(factors)
+        got = outcome(lambda: m.rows_scaled(a, b))
+        assert got == outcome(lambda: PolyphaseMatrix.diagonal(a, b, mode) @ m), (a, b)
 
 
 def test_filter_extraction_oracle():
