@@ -3,7 +3,8 @@
 Subcommands: analyze, validate, rescale, compare, transform, factor.  All
 output is deterministic (same input, same bytes).  Exit codes: 0 success or
 positive verdict, 1 negative verdict or semantic error in valid input,
-2 unreadable input (I/O or parse failure, a file that is not UTF-8).
+2 unreadable input (I/O or parse failure, a file that is not UTF-8) or a result
+that no document could hold (a far tap, a value past the int->str digit limit).
 Every file is read and written, and both analyze reports rendered, by ``specio``.
 """
 

@@ -28,7 +28,7 @@ Exact (rational) arithmetic only; floats have no well-defined support.
 from __future__ import annotations
 
 from ._record import Record
-from .laurent import EXACT, LaurentPoly, ModeError
+from .laurent import EXACT, LaurentPoly, ModeError, clip_repr
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
 
@@ -56,9 +56,9 @@ class FactorStrategy(Record):
 
     def __init__(self, reduction: str = HIGH_END, first_channel: str = LOWPASS_FIRST):
         if reduction not in (HIGH_END, LOW_END):
-            raise ValueError(f"unknown reduction strategy {reduction!r}")
+            raise ValueError(f"unknown reduction strategy {clip_repr(reduction)}")
         if first_channel not in (LOWPASS_FIRST, HIGHPASS_FIRST):
-            raise ValueError(f"unknown channel preference {first_channel!r}")
+            raise ValueError(f"unknown channel preference {clip_repr(first_channel)}")
         Record.__init__(self, reduction, first_channel)
 
 

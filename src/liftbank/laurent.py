@@ -22,12 +22,12 @@ numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
 ``==`` compares structure.  Float numerators are doubles over 1, never
 reduced, and summed in the plain loops' order, so float results keep their
 bits.  Arithmetic, Laurent division, evaluation and the tap maps, ``reindexed``
-and its inverse ``decimated``, run on the numerators; other modules read them
-through ``numerators()`` and build from (p, q) pairs through ``from_ratios``.
-Only ``coeff``, ``items``, ``taps``, ``str`` and ``evaluate`` build
-``fractions.Fraction`` values, each from its numerator and denominator
-reduced by one gcd: the tap readers and the exact transform's output by one
-batch builder (``_fractions``), ``evaluate`` by its one-value form (``_coprime``).
+and its inverse ``decimated``, run on the numerators; only the transform
+kernels read them, through ``numerators()``, and other modules build from (p, q)
+pairs through ``from_ratios``.  Exact scalars have one reader, ``as_ratio``, one
+builder, ``_fractions`` (each ``Fraction`` from its numerator and denominator by
+one gcd), and one writer, ``format_scalar``, which alone knows Python's int->str
+digit limit.
 """
 
 from __future__ import annotations
@@ -65,8 +65,20 @@ def clip(text: str) -> str:
 
 
 def clip_repr(value) -> str:
-    """``repr(value)`` cut by :func:`clip`."""
-    return clip(repr(value))
+    """``repr(value)`` cut by :func:`clip`, or named as :func:`_echo` names it."""
+    return _echo(value, repr)
+
+
+def _echo(value, text=None) -> str:
+    # text(value), format_scalar's by default, cut by clip; past the int->str digit limit
+    # the value's size instead (an int's or Fraction's bits, else its type): no echo fails
+    try:
+        return clip((text or format_scalar)(value))
+    except ValueError:
+        if not isinstance(value, (int, Fraction)):
+            return f"a value of type {type(value).__name__}"
+        kind = "rational" if isinstance(value, Fraction) else "integer"
+        return f"a {max(abs(value.numerator), value.denominator).bit_length()}-bit {kind}"
 
 
 #: Most bits an exact evaluation away from z = +-1 may raise its point's
@@ -90,7 +102,7 @@ class ModeError(ValueError):
 
 def _check_mode(mode: str) -> None:
     if mode not in (EXACT, FLOAT):
-        raise ModeError(f"unknown arithmetic mode {mode!r}")
+        raise ModeError(f"unknown arithmetic mode {clip_repr(mode)}")
 
 
 def as_ratio(value, mode: str = EXACT) -> tuple[Scalar, int]:
@@ -109,7 +121,7 @@ def as_ratio(value, mode: str = EXACT) -> tuple[Scalar, int]:
         p, q = _literal(value)
         if mode == EXACT:
             return p, q
-        value = _coprime(p, q)
+        value = _fractions((p,), q)[0]
     if mode == FLOAT:
         if type(value) is float:  # the per-sample case, checked first
             x = value
@@ -168,7 +180,7 @@ def as_scalar(value, mode: str = EXACT) -> Scalar:
     if mode == EXACT and type(value) is Fraction:  # immutable: shared, not rebuilt
         return value
     p, q = as_ratio(value, mode)
-    return _coprime(p, q) if mode == EXACT else p
+    return _fractions((p,), q)[0] if mode == EXACT else p
 
 
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
@@ -182,24 +194,14 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
 
 
 #: Whether ``Fraction`` keeps its lowest-terms parts in just these two slots,
-#: as CPython's does (3.12's ``Fraction._from_coprime_ints`` fills them); if not,
-#: the builders and ``_parts`` use its public constructor and properties.
+#: as CPython's does (3.12's own lowest-terms constructor fills them); if not,
+#: the builder and ``_parts`` use its public constructor and properties.
 _SLOTTED = set(getattr(Fraction, "__slots__", ())) == {"_numerator", "_denominator"}
-
-
-def _coprime(p: int, q: int) -> Fraction:
-    # the Fraction p/q of a (p, q) in lowest terms with q > 0, without
-    # Fraction's own gcd and sign normalisation
-    if _SLOTTED:
-        f = object.__new__(Fraction)
-        f._numerator, f._denominator = p, q
-        return f
-    return Fraction(p, q)
 
 
 def _fractions(nums, den: int) -> list[Fraction]:
     # every v / den of ``nums`` (den > 0) as a Fraction in lowest terms, by one
-    # gcd each, in one loop: ``_coprime`` inlined, with the same fallback
+    # gcd each, in one loop, without Fraction's own gcd and sign normalisation
     if not _SLOTTED:
         return [Fraction(v, den) for v in nums]
     out, new = [], object.__new__
@@ -219,9 +221,13 @@ def _parts(values: list, slots: bool = True) -> tuple[list, list]:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form: "p/q" or "n" for Fractions, repr for floats."""
+    """Canonical text form: "p/q" or "n" for Fractions, repr for floats.  A Fraction
+    past Python's int->str digit limit is a ``ValueError`` naming its bit size."""
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # str() refuses it again, so _echo names its size
+            raise ValueError(f"{_echo(x, str)} is past Python's int->str digit limit") from None
     return repr(float(x))
 
 
@@ -457,8 +463,9 @@ class LaurentPoly:
         t = sum(c * p ** (hi - n) * q ** (n - lo) for n, c in self._num.items())
         a = t * q ** max(lo, 0) * p ** max(-hi, 0)
         b = self._den * p ** max(hi, 0) * q ** max(-lo, 0)
-        g = gcd(a, b) if b > 0 else -gcd(a, b)  # p < 0 can make b negative
-        return _coprime(a // g, b // g)
+        if b < 0:  # p < 0 can make it negative
+            a, b = -a, -b
+        return _fractions((a,), b)[0]
 
     def is_dyadic(self) -> bool:
         """True iff every coefficient has a power-of-two denominator."""

@@ -30,7 +30,7 @@ from math import inf, isfinite
 from typing import Iterable, Sequence
 
 from ._record import Record, set_field
-from .laurent import EXACT, LaurentPoly, ModeError, Scalar, as_scalar, clip, clip_repr
+from .laurent import EXACT, LaurentPoly, ModeError, Scalar, _echo, as_scalar, clip_repr
 from .polyphase import FilterPair, PolyphaseMatrix, gamma
 
 
@@ -203,7 +203,7 @@ class LiftingCascade(Record):
         if mode != EXACT and not isfinite(1 / kk):
             raise CascadeError(f"gain K = {kk!r} has no finite reciprocal", "k")
         if reversible and kk != 1:
-            raise CascadeError(f"reversible cascades require K = 1, got {clip(str(kk))}", "k")
+            raise CascadeError(f"reversible cascades require K = 1, got {_echo(kk)}", "k")
         if base is not None:
             if reversible:
                 raise CascadeError(

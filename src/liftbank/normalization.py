@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._record import Record
-from .laurent import EXACT, LaurentPoly, Scalar, as_scalar, clip, format_scalar
+from .laurent import EXACT, LaurentPoly, Scalar, _echo, as_scalar
 from .lifting import DCTrace, LiftingCascade
 from .polyphase import FilterPair
 from . import symmetry
@@ -115,15 +115,6 @@ def _compliance(cascade: LiftingCascade, trace: DCTrace) -> ComplianceReport:
         tolerance_qualified=qualified,
         reasons=tuple(reasons),
     )
-
-
-def _echo(x: Scalar) -> str:
-    # the value's text cut by clip, or, past Python's int->str digit limit,
-    # its size: a verdict on a huge E_0(1) must not fail on its own message
-    try:
-        return clip(format_scalar(x))
-    except ValueError:
-        return f"a {max(abs(x.numerator), x.denominator).bit_length()}-bit rational"
 
 
 class RenormalizationResult(Record):

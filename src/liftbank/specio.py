@@ -31,7 +31,7 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, isfinite
+from math import isfinite
 from typing import Any
 
 from .laurent import (
@@ -86,11 +86,15 @@ def _scalar_from_json(value: Any, mode: str, where: str, read=as_scalar) -> Any:
         raise SpecFormatError(str(exc), where) from None
 
 
-def _scalar_to_json(value: Scalar | None) -> Any:
-    """Exact scalars as strings, float scalars as numbers, None as null."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return None if value is None else float(value)
+def _scalar_to_json(value: Scalar | None, where: str) -> Any:
+    """Exact scalars as strings, float scalars as numbers, None as null; an
+    exact value that no document could hold is refused at ``where``."""
+    if not isinstance(value, Fraction):
+        return None if value is None else float(value)
+    try:
+        return format_scalar(value)
+    except ValueError as exc:  # past Python's int->str digit limit
+        raise SpecFormatError(str(exc), where) from None
 
 
 def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
@@ -111,18 +115,14 @@ def _taps_from_json(value: Any, mode: str, where: str) -> LaurentPoly:
     return LaurentPoly.from_ratios(taps, mode)
 
 
-def _taps_to_json(p: LaurentPoly, where: str = "") -> list[dict[str, Any]]:
-    pairs, den = p.numerators()
-    for i in (0, len(pairs) - 1) if where and pairs else ():  # a spec must read back:
+def _taps_to_json(p: LaurentPoly, where: str, read_back: bool = True) -> list[dict[str, Any]]:
+    items = list(p.items())
+    for i in (0, len(items) - 1) if read_back and items else ():  # a spec must read back:
         try:  # the taps ascend, so the two ends bound the rest
-            tap_index(pairs[i][0])
+            tap_index(items[i][0])
         except ValueError as exc:
             raise SpecFormatError(str(exc), f"{where}[{i}]") from None
-    if p.mode != EXACT:
-        return [{"n": n, "c": c} for n, c in pairs]
-    # each c / den as str(Fraction(c, den)) writes it, without the Fraction
-    return [{"n": n, "c": f"{c // g}/{den // g}" if (g := gcd(c, den)) != den else str(c // g)}
-            for n, c in pairs]
+    return [{"n": n, "c": _scalar_to_json(c, f"{where}[{i}].c")} for i, (n, c) in enumerate(items)]
 
 
 #: Spec keys for the cascade attribute names that differ from them.
@@ -205,7 +205,7 @@ def cascade_to_document(cascade: LiftingCascade) -> dict:
     doc: dict[str, Any] = {
         "mode": REVERSIBLE if cascade.reversible else IRREVERSIBLE,
         "arithmetic": cascade.mode,
-        "k": _scalar_to_json(cascade.k),
+        "k": _scalar_to_json(cascade.k, "$.k"),
     }
     if cascade.reversible:
         doc["rounding"] = cascade.rounding.name
@@ -302,32 +302,37 @@ def _symmetry(sym) -> str:
 
 
 def render_text_report(report) -> str:
-    """An ``AnalysisReport`` as text: what ``liftbank analyze`` prints."""
+    """An ``AnalysisReport`` as text: what ``liftbank analyze`` prints.  A value
+    past Python's int->str digit limit is refused at its JSON report key."""
     c = report.compliance
-    lines = [
-        f"arithmetic:    {report.mode}",
-        f"type:          {'reversible' if report.reversible else 'irreversible'}",
-        f"k:             {format_scalar(report.k)}",
-        f"steps:         {len(report.b_sequence) - 2}"
-        + (f" (m_init = {report.m_init})" if report.m_init is not None else ""),
-        f"lowpass:       {report.filters.lowpass}",
-        f"highpass:      {report.filters.highpass}",
-        f"dc gain:       lowpass {format_scalar(report.dc_lowpass)}, "
-        f"highpass {format_scalar(report.dc_highpass)}",
-        f"nyquist gain:  lowpass {format_scalar(report.nyquist_lowpass)}, "
-        f"highpass {format_scalar(report.nyquist_highpass)}",
-        f"determinant:   {report.determinant}",
-        "b sequence:    "
-        + ", ".join(
-            f"B_{i - 2} = {format_scalar(b)}" for i, b in enumerate(report.b_sequence)
-        ),
-        f"lowpass sym:   {_symmetry(report.lowpass_symmetry)}",
-        f"highpass sym:  {_symmetry(report.highpass_symmetry)}",
-        f"linear phase:  {report.linear_phase}",
-        f"group lifting: {report.group_lifting}",
-        f"part2:         {c.verdict}"
-        + (f" ({'; '.join(c.reasons)})" if c.reasons else ""),
-    ]
+    try:
+        lines = [
+            f"arithmetic:    {report.mode}",
+            f"type:          {'reversible' if report.reversible else 'irreversible'}",
+            f"k:             {format_scalar(report.k)}",
+            f"steps:         {len(report.b_sequence) - 2}"
+            + (f" (m_init = {report.m_init})" if report.m_init is not None else ""),
+            f"lowpass:       {report.filters.lowpass}",
+            f"highpass:      {report.filters.highpass}",
+            f"dc gain:       lowpass {format_scalar(report.dc_lowpass)}, "
+            f"highpass {format_scalar(report.dc_highpass)}",
+            f"nyquist gain:  lowpass {format_scalar(report.nyquist_lowpass)}, "
+            f"highpass {format_scalar(report.nyquist_highpass)}",
+            f"determinant:   {report.determinant}",
+            "b sequence:    "
+            + ", ".join(
+                f"B_{i - 2} = {format_scalar(b)}" for i, b in enumerate(report.b_sequence)
+            ),
+            f"lowpass sym:   {_symmetry(report.lowpass_symmetry)}",
+            f"highpass sym:  {_symmetry(report.highpass_symmetry)}",
+            f"linear phase:  {report.linear_phase}",
+            f"group lifting: {report.group_lifting}",
+            f"part2:         {c.verdict}"
+            + (f" ({'; '.join(c.reasons)})" if c.reasons else ""),
+        ]
+    except ValueError:  # format_scalar's refusal, located by the JSON report writer
+        serialize_report(report)
+        raise
     return "\n".join(lines) + "\n"
 
 
@@ -337,37 +342,32 @@ def serialize_report(report) -> str:
     return _dumps({
         "arithmetic": report.mode,
         "reversible": report.reversible,
-        "k": _scalar_to_json(report.k),
+        "k": _scalar_to_json(report.k, "$.k"),
         "steps": len(report.b_sequence) - 2,
         "m_init": report.m_init,
-        "lowpass": _taps_to_json(report.filters.lowpass),
-        "highpass": _taps_to_json(report.filters.highpass),
+        "lowpass": _taps_to_json(report.filters.lowpass, "$.lowpass", False),
+        "highpass": _taps_to_json(report.filters.highpass, "$.highpass", False),
         "dc_gain": {
-            "lowpass": _scalar_to_json(report.dc_lowpass),
-            "highpass": _scalar_to_json(report.dc_highpass),
+            "lowpass": _scalar_to_json(report.dc_lowpass, "$.dc_gain.lowpass"),
+            "highpass": _scalar_to_json(report.dc_highpass, "$.dc_gain.highpass"),
         },
         "nyquist_gain": {
-            "lowpass": _scalar_to_json(report.nyquist_lowpass),
-            "highpass": _scalar_to_json(report.nyquist_highpass),
+            "lowpass": _scalar_to_json(report.nyquist_lowpass, "$.nyquist_gain.lowpass"),
+            "highpass": _scalar_to_json(report.nyquist_highpass, "$.nyquist_gain.highpass"),
         },
-        "determinant": _taps_to_json(report.determinant),
-        "b_sequence": [_scalar_to_json(b) for b in report.b_sequence],
-        "symmetry": {
-            "lowpass": {
-                "kind": report.lowpass_symmetry.kind,
-                "center": _scalar_to_json(report.lowpass_symmetry.center),
-            },
-            "highpass": {
-                "kind": report.highpass_symmetry.kind,
-                "center": _scalar_to_json(report.highpass_symmetry.center),
-            },
-        },
+        "determinant": _taps_to_json(report.determinant, "$.determinant", False),
+        "b_sequence": [_scalar_to_json(b, f"$.b_sequence[{i}]")
+                       for i, b in enumerate(report.b_sequence)],
+        "symmetry": {band: {"kind": sym.kind,
+                            "center": _scalar_to_json(sym.center, f"$.symmetry.{band}.center")}
+                     for band, sym in (("lowpass", report.lowpass_symmetry),
+                                       ("highpass", report.highpass_symmetry))},
         "linear_phase": report.linear_phase,
         "group_lifting": report.group_lifting,
         "compliance": {
             "verdict": c.verdict,
-            "required_value": _scalar_to_json(c.required_value),
-            "actual_b": _scalar_to_json(c.actual_b),
+            "required_value": _scalar_to_json(c.required_value, "$.compliance.required_value"),
+            "actual_b": _scalar_to_json(c.actual_b, "$.compliance.actual_b"),
             "selected_index": c.selected_index,
             "tolerance_qualified": c.tolerance_qualified,
             "reasons": list(c.reasons),

@@ -29,7 +29,7 @@ from math import isfinite, lcm
 from typing import Callable, Sequence
 
 from ._record import Record
-from .laurent import EXACT, FLOAT, LaurentPoly, _fractions, _parts, as_ratio
+from .laurent import EXACT, FLOAT, LaurentPoly, _fractions, _parts, as_ratio, clip_repr
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -69,8 +69,9 @@ def _coerce(cascade: LiftingCascade, parts: tuple, names: tuple) -> tuple[list, 
     if cascade.reversible and not kinds <= {int}:
         for name, i, v in ((n, i, v) for n, p in zip(names, parts) for i, v in enumerate(p)):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name}[{i}]: reversible transforms take integer "
-                                 f"{'samples' if len(parts) == 1 else 'subbands'}, got {v!r}")
+                kind = "samples" if len(parts) == 1 else "subbands"
+                raise ValueError(f"{name}[{i}]: reversible transforms take integer {kind}, "
+                                 f"got {clip_repr(v)}")
     if cascade.reversible or (
         mode == FLOAT and kinds <= {float} and all(isfinite(sum(p)) for p in parts)
     ):
@@ -202,7 +203,7 @@ def _lift(cascade: LiftingCascade, coerced: Callable[[], tuple], inverse: bool,
     c0, c1 = (parts[0][0::2], parts[0][1::2]) if len(parts) == 1 else parts
     del parts  # 2L samples need not stay alive while the channels lift
     L, rule, k, base = len(c0), cascade.rounding, cascade.k, cascade.base
-    at_gain, at_base = f"the gain K = {k!r}", "the base matrix"
+    at_gain, at_base = f"the gain K = {clip_repr(k)}", "the base matrix"
 
     def run(c0, c1, update, gain, zero, check=lambda where, c0, c1: (c0, c1)) -> tuple:
         def apply_base(matrix: PolyphaseMatrix, c0, c1) -> tuple:

@@ -3,6 +3,8 @@ codes and stream routing are exercised without spawning processes."""
 
 import json
 import os
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -471,3 +473,47 @@ def test_transform_names_the_gain_that_overflows_finite_samples(tmp_path, capsys
     assert captured.err == (
         "error: float analysis overflows: a sample is not finite after the gain K = 1e+308\n"
     )
+
+
+def _digit_limit_refusal(code, capsys) -> str:
+    # a valid input whose result has a value past Python's int->str digit
+    # limit: exit 2, nothing on stdout, and a bounded message, returned
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith(" is past Python's int->str digit limit\n")
+    assert len(out.err) < 200 and "set_int_max_str_digits" not in out.err
+    return out.err
+
+
+def test_rescale_past_the_digit_limit_exits_two_at_the_tap(capsys):
+    # kappa**2 = 10**4400 scales the Haar predict tap past 4300 digits
+    code = main(["rescale", spec("haar.json"), "--kappa", "1" + "0" * 2200])
+    err = _digit_limit_refusal(code, capsys)
+    assert err.startswith("error: $.steps[0].taps[0].c: a 14617-bit rational ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_past_the_digit_limit_exits_two_at_the_report_key(tmp_path, capsys, fmt):
+    # two 3000-digit taps, each readable; the lowpass filter holds their product
+    nines = "9" * 3000
+    path = tmp_path / "nines.json"
+    path.write_text(json.dumps({"mode": "irreversible", "steps": [
+        {"update": u, "taps": [{"n": 0, "c": nines}]} for u in (1, 0)]}))
+    err = _digit_limit_refusal(main(["analyze", str(path), "--format", fmt]), capsys)
+    assert err.startswith("error: $.lowpass[1].c: a 19932-bit rational ")
+
+
+def test_factor_past_the_digit_limit_exits_two_at_the_tap(tmp_path, capsys):
+    # a 14-step cascade with small taps; its factorization grows past 4300 digits
+    # (to 15925 bits), but which tap passes the limit first is the factorization's
+    rng = random.Random(1)
+    steps = []
+    for i in range(14):
+        first, n = rng.randint(-2, 0), rng.randint(2, 4)
+        steps.append(LiftingStep(i % 2, LaurentPoly({t: F(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                          rng.choice([3, 5, 7]))
+                                                     for t in range(first, first + n)})))
+    path = tmp_path / "matrix.json"
+    path.write_text(serialize_matrix(LiftingCascade(steps).evaluate()))
+    err = _digit_limit_refusal(main(["factor", str(path)]), capsys)
+    assert re.match(r"error: \$\.steps\[\d+\]\.taps\[\d+\]\.c: a \d+-bit rational ", err)

@@ -22,14 +22,21 @@ from liftbank import (
     EXACT,
     FLOAT,
     LaurentPoly,
+    LiftingCascade,
+    LiftingStep,
     ModeError,
     PolyphaseMatrix,
+    analyze,
     as_scalar,
     format_scalar,
     parse_scalar,
     scalar_is_dyadic,
+    serialize_matrix,
+    serialize_spec,
 )
-from liftbank.laurent import MAX_ECHO_CHARS, MAX_SCALAR_DIGITS, as_ratio
+from liftbank.banks import haar_base
+from liftbank.laurent import MAX_ECHO_CHARS, MAX_SCALAR_DIGITS, as_ratio, tap_index
+from liftbank.specio import serialize_report
 
 from conftest import lp
 
@@ -142,6 +149,9 @@ def test_tap_indices_beyond_64_bits_are_refused_by_the_constructor():
                 LaurentPoly({n: c}, mode)
     with pytest.raises(TypeError, match="must be an integer, got True"):
         lp({True: 1})
+    # past Python's int->str digit limit, the index is named by its size
+    with pytest.raises(ValueError, match=r"^tap index a 16610-bit integer is beyond \+-\(2"):
+        tap_index(10**5000)
 
 
 def test_float_evaluation_overflow_is_a_located_value_error():
@@ -259,12 +269,21 @@ def test_invalid_literal_error_is_bounded(mode):
 def test_unknown_mode_is_refused_for_every_value(value):
     with pytest.raises(ModeError, match="unknown arithmetic mode"):
         as_scalar(value, "decimal")
+    # the mode is echoed bounded: cut, or past the digit limit named by its size
+    with pytest.raises(ModeError, match=f"^unknown arithmetic mode '{'x' * 60}\\.\\.\\.$"):
+        as_scalar(value, "x" * 5000)
+    with pytest.raises(ModeError, match="^unknown arithmetic mode a 16610-bit integer$"):
+        as_scalar(value, 10**5000)
 
 
 def test_largest_accepted_literals_serialize():
     for text in ("1e4299", "1e-4299", "9" * MAX_SCALAR_DIGITS, "7/" + "3" * 4300):
         x = parse_scalar(text)
         assert parse_scalar(format_scalar(x)) == x
+    # a value past Python's int->str digit limit is refused by its size
+    for x, bits in ((F(10**5000), 16610), (F(1, 3**9100), 14424)):
+        with pytest.raises(ValueError, match=f"^a {bits}-bit rational is past Python's int->str"):
+            format_scalar(x)
 
 
 def test_approx_eq():
@@ -550,7 +569,7 @@ def test_as_ratio_under_a_lowered_int_digit_limit_refuses_as_as_scalar_does():
         sys.set_int_max_str_digits(limit)
 
 
-# -- the coprime Fraction builder ----------------------------------------------
+# -- the Fraction builder ------------------------------------------------------
 
 
 _big = st.integers(10**60, 10**80)
@@ -564,13 +583,12 @@ _big = st.integers(10**60, 10**80)
 @example(-3, 1)
 @example(-(10**60) - 7, 10**61)
 @example(0, 5)
-def test_coprime_builder_gives_the_fraction_of_its_ratio(p, q):
-    g = math.gcd(p, q)
-    p, q = p // g, q // g  # in lowest terms with q > 0, as the builder takes them
-    got, want = laurent._coprime(p, q), F(p, q)
+def test_the_builder_gives_the_fraction_of_its_ratio(p, q):
+    got, want = laurent._fractions((p,), q)[0], F(p, q)
     assert type(got) is F and got == want and hash(got) == hash(want)
     assert (repr(got), str(got)) == (repr(want), str(want))
-    assert (got.numerator, got.denominator) == (p, q)
+    g = math.gcd(p, q)
+    assert (got.numerator, got.denominator) == (p // g, q // g)
     back = pickle.loads(pickle.dumps(got))
     assert type(back) is F and back == want and repr(back) == repr(want)
 
@@ -586,10 +604,14 @@ def test_cpython_fractions_take_the_slot_builder():
 def test_the_fallback_builder_and_reader_give_the_same_values(monkeypatch):
     p = LaurentPoly({-1: F(-3, 4), 0: 2, 2: F(5, 6)})
     x = [F(1, 2), F(-3), F(7, 4), F(0)]
+    based = LiftingCascade([LiftingStep(1, p), LiftingStep(0, lp({0: F(2, 9)}))],
+                           k=F(-5, 3), base=haar_base())
 
-    def results():
+    def results():  # the writers too, which read the taps through the builder
         return (list(p.items()), p.coeff(2), p.coeff(9), p.evaluate(F(-2, 3)), str(p),
-                as_scalar("6/4"), laurent._parts(x), laurent._parts([3, F(1, 2)], False))
+                as_scalar("6/4"), laurent._parts(x), laurent._parts([3, F(1, 2)], False),
+                serialize_spec(based), serialize_matrix(based.evaluate()),
+                serialize_report(analyze(based)))
 
     fast = results()
     monkeypatch.setattr(laurent, "_SLOTTED", False)

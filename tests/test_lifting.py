@@ -604,6 +604,10 @@ def test_cascade_errors_name_the_field():
     with pytest.raises(CascadeError) as info:
         LiftingCascade([], k=0)
     assert info.value.field == ("k",)
+    # a K past Python's int->str digit limit is named by its size
+    with pytest.raises(CascadeError, match="require K = 1, got a 16610-bit rational$") as info:
+        LiftingCascade([], k=F(10**5000), reversible=True)
+    assert info.value.field == ("k",)
 
 
 @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan"), "1e400", "two"])

@@ -399,6 +399,11 @@ def test_record_refusals_are_unchanged():
         FactorStrategy("middle")
     with pytest.raises(ValueError, match="^unknown channel preference 'left'$"):
         FactorStrategy(first_channel="left")
+    # API input is echoed bounded: cut, or past the digit limit named by its size
+    with pytest.raises(ValueError, match=f"^unknown reduction strategy '{'x' * 60}\\.\\.\\.$"):
+        FactorStrategy("x" * 5000)
+    with pytest.raises(ValueError, match="^unknown channel preference a 16610-bit integer$"):
+        FactorStrategy(first_channel=10**5000)
 
 
 def test_records_built_by_the_library_compare_by_value():

@@ -58,7 +58,7 @@ def test_five_three_known_signal():
     # difference step sees both neighbours, so a ramp has small highpass
     sig = [10, 12, 14, 16, 18, 20, 22, 24]
     out = analyze_signal(five_three(), sig)
-    assert len(out.lowpass) == len(out.highpass) == 4
+    assert len(out.lowpass) == len(out.highpass) == 4 and len(out) == 8
     assert synthesize_signal(five_three(), out) == sig
 
 
@@ -82,6 +82,11 @@ def test_exact_irreversible_round_trip_is_exact():
         sig = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(16)]
         bands = analyze_signal(cascade, sig)
         assert synthesize_signal(cascade, bands) == sig
+    # a gain past Python's int->str digit limit transforms; no message echoes it
+    huge = LiftingCascade([LiftingStep(0, LaurentPoly({0: 1}))], k=F(10**5000))
+    bands = analyze_signal(huge, [1, 2])
+    assert bands == SubbandPair((F(3, 10**5000),), (2 * 10**5000,))
+    assert synthesize_signal(huge, bands) == [1, 2]
 
 
 def test_float_round_trip_accuracy():
@@ -135,6 +140,9 @@ def test_reversible_rejects_non_integers():
     # the first bad sample in signal order, not the first of its channel
     with pytest.raises(ValueError, match=r"integer samples, got Fraction\(1, 2\)$"):
         analyze_signal(five_three(), [0, F(1, 2), F(3, 2), 0])
+    # a long sample is echoed cut to MAX_ECHO_CHARS
+    with pytest.raises(ValueError, match=f"^samples\\[1\\]: .* got '{'7' * 60}\\.\\.\\.$"):
+        analyze_signal(five_three(), [0, "7" * 5000])
 
 
 def test_synthesis_input_validation():
