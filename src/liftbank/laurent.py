@@ -18,16 +18,19 @@ factorization.
 
 Both modes store one map, tap -> numerator, over one denominator.  Exact
 numerators are ints over a positive denominator, canonical (no zero
-numerator, ``gcd(den, *numerators) == 1`` after one gcd per result), so
-``==`` compares structure.  Float numerators are doubles over 1, never
-reduced, and summed in the plain loops' order, so float results keep their
-bits.  Arithmetic, Laurent division, evaluation and the tap maps, ``reindexed``
-and its inverse ``decimated``, run on the numerators; only the transform
-kernels read them, through ``numerators()``, and other modules build from (p, q)
-pairs through ``from_ratios``.  Exact scalars have one reader, ``as_ratio``, one
-builder, ``_fractions`` (each ``Fraction`` from its numerator and denominator by
-one gcd), and one writer, ``format_scalar``, which alone knows Python's int->str
-digit limit.
+numerator, ``gcd(den, *numerators) == 1``), so ``==`` compares structure.
+Each exact kernel makes one pass and at most one reduction per result:
+negation needs none, a scaling by p/q divides out ``gcd(den, p) *
+gcd(q, *numerators)``, and ``x + y * z`` (``plus_product``) and a division's
+remainder are built in one map and reduced once.  Float numerators are
+doubles over 1, never reduced, and summed in the plain loops' order, so
+float results keep their bits.  Arithmetic, Laurent division, evaluation and
+the tap maps, ``reindexed`` and its inverse ``decimated``, run on the
+numerators; only the transform kernels read them, through ``numerators()``,
+and other modules build from (p, q) pairs through ``from_ratios``.  Exact
+scalars have one reader, ``as_ratio``, one builder, ``_fractions`` (each
+``Fraction`` from its numerator and denominator by one gcd), and one writer,
+``format_scalar``, which alone knows Python's int->str digit limit.
 """
 
 from __future__ import annotations
@@ -221,9 +224,9 @@ def _parts(values: list, slots: bool = True) -> tuple[list, list]:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form: "p/q" or "n" for Fractions, repr for floats.  A Fraction
-    past Python's int->str digit limit is a ``ValueError`` naming its bit size."""
-    if isinstance(x, Fraction):
+    """Canonical text form: "p/q" or "n" for Fractions and ints, repr for floats.  An
+    exact value past Python's int->str digit limit is a ``ValueError`` naming its bit size."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         try:
             return str(x)
         except ValueError:  # str() refuses it again, so _echo names its size
@@ -348,20 +351,22 @@ class LaurentPoly:
         self._require_same_mode(other)
         return self._new(*_summed(self._num, self._den, other._num, other._den, sign))
 
-    def __neg__(self) -> "LaurentPoly":
-        return self._new({n: -c for n, c in self._num.items()}, self._den)
+    def __neg__(self) -> "LaurentPoly":  # canonical in, canonical out: no gcd
+        return _restored({n: -c for n, c in self._num.items()}, self._den, self._mode)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             return self._new(*self._product(other))
         return self.scaled(other)
 
-    def _product(self, other: "LaurentPoly") -> tuple[dict, int]:
-        # the raw map of self * other: zero numerators kept, not reduced
+    def _product(self, other: "LaurentPoly", num=None, s=1) -> tuple[dict, int]:
+        # the raw map of self * other, self's numerators times s, added into num (a
+        # new map by default): zero numerators kept, not reduced
         self._require_same_mode(other)
-        num: dict[int, Scalar] = {}
+        num = {} if num is None else num
         get = num.get
         for n1, c1 in self._num.items():
+            c1 *= s
             for n2, c2 in other._num.items():
                 n = n1 + n2
                 num[n] = get(n, 0) + c1 * c2
@@ -371,22 +376,28 @@ class LaurentPoly:
         """``self + y * z``, or ``y * z + self`` if ``first``, with the taps, tap
         order and float bits of that form but without building ``y * z``."""
         self._require_same_mode(y)
-        p, dp = y._product(z)
+        dp = y._den * z._den  # each y tap scaled once to den = lcm(self._den, dp)
+        den = lcm(self._den, dp)
         if first:  # a cancelled tap of y * z must not hold a place for self's
-            return self._new(*_summed({n: c for n, c in p.items() if c}, dp, self._num, self._den))
-        return self._new(*_summed(self._num, self._den, p, dp))
+            p = y._product(z, {}, den // dp)[0]
+            return self._new(*_summed({n: c for n, c in p.items() if c}, den, self._num, self._den))
+        if self._mode == EXACT:  # the products go straight into self's map over den
+            return self._new(y._product(z, _summed(self._num, self._den, {}, den)[0], den // dp)[0], den)
+        return self._new(*_summed(self._num, self._den, *y._product(z)))
 
     def divided(self, d: "LaurentPoly", low: bool = True) -> tuple["LaurentPoly", "LaurentPoly"]:
         """(q, r) with ``self == q * d + r``, r zero or shorter than ``d``: monomial
         multiples of ``d`` kill r's lowest tap (``low``) or its highest, one at
-        a time, a tap that cancels on the way included.  Exact only."""
+        a time, a tap that cancels on the way included.  Exact only.  One copy of
+        the numerators over a running denominator: a kill updates ``d``'s taps, and
+        the rest only if that denominator grows; r is reduced once, at the end."""
         if self._mode != EXACT or d._mode != EXACT:
             raise ModeError("Laurent division requires exact arithmetic")
         if not d._num:
             raise ZeroDivisionError("Laurent division by the zero polynomial")
         dn, dd = d._num, d._den
         end, width = (min(dn) if low else max(dn)), max(dn) - min(dn)
-        num, den, killed = self._num, self._den, {}
+        num, den, killed = dict(self._num), self._den, {}
         while num and max(num) - min(num) >= width:
             t = min(num) if low else max(num)
             # the monomial a/b = (num[t] / den) / (dn[end] / dd) at tap s
@@ -394,16 +405,29 @@ class LaurentPoly:
             g = gcd(a, b) if b > 0 else -gcd(a, b)
             a, b = a // g, b // g
             killed[s] = a, b
-            shifted = {n + s: c for n, c in dn.items()}
-            num, den = _reduced(*_summed(num, den, shifted, dd * b, -a))
-        return LaurentPoly.from_ratios(killed), _restored(num, den, EXACT)
+            if den % (bd := b * dd):  # den grows to lcm(den, b * dd)
+                k = bd // gcd(den, bd)
+                num, den = {n: c * k for n, c in num.items()}, den * k
+            a *= den // bd  # num -= a * z^-s * dn; a tap that reaches 0 leaves
+            for n, c in dn.items():
+                if v := num.get(n + s, 0) - a * c:
+                    num[n + s] = v
+                else:
+                    del num[n + s]
+        return LaurentPoly.from_ratios(killed), _restored(*_reduced(num, den), EXACT)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.scaled(other)
 
     def scaled(self, c) -> "LaurentPoly":
         p, q = as_ratio(c, self._mode)
-        return self._new({n: p * x for n, x in self._num.items()}, self._den * q)
+        if self._mode != EXACT or not p:  # float bits as the plain loop's; 0 reduces to 0
+            return self._new({n: p * x for n, x in self._num.items()}, q)
+        # canonical self and p/q in lowest terms: the gcd is gcd(den, p) * gcd(q, *nums)
+        g, h = gcd(self._den, p), gcd(q, *self._num.values())
+        p, q = p // g, q // h
+        return _restored({n: p * (x // h if h != 1 else x) for n, x in self._num.items()},
+                         self._den // g * q, EXACT)
 
     def reindexed(self, scale: int, offset: int = 0) -> "LaurentPoly":
         """z^(-offset) * S(z^scale): tap n moves to scale * n + offset.

@@ -124,7 +124,7 @@ class PolyphaseMatrix(Record):
         return PolyphaseMatrix(h00.scaled(a), h01.scaled(a), h10.scaled(b), h11.scaled(b))
 
     def determinant(self) -> LaurentPoly:
-        return self.h00 * self.h11 - self.h01 * self.h10
+        return (self.h00 * self.h11).plus_product(-self.h01, self.h10)
 
     def is_unimodular(self) -> bool:
         """det = 1: exactly, or for float matrices within a scaled tolerance.

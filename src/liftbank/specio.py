@@ -35,8 +35,8 @@ from math import isfinite
 from typing import Any
 
 from .laurent import (
-    EXACT, FLOAT, LaurentPoly, Scalar, as_ratio, as_scalar, clip_repr, format_scalar,
-    parse_scalar, tap_index,
+    EXACT, FLOAT, MAX_SCALAR_DIGITS, LaurentPoly, Scalar, as_ratio, as_scalar, clip_repr,
+    format_scalar, parse_scalar, tap_index,
 )
 from .lifting import ROUNDING_RULES, CascadeError, LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
@@ -382,14 +382,16 @@ def format_sample(value) -> str:
     """One sample as text: integers bare, dyadics as finite decimals.
 
     Exact rationals with a 2^a * 5^b denominator print as exact decimals;
-    anything else falls back to "p/q".  Floats use repr (shortest
-    round-tripping form); a non-finite float is refused, as no sample
-    reader would take it back.
+    anything else, and a decimal longer than the :data:`MAX_SCALAR_DIGITS`
+    a reader takes back, falls back to "p/q".  Exact values are written by
+    ``format_scalar``, which refuses one past Python's int->str digit limit by
+    its bit size.  Floats use repr (shortest round-tripping form); a
+    non-finite float is refused, as no sample reader would take it back.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a sample")
     if isinstance(value, int):
-        return str(value)
+        return format_scalar(value)
     if isinstance(value, Fraction):
         den = value.denominator
         twos = (den & -den).bit_length() - 1  # the power of 2 in den
@@ -397,12 +399,16 @@ def format_sample(value) -> str:
         while den % 5 == 0:
             den //= 5
             fives += 1
-        if den >> twos != 1:
-            return str(value)  # p/q fallback
         num, digits = value.numerator, max(twos, fives)  # value * 10**digits is an integer
+        if den >> twos != 1 or digits > MAX_SCALAR_DIGITS:
+            return format_scalar(value)  # p/q fallback
         head, tail = divmod(abs(num) * 10**digits // value.denominator, 10**digits)
         sign = "-" if num < 0 else ""
-        return f"{sign}{head}.{tail:0{digits}}" if digits else f"{sign}{head}"
+        try:  # head past the int->str digit limit, or the whole text past a reader's
+            text = f"{sign}{head}.{tail:0{digits}}" if digits else f"{sign}{head}"
+        except ValueError:
+            text = ""
+        return text if 0 < len(text) <= MAX_SCALAR_DIGITS else format_scalar(value)
     if isinstance(value, float):
         if not isfinite(value):
             raise ValueError(f"float sample is not finite: {value!r}")
@@ -435,5 +441,12 @@ def read_signal(path, mode: str = EXACT, reversible: bool = False) -> list:
 
 
 def write_signal(samples, path) -> None:
-    # every sample is formatted, and any refused, before the file opens
-    _write("".join(format_sample(s) + "\n" for s in samples), path)
+    # every sample is formatted, and one that cannot be written refused at its line
+    # of the file (or of stdout), before the file opens
+    lines = []
+    for lineno, s in enumerate(samples, start=1):
+        try:
+            lines.append(format_sample(s) + "\n")
+        except ValueError as exc:
+            raise SpecFormatError(str(exc), f"{path or '<stdout>'}:{lineno}") from None
+    _write("".join(lines), path)

@@ -377,6 +377,24 @@ def test_transform_overflowing_output_exits_one_and_writes_nothing(tmp_path, cap
     assert not out.exists()
 
 
+def test_transform_output_past_the_int_str_limit_exits_two_at_its_line(tmp_path, capsys):
+    # K = 10**4000 times a 1000-digit sample: the highpass sample has about 5000 digits
+    big = tmp_path / "big.json"
+    big.write_text('{"mode": "irreversible", "arithmetic": "exact", "k": "1' + "0" * 4000 + '",'
+                   ' "steps": [{"update": 0, "taps": [{"n": 0, "c": "1"}]}]}')
+    sig = tmp_path / "sig.txt"
+    sig.write_text("1\n" + "9" * 1000 + "\n")
+    assert main(["transform", str(big), str(sig)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: <stdout>:2: a \d+-bit rational is past Python's int->str "
+                        r"digit limit\n", captured.err), captured.err[:200]
+    out = tmp_path / "bands.txt"
+    assert main(["transform", str(big), str(sig), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}:2: a ")
+    assert not out.exists()
+
+
 def test_rescale_huge_exponent_kappa_exits_two(capsys):
     assert main(["rescale", spec("haar.json"), "--kappa", "1e4000000"]) == 2
     assert "--kappa: " in capsys.readouterr().err

@@ -2,8 +2,9 @@
 
 ``cli_golden.json`` maps each command below to its exit code and the exact
 stdout it printed.  Paths in the snapshot are relative: ``specs/...`` names
-a fixture, ``{tmp}/...`` a file this module writes (a short signal and the
-5/3 analysis matrix).  Nothing regenerates the snapshot; a change in output
+a fixture, ``{tmp}/...`` a file this module writes (a short signal, the
+5/3 analysis matrix, and a gain and signal whose output is past Python's
+int->str digit limit).  Nothing regenerates the snapshot; a change in output
 is a change to review, entry by entry.
 """
 
@@ -19,6 +20,10 @@ from liftbank.cli import main
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SNAPSHOT = os.path.join(os.path.dirname(__file__), "cli_golden.json")
 SIGNAL = "".join(f"{v}\n" for v in (3, -1, 4, 1, -5, 9, 2, -6))
+#: A one-step exact spec with a 4001-digit gain: its highpass output past Python's
+#: int->str digit limit is refused at its line, with exit 2 and nothing on stdout.
+HUGE_GAIN = json.dumps({"mode": "irreversible", "arithmetic": "exact", "k": "1" + "0" * 4000,
+                        "steps": [{"update": 0, "taps": [{"n": 0, "c": "1"}]}]})
 
 FIXTURES = sorted(
     name
@@ -46,7 +51,7 @@ def golden_commands() -> dict[str, list[list[str]]]:
             ["transform", s, "{tmp}/signal.txt", "--direction", d]
             for s in specs
             for d in ("analyze", "synthesize")
-        ],
+        ] + [["transform", "{tmp}/huge_gain.json", "{tmp}/huge_signal.txt"]],
         "factor": [["factor", m, *opts] for m in MATRICES for opts in STRATEGIES],
     }
 
@@ -58,6 +63,9 @@ def write_inputs(tmp) -> None:
     with open(os.path.join(tmp, "fivethree_matrix.json"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(serialize_matrix(five_three().evaluate()))
+    for name, text in (("huge_gain.json", HUGE_GAIN), ("huge_signal.txt", f"1\n{'9' * 1000}\n")):
+        with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def run_command(argv: list[str], tmp, capsys) -> tuple[int, str]:

@@ -156,6 +156,21 @@ def test_non_unimodular_rejected():
         factor_lifting(matrix)
 
 
+@pytest.mark.parametrize("entries, det", [
+    (({}, {0: 1}, {}, {0: 1}), "0"),  # a zero first column
+    (({0: 1, 1: 2}, {0: 3, 1: 6}, {0: 2, 1: 4}, {0: 6, 1: 12}), "0"),  # proportional columns
+    (({0: 1}, {}, {}, {0: 2}), "of span 1 with 2-bit coefficients"),  # det 2
+    (({1: 1}, {}, {}, {0: 1}), "of span 1 with 1-bit coefficients"),  # z^-1: a unit, not 1
+    (({0: 1, 1: 1}, {}, {0: F(1, 3)}, {0: 1, 1: F(5, 2)}),
+     "of span 3 with 3-bit coefficients"),  # 1 + 7/2 z^-1 + 5/2 z^-2
+])
+def test_non_unimodular_refusals_name_the_determinant(entries, det):
+    matrix = PolyphaseMatrix(*(lp(e) for e in entries))
+    with pytest.raises(FactorizationError) as info:
+        factor_lifting(matrix)
+    assert str(info.value) == f"matrix is not unimodular: det {det}"
+
+
 def test_float_matrix_rejected():
     with pytest.raises(ModeError):
         factor_lifting(haar_base(FLOAT))

@@ -650,3 +650,96 @@ def test_literals_read_as_fraction_reads_them(text):
         assert got == (ValueError, f"invalid scalar literal {text!r}")
     else:
         assert got == (want.numerator, want.denominator)
+
+
+# -- exact kernels on large coefficients ---------------------------------------
+#
+# Seeded polynomials whose numerators have 1,000+ bits over denominators built
+# from a few small primes, so that scalings, sums and products share primes
+# with them and cancel taps.  Each result is checked against Fraction
+# arithmetic on ``taps()``, in canonical form and in the two-operation form's
+# tap order.
+
+_PRIMES = (2, 3, 5, 7, 11)
+
+
+def _big_taps(rng, taps=range(-3, 4)):
+    out = {}
+    for n in rng.sample(list(taps), rng.randint(1, len(taps))):
+        den = math.prod(rng.choice(_PRIMES) ** rng.randint(0, 40) for _ in range(3))
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1000, 1400)) * rng.choice(_PRIMES)
+        out[n] = F(num or 1, den)
+    return out
+
+
+def _big_cases(seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        x, y, z = (_big_taps(rng) for _ in range(3))
+        if rng.random() < 0.5:  # x cancels some taps of y * z
+            for n, c in ref_mul(y, z).items():
+                if rng.random() < 0.6:
+                    x[n] = -c
+        yield rng, _ref_clean(x), y, z
+
+
+def test_exact_scaled_on_large_coefficients_agrees_with_fraction_arithmetic():
+    for rng, x, _, _ in _big_cases("scaled"):
+        # a second polynomial whose numerators share 3^5 * 11 over a 2^a 5^b denominator
+        shared = {n: F(3**5 * 11 * (rng.getrandbits(1100) | 1) * rng.choice((-1, 1)),
+                       2 ** rng.randint(0, 30) * 5 ** rng.randint(0, 9)) for n in range(-2, 3)}
+        for taps in (x, shared):
+            p = LaurentPoly(taps)
+            # p shares primes with the denominator (or is negative, or 0), q with the numerators
+            for c in (F(p._den * rng.randint(1, 30), 3**7 * 11**2), F(-p._den, 33),
+                      F(-(rng.choice(_PRIMES) ** 5), math.gcd(*p._num.values()) * 7),
+                      F(rng.getrandbits(1200) | 1, 3**40 * 7), F(0), F(0, 5)):
+                want = _ref_clean({n: c * v for n, v in taps.items()})
+                assert_agrees(p.scaled(c), want)
+                assert_agrees(p * c, want)
+
+
+def test_exact_negation_on_large_coefficients_agrees_with_fraction_arithmetic():
+    for _, x, _, _ in _big_cases("neg"):
+        p = LaurentPoly(x)
+        assert_agrees(-p, ref_neg(x))
+        assert (-p)._den == p._den and list((-p)._num) == list(p._num)
+
+
+def test_exact_plus_product_on_large_coefficients_is_the_two_operation_form():
+    for _, x, y, z in _big_cases("plus_product"):
+        px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
+        product = ref_mul(y, z)
+        for out, ref, two_ops in ((px.plus_product(py, pz), ref_add(x, product), px + py * pz),
+                                  (px.plus_product(py, pz, True), ref_add(product, x), py * pz + px)):
+            assert_agrees(out, ref)
+            assert out == two_ops and list(out.taps()) == list(two_ops.taps())
+
+
+def test_exact_plus_product_cancels_inside_the_product():
+    # (a + a z^-1)(b - b z^-1) = ab - ab z^-2: tap 1 cancels within y * z
+    rng = random.Random("inner cancel")
+    for _ in range(20):
+        a, b = (F(rng.getrandbits(1100) + 1, 3 ** rng.randint(0, 30)) for _ in range(2))
+        y, z = {0: a, 1: a}, {0: b, 1: -b}
+        # x also cancels tap 2, holds the cancelled tap 1, or holds it beside a tap of its own
+        for x in ({2: a * b, 1: F(5, 7)}, {3: F(1, 2), 2: a * b}, {1: F(5, 7), 3: -a}):
+            px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
+            assert_agrees(px.plus_product(py, pz), ref_add(x, ref_mul(y, z)))
+            assert_agrees(px.plus_product(py, pz, True), ref_add(ref_mul(y, z), x))
+
+
+def test_division_with_a_growing_denominator_matches_the_per_monomial_loop():
+    # leading divisor numerators of primes the dividend's numerators lack make
+    # each quotient monomial's denominator new to the remainder's
+    rng = random.Random("growing denominator")
+    for _ in range(40):
+        p = LaurentPoly(_big_taps(rng, range(-4, 5)))
+        lead = rng.choice((3**7 * 11, -(7**5), 13 * 17 * 19, F(3**9, 2**11)))
+        d = LaurentPoly({0: lead, rng.randint(1, 2): F(rng.getrandbits(1000) + 1, 5**9)})
+        for low in (True, False):
+            q, r = p.divided(d, low)
+            assert (q, r) == _divided_oracle(p, d, low)
+            assert_canonical(q)
+            assert_canonical(r)
+            assert r == p - q * d and (r.is_zero or r.span() < d.span())

@@ -290,3 +290,44 @@ def test_determinant_is_described_by_size_not_digits():
     assert PolyphaseMatrix.diagonal(0, 1).describe_determinant() == "0"
     flt = PolyphaseMatrix.diagonal(2.0, 1.5, FLOAT)
     assert flt.describe_determinant() == "of span 1 with coefficients up to 3 in magnitude"
+
+
+def _fraction_det(m):
+    # h00*h11 - h01*h10 on the Fraction tap maps, in the two-operation form's tap order
+    def mul(a, b):
+        t = {}
+        for n1, c1 in a.taps().items():
+            for n2, c2 in b.taps().items():
+                t[n1 + n2] = t.get(n1 + n2, 0) + c1 * c2
+        return {n: c for n, c in t.items() if c}
+    t = mul(m.h00, m.h11)
+    for n, c in mul(m.h01, m.h10).items():
+        t[n] = t.get(n, 0) - c
+    return {n: c for n, c in t.items() if c}
+
+
+def test_exact_determinant_on_large_coefficients_agrees_with_fraction_arithmetic():
+    rng = random.Random("determinant")
+
+    def big(taps):
+        return LaurentPoly({n: F(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1000, 1300)) + 1,
+                                 3 ** rng.randint(0, 30) * 2 ** rng.randint(0, 40))
+                            for n in rng.sample(taps, rng.randint(1, len(taps)))})
+
+    for _ in range(40):
+        h00, h01, h10, h11 = (big(range(-2, 3)) for _ in range(4))
+        k = big(range(0, 2))
+        for m in (PolyphaseMatrix(h00, h01, h10, h11),
+                  PolyphaseMatrix(h00, h01, h00 * k, h01 * k),  # proportional rows: det 0
+                  # det -h01 * e: the other taps of the two products cancel
+                  PolyphaseMatrix(h00, h01, h00 * k + LaurentPoly({1: F(5, 3)}), h01 * k)):
+            det = m.determinant()
+            nums, den = det._num, det._den
+            assert all(nums.values()) and den > 0 and math.gcd(den, *nums.values()) == 1
+            two_ops = m.h00 * m.h11 - m.h01 * m.h10
+            assert det == two_ops and list(det.taps().items()) == list(_fraction_det(m).items())
+            assert list(det.taps()) == list(two_ops.taps())
+        # a unimodular product of large lifting steps has det exactly 1
+        steps = [LiftingStep(i % 2, big(range(-1, 2))) for i in range(4)]
+        assert LiftingCascade(steps, k=F(rng.getrandbits(1000) + 1, 7**9)).evaluate().determinant() \
+            == LaurentPoly.one()

@@ -6,6 +6,7 @@ import glob
 import json
 import os
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -261,6 +262,31 @@ def test_format_sample_refuses_non_finite_floats(tmp_path):
     with pytest.raises(ValueError, match="not finite"):
         write_signal([1.0, float("inf")], path)
     assert not path.exists()
+
+
+def test_samples_past_the_int_str_limit_are_refused_at_their_line(tmp_path):
+    # an int, an integer Fraction and a p/q past Python's int->str digit limit
+    for value, kind, bits in ((10**5000, "integer", 16610), (F(10**5000), "rational", 16610),
+                              (F(1, 3**9100), "rational", 14424)):
+        with pytest.raises(ValueError, match=f"^a {bits}-bit {kind} is past Python's int->str"):
+            format_sample(value)
+    path = tmp_path / "sig.txt"
+    with pytest.raises(SpecFormatError, match=f"^{re.escape(str(path))}:2: a 16610-bit integer "):
+        write_signal([1, -(10**5000), 2], path)
+    assert not path.exists()
+    with pytest.raises(SpecFormatError, match="^<stdout>:1: a 16607-bit rational "):
+        write_signal([F(10**5000, 2**3)], None)  # a decimal whose head is past the limit
+
+
+def test_decimal_samples_past_a_readers_length_fall_back_to_p_over_q(tmp_path):
+    # 2**-5000 has 5000 decimal places, 10**4299 + 1/2 one more than a reader takes;
+    # as p/q both read back
+    values = [F(1, 2**5000), F(-(10**4299) * 2 - 1, 2), F(10**4298 - 1, 2), F(1, 10**4299)]
+    texts = [format_sample(v) for v in values]
+    assert ["/" in t for t in texts] == [True, True, False, True]
+    path = tmp_path / "sig.txt"
+    write_signal(values, path)
+    assert read_signal(path) == values
 
 
 def test_parse_sample_modes():
