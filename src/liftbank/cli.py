@@ -141,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rescale", help="apply a rescaling equivalence")
     p.add_argument("spec")
-    p.add_argument("--kappa", required=True, help='scale factor ("3/2", "2", "0.5")')
+    p.add_argument("--kappa", required=True,
+                   help='scale factor ("3/2", "2", "0.5"); a negative ratio as --kappa=-1/2')
     p.add_argument("-o", "--output", default=None, help="output spec file (default stdout)")
     p.set_defaults(func=_cmd_rescale)
 

@@ -339,7 +339,9 @@ class LiftingCascade(Record):
                                    "to 0 or infinity", "k") from None
         base = None
         if self.base is not None:
-            x = self.base.adjugate()  # the identity, conjugated by anything, stays the identity
+            # the identity, conjugated by anything, stays the identity; every bench design
+            # input's base is the identity, so each design op skips 4 updates per step here
+            x = self.base.adjugate()
             for s in self.steps if x != PolyphaseMatrix.identity(self.mode) else ():
                 x = x.lifted(s.update, s.filter).colifted(s.update, -s.filter)
             try:

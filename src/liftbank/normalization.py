@@ -181,22 +181,15 @@ class AnalysisReport(Record):
 
 
 def analyze(cascade: LiftingCascade) -> AnalysisReport:
-    """Evaluate, extract filters, run the DC recursion and classify."""
+    """Evaluate, extract filters, run the DC recursion and classify: each band once,
+    the linear phase from those two classes, and WS-group, else HS-group, else neither."""
     matrix = cascade.evaluate()
     pair = matrix.to_filters()
     trace = cascade.dc_trace()
     compliance = _compliance(cascade, trace)
-
+    lo_sym, hi_sym, linear_phase = symmetry._classify_bands(pair)
     ws = symmetry.classify_ws_group(cascade)
-    hs = symmetry.classify_hs_group(cascade)
-    lo_sym, hi_sym = (symmetry.SymmetryClass(symmetry.NONE, None) if p.is_zero
-                      else symmetry.classify_filter(p) for p in (pair.lowpass, pair.highpass))
-    if ws.kind == symmetry.WS_GROUP:
-        group = ws.kind
-    elif hs.kind == symmetry.HS_GROUP:
-        group = hs.kind
-    else:
-        group = symmetry.NEITHER
+    group = ws.kind if ws.kind == symmetry.WS_GROUP else symmetry.classify_hs_group(cascade).kind
 
     return AnalysisReport(
         filters=pair,
@@ -213,7 +206,7 @@ def analyze(cascade: LiftingCascade) -> AnalysisReport:
         mode=cascade.mode,
         lowpass_symmetry=lo_sym,
         highpass_symmetry=hi_sym,
-        linear_phase=symmetry.classify_linear_phase(pair),
+        linear_phase=linear_phase,
         group_lifting=group,
         compliance=compliance,
     )

@@ -21,8 +21,9 @@ Signal files are one sample per line.  Subband files produced by the
 command-line transform hold the lowpass block first, then the highpass
 block.  Every file is read through ``_lines`` as UTF-8 (other bytes are a
 ``SpecFormatError`` at the path) and written through ``_write`` as UTF-8
-with LF endings, or to stdout.  ``analyze`` reports are rendered here as
-text and as JSON.
+with LF endings, or to stdout.  An ``analyze`` report is one document with
+two views: JSON, and text that prints the document's exact values as their
+strings, its floats by repr, and the filters and the determinant in z.
 """
 
 from __future__ import annotations
@@ -297,49 +298,11 @@ def serialize_matrix(matrix: PolyphaseMatrix) -> str:
 # -- analysis reports ---------------------------------------------------------
 
 
-def _symmetry(sym) -> str:
-    return sym.kind + ("" if sym.center is None else f" about {format_scalar(sym.center)}")
-
-
-def render_text_report(report) -> str:
-    """An ``AnalysisReport`` as text: what ``liftbank analyze`` prints.  A value
-    past Python's int->str digit limit is refused at its JSON report key."""
+def _report_document(report) -> dict:
+    """The one document of an ``AnalysisReport``, which both renderers read; a
+    value past Python's int->str digit limit is refused at its JSON path."""
     c = report.compliance
-    try:
-        lines = [
-            f"arithmetic:    {report.mode}",
-            f"type:          {'reversible' if report.reversible else 'irreversible'}",
-            f"k:             {format_scalar(report.k)}",
-            f"steps:         {len(report.b_sequence) - 2}"
-            + (f" (m_init = {report.m_init})" if report.m_init is not None else ""),
-            f"lowpass:       {report.filters.lowpass}",
-            f"highpass:      {report.filters.highpass}",
-            f"dc gain:       lowpass {format_scalar(report.dc_lowpass)}, "
-            f"highpass {format_scalar(report.dc_highpass)}",
-            f"nyquist gain:  lowpass {format_scalar(report.nyquist_lowpass)}, "
-            f"highpass {format_scalar(report.nyquist_highpass)}",
-            f"determinant:   {report.determinant}",
-            "b sequence:    "
-            + ", ".join(
-                f"B_{i - 2} = {format_scalar(b)}" for i, b in enumerate(report.b_sequence)
-            ),
-            f"lowpass sym:   {_symmetry(report.lowpass_symmetry)}",
-            f"highpass sym:  {_symmetry(report.highpass_symmetry)}",
-            f"linear phase:  {report.linear_phase}",
-            f"group lifting: {report.group_lifting}",
-            f"part2:         {c.verdict}"
-            + (f" ({'; '.join(c.reasons)})" if c.reasons else ""),
-        ]
-    except ValueError:  # format_scalar's refusal, located by the JSON report writer
-        serialize_report(report)
-        raise
-    return "\n".join(lines) + "\n"
-
-
-def serialize_report(report) -> str:
-    """An ``AnalysisReport`` as JSON: what ``liftbank analyze --format json`` prints."""
-    c = report.compliance
-    return _dumps({
+    return {
         "arithmetic": report.mode,
         "reversible": report.reversible,
         "k": _scalar_to_json(report.k, "$.k"),
@@ -372,7 +335,45 @@ def serialize_report(report) -> str:
             "tolerance_qualified": c.tolerance_qualified,
             "reasons": list(c.reasons),
         },
-    })
+    }
+
+
+def render_text_report(report) -> str:
+    """An ``AnalysisReport`` as text: what ``liftbank analyze`` prints.  It reads
+    the report document, so a value is refused at the JSON path where JSON would
+    refuse it; exact values print as their strings and floats by repr (as
+    ``format_scalar`` and JSON write them), the filters and the determinant in z."""
+    doc = _report_document(report)
+    # a scalar formats as itself when exact (a string) and as its repr when a float
+    dc, nyquist, c = doc["dc_gain"], doc["nyquist_gain"], doc["compliance"]
+    lines = [
+        f"arithmetic:    {doc['arithmetic']}",
+        f"type:          {'reversible' if doc['reversible'] else 'irreversible'}",
+        f"k:             {doc['k']}",
+        f"steps:         {doc['steps']}"
+        + ("" if doc["m_init"] is None else f" (m_init = {doc['m_init']})"),
+        f"lowpass:       {report.filters.lowpass}",
+        f"highpass:      {report.filters.highpass}",
+        f"dc gain:       lowpass {dc['lowpass']}, highpass {dc['highpass']}",
+        f"nyquist gain:  lowpass {nyquist['lowpass']}, highpass {nyquist['highpass']}",
+        f"determinant:   {report.determinant}",
+        "b sequence:    "
+        + ", ".join(f"B_{i - 2} = {b}" for i, b in enumerate(doc["b_sequence"])),
+        *(f"{band + ' sym:':15}{sym['kind']}"
+          + ("" if sym["center"] is None else f" about {sym['center']}")
+          for band, sym in doc["symmetry"].items()),
+        f"linear phase:  {doc['linear_phase']}",
+        f"group lifting: {doc['group_lifting']}",
+        f"part2:         {c['verdict']}"
+        + (f" ({'; '.join(c['reasons'])})" if c["reasons"] else ""),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def serialize_report(report) -> str:
+    """An ``AnalysisReport`` as JSON: what ``liftbank analyze --format json`` prints,
+    the report document as ``_dumps`` writes it (floats by repr)."""
+    return _dumps(_report_document(report))
 
 
 # -- signal files -------------------------------------------------------------

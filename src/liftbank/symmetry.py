@@ -142,13 +142,14 @@ def classify_linear_phase(pair: FilterPair) -> str:
     HS: lowpass symmetric and highpass antisymmetric about half-sample
     centers.  Anything else (including a zero filter): neither.
     """
-    if pair.lowpass.is_zero or pair.highpass.is_zero:
-        return NEITHER
-    lo = classify_filter(pair.lowpass)
-    hi = classify_filter(pair.highpass)
-    # a classified filter's center is a multiple of 1/2: center % 1 is 0 or 1/2
-    if lo.kind == hi.kind == SYMMETRIC and lo.center % 1 == hi.center % 1 == 0:
-        return WS
-    if lo.kind == SYMMETRIC and hi.kind == ANTISYMMETRIC and lo.center % 1 and hi.center % 1:
-        return HS
-    return NEITHER
+    return _classify_bands(pair)[2]
+
+
+def _classify_bands(pair: FilterPair) -> tuple[SymmetryClass, SymmetryClass, str]:
+    # each band's class (none for a zero band, which has no support) and the
+    # linear-phase verdict read from the two; a class's center % 1 is 0 or 1/2
+    lo, hi = (SymmetryClass(NONE, None) if p.is_zero else classify_filter(p)
+              for p in (pair.lowpass, pair.highpass))
+    ws = lo.kind == hi.kind == SYMMETRIC and lo.center % 1 == hi.center % 1 == 0
+    hs = lo.kind == SYMMETRIC and hi.kind == ANTISYMMETRIC and lo.center % 1 and hi.center % 1
+    return lo, hi, WS if ws else HS if hs else NEITHER

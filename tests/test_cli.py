@@ -18,11 +18,12 @@ from liftbank import (
     load_spec,
     parse_matrix,
     parse_spec,
+    rescale_cascade,
     serialize_matrix,
     serialize_spec,
     write_signal,
 )
-from liftbank.banks import five_three, haar_base
+from liftbank.banks import five_three, haar, haar_base
 from liftbank.cli import main
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -263,6 +264,12 @@ def test_rescale_writes_equivalent_spec(tmp_path, capsys):
     assert scaled.k == F(3, 2)
     assert main(["compare", spec("haar.json"), str(out)]) == 0
     assert "kappa = 3/2" in capsys.readouterr().out
+
+
+def test_rescale_takes_a_negative_ratio_after_an_equals_sign(capsys):
+    # "--kappa -1/2" reads to argparse as a second option; "--kappa=-1/2" does not
+    assert main(["rescale", spec("haar.json"), "--kappa=-1/2"]) == 0
+    assert capsys.readouterr().out == serialize_spec(rescale_cascade(haar(), F(-1, 2)))
 
 
 def test_rescale_bad_kappa_exits_two(capsys):

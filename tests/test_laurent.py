@@ -274,6 +274,9 @@ def test_unknown_mode_is_refused_for_every_value(value):
         as_scalar(value, "x" * 5000)
     with pytest.raises(ModeError, match="^unknown arithmetic mode a 16610-bit integer$"):
         as_scalar(value, 10**5000)
+    # neither an int nor a Fraction, whose repr passes the limit: named by its type
+    with pytest.raises(ModeError, match="^unknown arithmetic mode a value of type list$"):
+        as_scalar(value, [10**5000])
 
 
 def test_largest_accepted_literals_serialize():

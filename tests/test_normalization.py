@@ -14,7 +14,10 @@ from liftbank import (
     PolyphaseMatrix,
     analyze,
     check_part2,
+    classify_filter,
+    classify_linear_phase,
 )
+from liftbank import symmetry
 from liftbank.banks import (
     cdf97,
     dc_counterexample,
@@ -188,3 +191,25 @@ def test_analyze_counterexample_dc():
     rep = analyze(dc_counterexample())
     assert rep.dc_lowpass == 3          # unnormalized lowpass DC leaks through
     assert not rep.compliance.compliant
+
+
+def test_analyze_classifies_each_band_once(monkeypatch):
+    seen = []
+
+    def counted(p, *args):
+        seen.append(p)
+        return classify_filter(p, *args)
+
+    monkeypatch.setattr(symmetry, "classify_filter", counted)
+    rng = random.Random("bands")
+    cascades = [haar(), five_three(), five_three(False), cdf97(), wa_lifted_haar()]
+    cascades += [random_alternating_cascade(rng).replace(base=base)
+                 for base in (None, haar_base(), PolyphaseMatrix.identity()) for _ in range(10)]
+    for c in cascades:
+        seen.clear()
+        report = analyze(c)
+        bands = (report.filters.lowpass, report.filters.highpass)
+        assert [sum(p is band for p in seen) for band in bands] == [1, 1]
+        # the classes and the verdict are the ones the public classifiers give
+        assert [report.lowpass_symmetry, report.highpass_symmetry] == [*map(classify_filter, bands)]
+        assert report.linear_phase == classify_linear_phase(report.filters)

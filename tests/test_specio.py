@@ -31,7 +31,9 @@ from liftbank import (
     write_signal,
 )
 from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
-from liftbank.specio import _dumps, format_sample, parse_sample, serialize_report
+from liftbank.specio import (
+    _dumps, format_sample, parse_sample, render_text_report, serialize_report,
+)
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 FIXTURES = sorted(
@@ -522,6 +524,32 @@ def test_seeded_cascades_round_trip_through_the_codec(mode):
         assert parsed == cascade
         assert serialize_spec(parsed) == text
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _text_scalars(text):
+    # K, the gains, the B values and the symmetry centers (None without one) of a text report
+    fields = dict(line.split(":", 1) for line in text.splitlines())
+    fields = {key: value.strip() for key, value in fields.items()}
+    gains = [re.fullmatch(r"lowpass (\S+), highpass (\S+)", fields[key]).groups()
+             for key in ("dc gain", "nyquist gain")]
+    centers = [fields[f"{band} sym"].partition(" about ")[2] or None
+               for band in ("lowpass", "highpass")]
+    b = [item.split(" = ")[1] for item in fields["b sequence"].split(", ")]
+    return [fields["k"], *gains[0], *gains[1], *b, *centers]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_text_report_scalars_are_the_json_reports(mode):
+    # a string as it is, a float by repr: both reports read one document
+    rng = random.Random(f"report/{mode}")
+    for _ in range(150):
+        report = analyze(_seeded_cascade(rng, mode))
+        doc = json.loads(serialize_report(report))
+        want = [doc["k"], *doc["dc_gain"].values(), *doc["nyquist_gain"].values(),
+                *doc["b_sequence"], *(sym["center"] for sym in doc["symmetry"].values())]
+        assert all(isinstance(x, str if mode == EXACT else float) for x in want[:-2])
+        assert _text_scalars(render_text_report(report)) == [
+            x if x is None or isinstance(x, str) else repr(x) for x in want]
 
 
 #: Tap literals and what parsing makes of them: the value, or the message

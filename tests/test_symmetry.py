@@ -124,8 +124,10 @@ def test_linear_phase_pairs():
     # asymmetric lowpass
     assert classify_linear_phase(FilterPair(lp({0: 1, 1: 2}), lp({-1: 1}))) == NEITHER
 
-    # zero filter
+    # zero filter, in either band or both
     assert classify_linear_phase(FilterPair(lp({}), lp({0: 1}))) == NEITHER
+    assert classify_linear_phase(FilterPair(lp({0: 1}), lp({}))) == NEITHER
+    assert classify_linear_phase(FilterPair(lp({}), lp({}))) == NEITHER
 
 
 def test_hs_group_detail_lines():
