@@ -115,13 +115,10 @@ def factor_lifting(
         if not g.is_zero:
             m = m.lifted(u, g)
             ops.append(LiftingStep(u, g))
-    h00, h01, h10, h11 = m.entries()
 
-    if not (h01.is_zero and h10.is_zero):
-        raise FactorizationError("reduction failed to diagonalize")
-
-    # det = 1 makes the residual diag(c z^-d, z^d/c); the gain c leaves the delay
-    (tap, coeff), = h00.items()
+    # the cleanup leaves a diagonal, and det = 1 makes it diag(c z^-d, z^d/c);
+    # the gain c leaves the delay
+    (tap, coeff), = m.h00.items()
     delay, advance, zero = LaurentPoly({tap: 1}), LaurentPoly({-tap: 1}), LaurentPoly()
     base = PolyphaseMatrix(delay, zero, zero, advance) if tap else None
     return LiftingCascade(ops, k=coeff).synthesis().replace(base=base)

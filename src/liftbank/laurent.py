@@ -22,13 +22,21 @@ numerator, ``gcd(den, *numerators) == 1``), so ``==`` compares structure.
 Each exact kernel makes one pass and at most one reduction per result:
 negation needs none, a scaling by p/q divides out ``gcd(den, p) *
 gcd(q, *numerators)``, and ``x + y * z`` (``plus_product``) and a division's
-remainder are built in one map and reduced once.  Float numerators are
-doubles over 1, never reduced, and summed in the plain loops' order, so
-float results keep their bits.  Arithmetic, Laurent division, evaluation and
-the tap maps, ``reindexed`` and its inverse ``decimated``, run on the
-numerators; only the transform kernels read them, through ``numerators()``,
-and other modules build from (p, q) pairs through ``from_ratios``.  Exact
-scalars have one reader, ``as_ratio``, one builder, ``_fractions`` (each
+remainder are built in one map and reduced once.  A cascade's steps run in
+``lifted_rows``: two numerator maps over one denominator per row, reduced
+by one gcd per row per step.  An exact product whose factors both have at
+least ``KRONECKER_TAPS`` taps, each over a support at most twice that long,
+is one big-int multiply of the factors packed into slots (Kronecker
+substitution; ``_pack`` and ``_unpack``, the exact transform's slots): the
+determinant and ``@`` of evaluated cascades.  Below that, and for a filter
+times a matrix entry, the per-tap loop costs less than packing and
+unpacking one slot per tap.  Float numerators are doubles over 1, never
+reduced, and summed in the plain loops' order, so float results keep their
+bits.  Arithmetic, Laurent division, evaluation and the tap maps,
+``reindexed`` and its inverse ``decimated``, run on the numerators; only the
+transform kernels read them, through ``numerators()``, and other modules
+build from (p, q) pairs through ``from_ratios``.  Exact scalars have one
+reader, ``as_ratio``, one builder, ``_fractions`` (each
 ``Fraction`` from its numerator and denominator by one gcd), and one writer,
 ``format_scalar``, which alone knows Python's int->str digit limit.
 """
@@ -36,9 +44,11 @@ scalars have one reader, ``as_ratio``, one builder, ``_fractions`` (each
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -361,13 +371,18 @@ class LaurentPoly:
 
     def _product(self, other: "LaurentPoly", num=None, s=1) -> tuple[dict, int]:
         # the raw map of self * other, self's numerators times s, added into num (a
-        # new map by default): zero numerators kept, not reduced
+        # new map by default): zero numerators kept, not reduced; two long exact
+        # factors by one big-int multiply, which adds no zero
         self._require_same_mode(other)
         num = {} if num is None else num
+        a, b = self._num, other._num
+        if self._mode == EXACT and _packable(a) and _packable(b):
+            _kronecker(a, b, s, num)
+            return num, self._den * other._den
         get = num.get
-        for n1, c1 in self._num.items():
+        for n1, c1 in a.items():
             c1 *= s
-            for n2, c2 in other._num.items():
+            for n2, c2 in b.items():
                 n = n1 + n2
                 num[n] = get(n, 0) + c1 * c2
         return num, self._den * other._den
@@ -571,6 +586,99 @@ def _summed(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, in
     for n, c in b.items():
         num[n] = get(n, 0) + c * sb
     return num, den
+
+
+#: Fewest taps each factor of an exact product needs, over a support at most
+#: twice that long, for ``_product``'s one-multiply Kronecker branch.
+KRONECKER_TAPS = 14
+
+
+def _packable(num: dict) -> bool:
+    return len(num) >= KRONECKER_TAPS and max(num) - min(num) < 2 * len(num)
+
+
+#: Whether 64-bit slots can go through ``array('q')``: 8-byte little-endian words.
+_QWORDS = array("q").itemsize == 8 and sys.byteorder == "little"
+
+
+def _pack(nums: Sequence[int], width: int, offsets: int) -> int:
+    """One int holding nums[i] + 2**(width-1) in bits [i*width, (i+1)*width);
+    ``offsets`` has bit width-1 of every slot set."""
+    if width == 64 and isinstance(nums, array):
+        return int.from_bytes(nums.tobytes(), "little") ^ offsets
+    w, half = width // 8, 1 << (width - 1)
+    return int.from_bytes(b"".join((v + half).to_bytes(w, "little") for v in nums), "little")
+
+
+def _unpack(x: int, L: int, width: int, offsets: int) -> Sequence[int]:
+    """The L values of :func:`_pack`'s slots, as an ``array('q')`` or a list."""
+    if width == 64 and _QWORDS:
+        return array("q", (x ^ offsets).to_bytes(8 * L, "little"))
+    w, half = width // 8, 1 << (width - 1)
+    data = x.to_bytes(w * L, "little")
+    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * L, w)]
+
+
+def _kronecker(a: dict, b: dict, s: int, num: dict) -> None:
+    # num += s * a * b by one multiply of big ints, z^-1 -> 2**width (Kronecker
+    # substitution): each factor is its taps over its support in _pack's slots,
+    # less their offsets, each slot wide enough for any product tap and its
+    # sign; _unpack reads the product's taps back
+    bits = (max(map(int.bit_length, a.values())) + max(map(int.bit_length, b.values()))
+            + s.bit_length() + min(len(a), len(b)).bit_length())
+    width = 8 * (bits // 8 + 1)  # every |tap| < 2**(width - 1)
+    sign = bytes(width // 8 - 1) + b"\x80"
+    product = s
+    for m in (a, b):
+        get, lo, taps = m.get, min(m), max(m) - min(m) + 1
+        offsets = int.from_bytes(sign * taps, "little")
+        product *= _pack([get(n, 0) for n in range(lo, lo + taps)], width, offsets) - offsets
+    lo, taps = min(a) + min(b), max(a) + max(b) - min(a) - min(b) + 1
+    offsets = int.from_bytes(sign * taps, "little")
+    get = num.get
+    for n, c in enumerate(_unpack(product + offsets, taps, width, offsets), lo):
+        if c:
+            num[n] = get(n, 0) + c
+
+
+def lifted_rows(entries, steps) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """h00, h01, h10, h11 of ``M(S_k) ... M(S_0) [[h00, h01], [h10, h11]]`` for
+    the exact ``entries`` (h00, h01, h10, h11) and ``(update, filter)`` steps,
+    first-applied-first: each adds its filter times the other row to row
+    ``update``.  Each row is two numerator maps over one denominator, updated
+    in place and reduced by one gcd per row per step.  Reduced only at the
+    end, the numerators of a factorization's thousand-bit steps grow through
+    the cascade, and evaluating one took about six times as long."""
+    work = []
+    for x, y in (entries[:2], entries[2:]):
+        den = lcm(x._den, y._den)
+        work.append([[{n: c * (den // p._den) for n, c in p._num.items()} for p in (x, y)], den])
+    for u, g in steps:
+        (dst, den), (src, sden) = work[u], work[1 - u]
+        gnum, gden = g._num, g._den * sden
+        new = lcm(den, gden)
+        if new != den:
+            k = new // den
+            for m in dst:
+                for n, c in m.items():
+                    m[n] = c * k
+        k = new // gden
+        for m, o in zip(dst, src):
+            get = m.get
+            for n1, c1 in gnum.items():
+                c1 *= k
+                for n2, c2 in o.items():
+                    n = n1 + n2
+                    m[n] = get(n, 0) + c1 * c2
+            if 0 in m.values():
+                for n in [n for n, c in m.items() if not c]:
+                    del m[n]
+        if (d := gcd(new, *dst[0].values(), *dst[1].values())) != 1:
+            for m in dst:
+                for n, c in m.items():
+                    m[n] = c // d
+        work[u][1] = new // d
+    return tuple(_restored(*_reduced(m, den), EXACT) for maps, den in work for m in maps)
 
 
 def _restored(num: dict, den: int, mode: str) -> LaurentPoly:

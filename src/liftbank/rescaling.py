@@ -6,10 +6,11 @@ of the polyphase matrix group, :func:`liftbank.polyphase.gamma`:
     gamma_K(A) = D_K A D_K^-1,   [[a, b], [c, d]] -> [[a, b/K^2], [c*K^2, d]]
 
 Two irreversible cascades are *equivalent modulo rescaling* when one turns
-into the other by pushing a diagonal factor through the steps: for kappa > 0
-the rescaled cascade multiplies update-0 filters by kappa^2, update-1
-filters by 1/kappa^2, the gain K by kappa and the base B's rows by kappa
-and 1/kappa: diag(kappa, 1/kappa) @ B as one row scaling, ``rows_scaled``.
+into the other by pushing a diagonal factor through the steps: for any
+nonzero kappa, negative included, the rescaled cascade multiplies update-0
+filters by kappa^2, update-1 filters by 1/kappa^2, the gain K by kappa and
+the base B's rows by kappa and 1/kappa: diag(kappa, 1/kappa) @ B as one row
+scaling, ``rows_scaled``.
 Both cascades evaluate to the same analysis matrix.
 """
 
@@ -108,10 +109,8 @@ def find_rescaling(a: LiftingCascade, b: LiftingCascade) -> RescalingWitness:
     if a.reversible or b.reversible:
         return RescalingWitness(INEQUIVALENT, None)
 
-    # rescaling multiplies K by kappa, so kappa can only be K_b / K_a
+    # rescaling multiplies K by kappa, so kappa can only be K_b / K_a (nonzero, either sign)
     kappa = b.k / a.k
-    if not kappa > 0:
-        return RescalingWitness(INEQUIVALENT, None)
     try:
         rescaled = rescale_cascade(a, kappa)
     except ValueError:  # kappa takes a out of the doubles, so b, inside them, differs

@@ -6,7 +6,8 @@ other way) and the gain 1/K, K; tap n reads the neighbor (i - n) mod L.
 Synthesis undoes the gain, each step by subtracting its update, the base.
 
 Exact channels, reversible or not, are integers over one denominator, run
-packed: L integers in one int of L W-bit slots, v stored as v + 2**(W-1).
+packed: L integers in one int of L W-bit slots, v stored as v + 2**(W-1),
+by ``laurent._pack`` and read back by ``laurent._unpack``.
 A tap rotates the source by whole slots, so a step is a few big-int
 operations; a reversible one rounds ``(u + bias) >> d`` in every slot at
 once, an irreversible one folds both denominators onto their lcm.  W is
@@ -21,7 +22,6 @@ operand would send every add down CPython's generic path.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from fractions import Fraction
 from functools import cache
@@ -29,7 +29,8 @@ from math import isfinite, lcm
 from typing import Callable, Sequence
 
 from ._record import Record
-from .laurent import EXACT, FLOAT, LaurentPoly, _fractions, _parts, as_ratio, clip_repr
+from .laurent import (
+    EXACT, FLOAT, LaurentPoly, _QWORDS, _fractions, _pack, _parts, _unpack, as_ratio, clip_repr)
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -122,10 +123,6 @@ def _lifting_update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
     return dst
 
 
-#: Whether 64-bit slots can go through ``array('q')``: 8-byte little-endian words.
-_QWORDS = array("q").itemsize == 8 and sys.byteorder == "little"
-
-
 def _bounded(nums: list) -> tuple:
     """(samples, bound on their magnitudes): an ``array('q')`` where they fit,
     bounded by 2**(8k) where the high 8 - k bytes of every word just repeat
@@ -141,24 +138,6 @@ def _bounded(nums: list) -> tuple:
     k = 8 if top.translate(None, b"\0\xff") else max(
         (j + 1 for j in range(7) if data[j::8] != top), default=0)
     return words, 1 << 8 * k if k < 7 else max(max(words), -min(words))
-
-
-def _pack(nums: Sequence[int], width: int, offsets: int) -> int:
-    """One int holding nums[i] + 2**(width-1) in bits [i*width, (i+1)*width);
-    ``offsets`` has bit width-1 of every slot set."""
-    if width == 64 and isinstance(nums, array):
-        return int.from_bytes(nums.tobytes(), "little") ^ offsets
-    w, half = width // 8, 1 << (width - 1)
-    return int.from_bytes(b"".join((v + half).to_bytes(w, "little") for v in nums), "little")
-
-
-def _unpack(x: int, L: int, width: int, offsets: int) -> Sequence[int]:
-    """The L samples of a packed channel, as an ``array('q')`` or a list."""
-    if width == 64 and _QWORDS:
-        return array("q", (x ^ offsets).to_bytes(8 * L, "little"))
-    w, half = width // 8, 1 << (width - 1)
-    data = x.to_bytes(w * L, "little")
-    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * L, w)]
 
 
 def _packed_update(dst: int, taps: list, src: int, sign: int, width: int, ones: int,

@@ -272,6 +272,18 @@ def test_rescale_takes_a_negative_ratio_after_an_equals_sign(capsys):
     assert capsys.readouterr().out == serialize_spec(rescale_cascade(haar(), F(-1, 2)))
 
 
+@pytest.mark.parametrize("kappa", ["-1/2", "-1", "-7/3", "1/3", "1"])
+def test_compare_finds_every_rescaling_that_rescale_writes(kappa, tmp_path, capsys):
+    # rescale accepts any nonzero kappa, so compare must find that kappa back
+    out = tmp_path / "scaled.json"
+    for name in ("haar.json", "cdf97.json", "wa_lifted_haar.json"):
+        assert main(["rescale", spec(name), f"--kappa={kappa}", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["compare", spec(name), str(out)]) == 0
+        want = "identical" if kappa == "1" else "equivalent modulo rescaling, kappa = "
+        assert capsys.readouterr().out.startswith(want)
+
+
 def test_rescale_bad_kappa_exits_two(capsys):
     assert main(["rescale", spec("haar.json"), "--kappa", "lots"]) == 2
     assert "error:" in capsys.readouterr().err

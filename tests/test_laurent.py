@@ -732,6 +732,51 @@ def test_exact_plus_product_cancels_inside_the_product():
             assert_agrees(px.plus_product(py, pz, True), ref_add(ref_mul(y, z), x))
 
 
+# -- long exact products: both sides of the Kronecker threshold ---------------
+#
+# Two exact factors of at least KRONECKER_TAPS taps each, over supports at
+# most twice that long, multiply as packed big ints and fill their taps in
+# ascending order.  Each case is checked against ref_mul and ref_add on the
+# Fraction tap maps, which never pack, by value and in canonical form.
+
+
+def assert_values(p, ref):
+    assert_canonical(p)
+    assert repr(list(p.items())) == repr(sorted(ref.items()))
+    assert p == LaurentPoly(ref)
+
+
+def _long_taps(rng, count, bits):
+    # count taps of either sign from a random offset, negative taps included, with
+    # gaps inside a support of count (no gap), 2 * count - 1 (packable) or 3 * count taps
+    lo = rng.randint(-40, 20)
+    span = count + rng.choice((0, count - 1, 2 * count))
+    return {n: F(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1), rng.choice(_PRIMES) ** rng.randint(0, 20))
+            for n in rng.sample(range(lo, lo + span), count)}
+
+
+def test_exact_products_on_both_sides_of_the_kronecker_threshold():
+    rng = random.Random("kronecker")
+    t = laurent.KRONECKER_TAPS
+    packed = []
+    for _ in range(300):
+        y, z = (_long_taps(rng, rng.choice((1, 2, 5, t - 1, t, t + 1, 20, 27, 40)),
+                           rng.choice((1, 2, 31, 64, 65, 200, 1100, 3000))) for _ in range(2))
+        if rng.random() < 0.2:  # y(z) * y(-z) is even: every odd tap of the product is 0
+            z = {n: -c if n % 2 else c for n, c in y.items()}
+        x = _long_taps(rng, rng.choice((1, t, 30)), rng.choice((1, 64, 1100)))
+        product = ref_mul(y, z)
+        for n, c in product.items():  # x cancels some taps of y * z
+            if rng.random() < 0.3:
+                x[n] = -c
+        px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
+        assert_values(py * pz, product)
+        assert_values(px.plus_product(py, pz), ref_add(x, product))
+        assert_values(px.plus_product(py, pz, True), ref_add(product, x))
+        packed.append(all(len(m) >= t and max(m) - min(m) < 2 * len(m) for m in (y, z)))
+    assert 50 <= sum(packed) <= 250
+
+
 def test_division_with_a_growing_denominator_matches_the_per_monomial_loop():
     # leading divisor numerators of primes the dividend's numerators lack make
     # each quotient monomial's denominator new to the remainder's

@@ -53,6 +53,7 @@ from liftbank.banks import (
     identity_six_step,
     wa_lifted_haar,
 )
+from liftbank.laurent import KRONECKER_TAPS
 from liftbank.polyphase import gamma
 
 from conftest import (
@@ -142,6 +143,55 @@ def test_evaluate_matches_step_matrix_product(seed):
     for n in range(-1, c.n_steps):
         partial = c.replace(steps=c.steps[: n + 1], k=1)
         assert c.partial_product(n) == _reference_evaluate(partial)
+    if seed < 4:  # 16 long steps, with and without a base
+        long = _long_cascade(rng, wa_lifted_haar().base if seed % 2 else None)
+        upper = long.replace(steps=long.steps[8:], base=None).evaluate()
+        lower = long.replace(steps=long.steps[:8], k=1).evaluate()
+        # every entry of both halves has at least KRONECKER_TAPS taps, so each product
+        # of the halves' entries is one packed multiply
+        assert min(len(e.taps()) for e in upper.entries() + lower.entries()) >= KRONECKER_TAPS
+        assert long.evaluate() == _reference_evaluate(long) == upper @ lower
+        if seed == 0:
+            assert [e.taps() for e in long.evaluate().entries()] == _fraction_evaluate(long)
+
+
+def _long_cascade(rng, base=None):
+    # alternating steps of 3 to 5 contiguous taps: after 8 of them every entry
+    # has at least 14 taps
+    steps = [LiftingStep(i % 2, LaurentPoly({n: random_dyadic(rng) for n in range(-2, rng.randint(1, 3))}))
+             for i in range(16)]
+    return LiftingCascade(steps, k=F(rng.randint(1, 9), 4), base=base)
+
+
+def _fraction_evaluate(c):
+    """The entries of ``c.evaluate()`` as Fraction tap maps, each step's row
+    update by the plain loops on ``taps()``: no Laurent product."""
+    def plus_product(x, g, y):
+        t = dict(x)
+        for n1, c1 in g.items():
+            for n2, c2 in y.items():
+                t[n1 + n2] = t.get(n1 + n2, 0) + c1 * c2
+        return {n: v for n, v in t.items() if v}
+
+    base = c.base if c.base is not None else PolyphaseMatrix.identity(c.mode)
+    rows = [[base.h00.taps(), base.h01.taps()], [base.h10.taps(), base.h11.taps()]]
+    for s in c.steps:
+        g, src = s.filter.taps(), rows[1 - s.update]
+        rows[s.update] = [plus_product(x, g, y) for x, y in zip(rows[s.update], src)]
+    return [{n: v * f for n, v in e.items()} for row, f in zip(rows, (1 / c.k, c.k)) for e in row]
+
+
+def test_evaluate_of_a_factorization_with_thousand_bit_coefficients():
+    # an 8-step draw factors into 19 steps with coefficients of over 2000 bits,
+    # whose products cancel back to the input's small ones
+    c = random_alternating_cascade(random.Random(9), max_steps=8)
+    matrix = c.evaluate()
+    out = factor_lifting(matrix)
+    bits = max(max(abs(x.numerator), x.denominator).bit_length()
+               for s in out.steps for _, x in s.filter.items())
+    assert bits >= 1000
+    assert out.evaluate() == matrix == _reference_evaluate(out)
+    assert [e.taps() for e in out.evaluate().entries()] == _fraction_evaluate(out)
 
 
 def test_m_init_and_alternation():

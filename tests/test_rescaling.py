@@ -8,6 +8,7 @@ import pytest
 
 from liftbank import (
     EQUIVALENT,
+    EXACT,
     FLOAT,
     IDENTICAL,
     INEQUIVALENT,
@@ -21,9 +22,10 @@ from liftbank import (
     gamma,
     rescale_cascade,
 )
-from liftbank.banks import cdf97, five_three, haar, haar_base
+from liftbank.banks import cdf97, five_three, haar, haar_base, wa_lifted_haar
+from liftbank.rescaling import RESCALING_TOL
 
-from conftest import lp, random_alternating_cascade, step
+from conftest import lp, random_alternating_cascade, random_float_cascade, step
 
 KAPPAS = [F(2), F(1, 2), F(3, 2), F(5)]
 
@@ -149,6 +151,30 @@ def test_find_rescaling_recovers_kappa():
             assert w.kappa == kappa
 
 
+def test_find_rescaling_inverts_every_accepted_kappa():
+    # one group, the nonzero scalars: whatever kappa rescale_cascade accepts,
+    # negative ones included, find_rescaling recovers from the pair
+    rng = random.Random("every kappa")
+    bases = {EXACT: [None, PolyphaseMatrix.identity(), haar_base(), wa_lifted_haar().base],
+             FLOAT: [None, PolyphaseMatrix.identity(FLOAT), haar_base(FLOAT)]}
+    kappas = {EXACT: [F(1), F(-1), F(2), F(-3, 2), F(1, 7), F(-5, 3), F(-1, 2)],
+              FLOAT: [1.0, -1.0, 0.75, -1.3, 2.5, -0.2]}
+    for mode in (EXACT, FLOAT):
+        cascades = [haar()] if mode == EXACT else [cdf97(), cdf97().replace(k=-cdf97().k)]
+        for _ in range(30):
+            c = (random_alternating_cascade(rng, max_steps=6, max_taps=4) if mode == EXACT
+                 else random_float_cascade(rng))
+            cascades.append(c.replace(base=rng.choice(bases[mode])))
+        for a in cascades:
+            for kappa in kappas[mode]:
+                w = find_rescaling(a, rescale_cascade(a, kappa))
+                assert w.relation == (IDENTICAL if kappa == 1 else EQUIVALENT), (a, kappa)
+                if mode == EXACT:
+                    assert w.kappa == kappa
+                else:
+                    assert abs(w.kappa - kappa) <= RESCALING_TOL
+
+
 def test_find_rescaling_identical():
     w = find_rescaling(haar(), haar())
     assert w.relation == IDENTICAL and w.kappa == 1
@@ -206,7 +232,7 @@ def test_reversible_pairs():
 
 
 def test_opposite_gains_are_inequivalent():
-    # rescaling multiplies K by kappa > 0, so no kappa maps K to -K
+    # only kappa = -1 maps K to -K, and its rescaling of a carries the base -I, which b lacks
     a = haar().replace(k=F(2))
     b = haar().replace(k=F(-2))
     assert a.evaluate() != b.evaluate()
