@@ -1,26 +1,26 @@
 """Factoring unimodular polyphase matrices into lifting steps.
 
-The algorithm is a Euclidean reduction on the first column.  Each step
-divides the longer column entry by the other with
-:meth:`LaurentPoly.divided`: monomial multiples of the divisor kill one
-extreme tap of the dividend at a time until the remainder is shorter than
-the divisor.  The division reads the column alone.  The step then lifts the
-dividend's row once by the whole quotient Q, left-multiplying by
-[[1, -Q], [0, 1]] (or its lower-triangular twin): the column entry becomes
-the remainder and the right entry gains -Q times the other row's, one
-polynomial product per step.  The roles then swap.  det = 1 guarantees the
-survivor is a monomial once the other entry dies, so a final quotient
-clears the remaining off-diagonal entry.
+The exact det = 1 check runs first, so a matrix that cannot factor is
+refused before any division.  The algorithm is then a Euclidean reduction
+(Daubechies & Sweldens) on the first column alone.  Each step divides the
+longer column entry by the other with :meth:`LaurentPoly.divided`, which
+kills one extreme tap of the dividend at a time by an integer multiple of
+the divisor's numerators, scaling its own by the part of the divisor's
+extreme numerator that the killed one lacks; the remainder replaces the
+entry and the step lifts that row by minus the quotient.  The roles then
+swap, until one entry dies.  The right column follows under all the steps
+in one :func:`~liftbank.laurent.lifted_rows` pass, and det = 1 fixes the
+terminal in closed form:
 
-Terminal shapes:
-
-* diag(c*z^-d, z^d/c) - done.  The recorded ops with gain c form the
+* h10 died - h00 is a monomial c*z^-d and h11 = 1/h00; one step clears
+  h01, leaving diag(c*z^-d, z^d/c).  The recorded ops with gain c form the
   reduction cascade R, with evaluate(R) @ matrix = diag(z^-d, z^d), so the
   factorization is R's synthesis over the delay diag(z^-d, z^d) as its
   base (none when d = 0): the inverted steps and K = 1/c come from
   :meth:`LiftingCascade.synthesis`.
-* an antidiagonal [[0, -1/c], [c, 0]] - converted exactly into three more
-  lifting steps (the classical swap lifting), leaving the identity.
+* h00 died - h01 = -1/h10; clearing h11 leaves the antidiagonal
+  [[0, -1/c], [c, 0]], and three more steps (the classical swap lifting)
+  leave the identity.
 
 Exact (rational) arithmetic only; floats have no well-defined support.
 """
@@ -28,7 +28,7 @@ Exact (rational) arithmetic only; floats have no well-defined support.
 from __future__ import annotations
 
 from ._record import Record
-from .laurent import EXACT, LaurentPoly, ModeError, clip_repr
+from .laurent import EXACT, LaurentPoly, ModeError, clip_repr, lifted_rows
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import PolyphaseMatrix
 
@@ -81,44 +81,32 @@ def factor_lifting(
     if not matrix.is_unimodular():
         raise FactorizationError(f"matrix is not unimodular: det {matrix.describe_determinant()}")
 
-    m = matrix
-    # the applied left factors, first-applied-first
-    ops: list[LiftingStep] = []
+    h00, h10 = matrix.h00, matrix.h10
     low = strategy.reduction == HIGH_END
-
-    # Euclidean phase: divide the longer column entry by the other, and lift
-    # its row once by the quotient, until one entry dies.
-    while not m.h00.is_zero and not m.h10.is_zero:
+    # the applied left factors (update, filter), first-applied-first
+    ops = []
+    while h00 and h10:
         # divide the longer column entry; on equal spans, the strategy's channel
-        span0, span1 = m.h00.span(), m.h10.span()
-        u = int(span0 < span1 or span0 == span1 and strategy.first_channel == HIGHPASS_FIRST)
-        a, b, c, d = m.entries()
-        quotient, r = a.divided(c, low) if u == 0 else c.divided(a, low)
-        g = -quotient
-        if u == 0:
-            m = PolyphaseMatrix(r, b.plus_product(g, d), c, d)
+        span0, span1 = h00.span(), h10.span()
+        if span0 < span1 or span0 == span1 and strategy.first_channel == HIGHPASS_FIRST:
+            quotient, h10 = h10.divided(h00, low)
+            ops.append((1, -quotient))
         else:
-            m = PolyphaseMatrix(a, b, r, d.plus_product(g, b, True))
-        ops.append(LiftingStep(u, g))
+            quotient, h00 = h00.divided(h10, low)
+            ops.append((0, -quotient))
 
-    # Cleanup phase: clear the remaining off-diagonal entry.
-    h00, h01, h10, h11 = m.entries()
-    if h10.is_zero:
-        # det = h00 * h11 = 1, so h00 is a unit (a monomial) and h11 = 1/h00
+    zero = LaurentPoly()
+    _, h01, _, h11 = lifted_rows((zero, matrix.h01, zero, matrix.h11), ops)
+    if h00:  # h10 died, and det = h00 * h11 = 1: h00 = c z^-d and h11 = 1/h00
         cleanup = [(0, -(h01 * h00))]
+        (tap, coeff), = h00.items()
     else:
-        # first column is (0, h10); det forces h01 = -1/h10.  Clearing h11
-        # leaves the antidiagonal [[0, w], [c, 0]] with w*c = -1, and three
-        # steps lift the swap away; the first two leave h01 = w untouched.
+        # h00 died, and h01 = -1/h10.  Clearing h11 leaves the antidiagonal
+        # [[0, w], [c, 0]] with w*c = -1, and three steps lift the swap away
+        # to the identity; the first two leave h01 = w untouched.
         cleanup = [(1, h11 * h10), (0, -h01), (1, -h10), (0, -h01)]
-    for u, g in cleanup:
-        if not g.is_zero:
-            m = m.lifted(u, g)
-            ops.append(LiftingStep(u, g))
-
-    # the cleanup leaves a diagonal, and det = 1 makes it diag(c z^-d, z^d/c);
-    # the gain c leaves the delay
-    (tap, coeff), = m.h00.items()
-    delay, advance, zero = LaurentPoly({tap: 1}), LaurentPoly({-tap: 1}), LaurentPoly()
-    base = PolyphaseMatrix(delay, zero, zero, advance) if tap else None
-    return LiftingCascade(ops, k=coeff).synthesis().replace(base=base)
+        tap, coeff = 0, 1
+    steps = [LiftingStep(u, g) for u, g in ops + cleanup if g]
+    # the gain c leaves the delay diag(z^-d, z^d)
+    base = PolyphaseMatrix(LaurentPoly({tap: 1}), zero, zero, LaurentPoly({-tap: 1})) if tap else None
+    return LiftingCascade(steps, k=coeff).synthesis().replace(base=base)

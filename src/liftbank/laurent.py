@@ -19,26 +19,21 @@ factorization.
 Both modes store one map, tap -> numerator, over one denominator.  Exact
 numerators are ints over a positive denominator, canonical (no zero
 numerator, ``gcd(den, *numerators) == 1``), so ``==`` compares structure.
-Each exact kernel makes one pass and at most one reduction per result:
-negation needs none, a scaling by p/q divides out ``gcd(den, p) *
-gcd(q, *numerators)``, and ``x + y * z`` (``plus_product``) and a division's
-remainder are built in one map and reduced once.  A cascade's steps run in
-``lifted_rows``: two numerator maps over one denominator per row, reduced
-by one gcd per row per step.  An exact product whose factors both have at
-least ``KRONECKER_TAPS`` taps, each over a support at most twice that long,
-is one big-int multiply of the factors packed into slots (Kronecker
-substitution; ``_pack`` and ``_unpack``, the exact transform's slots): the
-determinant and ``@`` of evaluated cascades.  Below that, and for a filter
-times a matrix entry, the per-tap loop costs less than packing and
-unpacking one slot per tap.  Float numerators are doubles over 1, never
-reduced, and summed in the plain loops' order, so float results keep their
-bits.  Arithmetic, Laurent division, evaluation and the tap maps,
-``reindexed`` and its inverse ``decimated``, run on the numerators; only the
-transform kernels read them, through ``numerators()``, and other modules
-build from (p, q) pairs through ``from_ratios``.  Exact scalars have one
-reader, ``as_ratio``, one builder, ``_fractions`` (each
-``Fraction`` from its numerator and denominator by one gcd), and one writer,
-``format_scalar``, which alone knows Python's int->str digit limit.
+Each exact kernel makes one pass and reduces each result once: negation
+needs no gcd, a scaling by p/q divides out ``gcd(den, p) * gcd(q,
+*numerators)``, and ``plus_product`` (``x + y * z``), ``divided`` and
+``lifted_rows`` (a cascade's steps, one gcd per row per step) work on raw
+numerator maps.  An exact product of two factors of at least
+``KRONECKER_TAPS`` taps, over supports at most twice that long and with
+numerators within ``KRONECKER_BITS``, is one big-int multiply of slots
+(Kronecker substitution; ``_pack`` and ``_unpack``, the exact transform's
+slots); elsewhere the per-tap loop costs less.  Float numerators are doubles
+over 1, never reduced, and summed in the plain loops' order, so float
+results keep their bits.  Only the transform kernels read the numerators,
+through ``numerators()``; other modules build from (p, q) pairs through
+``from_ratios``.  Exact scalars have one reader, ``as_ratio``, one builder,
+``_fractions`` (one gcd each), and one writer, ``format_scalar``, which
+alone knows Python's int->str digit limit.
 """
 
 from __future__ import annotations
@@ -376,8 +371,7 @@ class LaurentPoly:
         self._require_same_mode(other)
         num = {} if num is None else num
         a, b = self._num, other._num
-        if self._mode == EXACT and _packable(a) and _packable(b):
-            _kronecker(a, b, s, num)
+        if self._mode == EXACT and _kronecker(a, b, s, num):
             return num, self._den * other._den
         get = num.get
         for n1, c1 in a.items():
@@ -403,33 +397,34 @@ class LaurentPoly:
     def divided(self, d: "LaurentPoly", low: bool = True) -> tuple["LaurentPoly", "LaurentPoly"]:
         """(q, r) with ``self == q * d + r``, r zero or shorter than ``d``: monomial
         multiples of ``d`` kill r's lowest tap (``low``) or its highest, one at
-        a time, a tap that cancels on the way included.  Exact only.  One copy of
-        the numerators over a running denominator: a kill updates ``d``'s taps, and
-        the rest only if that denominator grows; r is reduced once, at the end."""
+        a time, a tap that cancels on the way included.  Exact only.  Tap t dies
+        by ``num[t] // lead`` times ``d``'s numerators, lead ``d``'s at its killed
+        end, once the numerators, q's and their one denominator are scaled by
+        ``|lead| // gcd(num[t], lead)`` if lead does not divide num[t].  q and r
+        are reduced once, at the end: a mid-loop gcd, once the denominator had
+        1-2x its starting bits, made ``factor`` (seeds 1, 2) 6-12% slower."""
         if self._mode != EXACT or d._mode != EXACT:
             raise ModeError("Laurent division requires exact arithmetic")
         if not d._num:
             raise ZeroDivisionError("Laurent division by the zero polynomial")
         dn, dd = d._num, d._den
         end, width = (min(dn) if low else max(dn)), max(dn) - min(dn)
-        num, den, killed = dict(self._num), self._den, {}
+        lead, num, den, killed = dn[end], dict(self._num), self._den, {}
         while num and max(num) - min(num) >= width:
             t = min(num) if low else max(num)
-            # the monomial a/b = (num[t] / den) / (dn[end] / dd) at tap s
-            s, a, b = t - end, num[t] * dd, den * dn[end]
-            g = gcd(a, b) if b > 0 else -gcd(a, b)
-            a, b = a // g, b // g
-            killed[s] = a, b
-            if den % (bd := b * dd):  # den grows to lcm(den, b * dd)
-                k = bd // gcd(den, bd)
+            if rest := num[t] % lead:
+                k = abs(lead) // gcd(rest, lead)
                 num, den = {n: c * k for n, c in num.items()}, den * k
-            a *= den // bd  # num -= a * z^-s * dn; a tap that reaches 0 leaves
+                killed = {n: c * k for n, c in killed.items()}
+            # num -= a * z^-s * dn, q's monomial a * dd / den at s; a tap at 0 leaves
+            s, a = t - end, num[t] // lead
+            killed[s] = a
             for n, c in dn.items():
                 if v := num.get(n + s, 0) - a * c:
                     num[n + s] = v
                 else:
                     del num[n + s]
-        return LaurentPoly.from_ratios(killed), _restored(*_reduced(num, den), EXACT)
+        return self._new({s: a * dd for s, a in killed.items()}, den), self._new(num, den)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.scaled(other)
@@ -589,12 +584,10 @@ def _summed(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, in
 
 
 #: Fewest taps each factor of an exact product needs, over a support at most
-#: twice that long, for ``_product``'s one-multiply Kronecker branch.
-KRONECKER_TAPS = 14
-
-
-def _packable(num: dict) -> bool:
-    return len(num) >= KRONECKER_TAPS and max(num) - min(num) < 2 * len(num)
+#: twice that long, for ``_product``'s one-multiply Kronecker branch, and the
+#: widest numerator in bits it takes at that many taps; the bits bound grows
+#: with the square of the shorter factor's taps (16 taps: 167 bits, 28: 512).
+KRONECKER_TAPS, KRONECKER_BITS = 14, 128
 
 
 #: Whether 64-bit slots can go through ``array('q')``: 8-byte little-endian words.
@@ -619,13 +612,19 @@ def _unpack(x: int, L: int, width: int, offsets: int) -> Sequence[int]:
     return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * L, w)]
 
 
-def _kronecker(a: dict, b: dict, s: int, num: dict) -> None:
+def _kronecker(a: dict, b: dict, s: int, num: dict) -> bool:
     # num += s * a * b by one multiply of big ints, z^-1 -> 2**width (Kronecker
     # substitution): each factor is its taps over its support in _pack's slots,
     # less their offsets, each slot wide enough for any product tap and its
-    # sign; _unpack reads the product's taps back
-    bits = (max(map(int.bit_length, a.values())) + max(map(int.bit_length, b.values()))
-            + s.bit_length() + min(len(a), len(b)).bit_length())
+    # sign; _unpack reads the product's taps back.  False, num untouched, for
+    # factors that the KRONECKER_ bounds leave to the cheaper per-tap loop
+    taps = min(len(a), len(b))
+    if taps < KRONECKER_TAPS or any(max(m) - min(m) >= 2 * len(m) for m in (a, b)):
+        return False
+    wa, wb = (max(map(int.bit_length, m.values())) for m in (a, b))
+    if max(wa, wb) * KRONECKER_TAPS**2 > KRONECKER_BITS * taps**2:
+        return False
+    bits = wa + wb + s.bit_length() + taps.bit_length()
     width = 8 * (bits // 8 + 1)  # every |tap| < 2**(width - 1)
     sign = bytes(width // 8 - 1) + b"\x80"
     product = s
@@ -639,16 +638,16 @@ def _kronecker(a: dict, b: dict, s: int, num: dict) -> None:
     for n, c in enumerate(_unpack(product + offsets, taps, width, offsets), lo):
         if c:
             num[n] = get(n, 0) + c
+    return True
 
 
 def lifted_rows(entries, steps) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
     """h00, h01, h10, h11 of ``M(S_k) ... M(S_0) [[h00, h01], [h10, h11]]`` for
-    the exact ``entries`` (h00, h01, h10, h11) and ``(update, filter)`` steps,
-    first-applied-first: each adds its filter times the other row to row
-    ``update``.  Each row is two numerator maps over one denominator, updated
-    in place and reduced by one gcd per row per step.  Reduced only at the
-    end, the numerators of a factorization's thousand-bit steps grow through
-    the cascade, and evaluating one took about six times as long."""
+    the exact ``entries`` and ``(update, filter)`` steps, first-applied-first:
+    each adds its filter times the other row to row ``update``.  Each row is
+    two numerator maps over one denominator, updated in place and reduced by
+    one gcd per row per step: reduced only at the end, a factorization's
+    thousand-bit steps took about six times as long to evaluate."""
     work = []
     for x, y in (entries[:2], entries[2:]):
         den = lcm(x._den, y._den)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liftbank import (
     FLOAT,
+    FilterPair,
     LaurentPoly,
     FactorStrategy,
     FactorizationError,
@@ -24,9 +25,11 @@ from liftbank import (
     factor_lifting,
     renormalize,
 )
+from liftbank import factorization, laurent
 from liftbank.banks import dc_counterexample, five_three, haar, haar_base
 
-from conftest import lp, random_alternating_cascade, random_constant_cascade, step
+from conftest import (
+    lp, random_alternating_cascade, random_constant_cascade, random_dyadic, random_filter, step)
 
 ALL_STRATEGIES = [
     FactorStrategy(reduction=r, first_channel=c)
@@ -289,14 +292,59 @@ def _per_monomial_factor(matrix, strategy):
     return LiftingCascade(ops, k=coeff).synthesis().replace(base=base)
 
 
-def test_one_division_per_step_matches_the_per_monomial_reduction():
+def test_one_division_per_step_matches_the_per_monomial_reduction(monkeypatch):
+    # the oracle lifts the whole matrix; its first column dies at h00 exactly
+    # when the reduction ends in the antidiagonal, else in the diagonal
+    lifted, seen, shapes = PolyphaseMatrix.lifted, [], set()
+
+    def spy(m, u, g):
+        seen.append(lifted(m, u, g))
+        return seen[-1]
+
+    monkeypatch.setattr(PolyphaseMatrix, "lifted", spy)
     rng = random.Random(17)
-    strategies = [FactorStrategy(HIGH_END), FactorStrategy(LOW_END),
-                  FactorStrategy(HIGH_END, HIGHPASS_FIRST)]
-    for _ in range(60):
-        matrix = random_alternating_cascade(rng, max_steps=6, max_taps=3).evaluate()
-        for strategy in strategies:
+    draws = [random_alternating_cascade(rng, max_steps=6, max_taps=3) for _ in range(60)]
+    draws += [LiftingCascade([LiftingStep((i + u) % 2, random_filter(rng, 3)) for i in range(8)],
+                             k=random_dyadic(rng)) for u in (0, 1) for _ in range(6)]
+    for cascade in draws:
+        matrix = cascade.evaluate()
+        for strategy in ALL_STRATEGIES:
             out = factor_lifting(matrix, strategy)
             assert out.evaluate() == matrix
+            seen[:] = [matrix]
             want = _per_monomial_factor(matrix, strategy)
             assert (out.steps, out.k, out.base) == (want.steps, want.k, want.base)
+            shapes.add("antidiagonal" if any(m.h00.is_zero for m in seen) else "diagonal")
+    assert shapes == {"diagonal", "antidiagonal"}
+
+
+def _jpeg2000_five_three():
+    # the 5/3 analysis pair as printed: det z^-1, a unit but not 1
+    h0 = lp({-2: F(-1, 8), -1: F(2, 8), 0: F(6, 8), 1: F(2, 8), 2: F(-1, 8)})
+    h1 = lp({0: F(-1, 2), 1: F(2, 2), 2: F(-1, 2)})
+    return PolyphaseMatrix.from_filters(FilterPair(h0, h1))
+
+
+def _random_matrix(rng, taps):
+    return PolyphaseMatrix(*(lp({n: F(rng.randint(-99, 99), rng.randint(1, 9)) for n in range(taps)})
+                             for _ in range(4)))
+
+
+@pytest.mark.parametrize("matrix", [
+    PolyphaseMatrix.diagonal(2, 1),
+    PolyphaseMatrix(lp({}), lp({0: 1}), lp({}), lp({0: 1})),  # a zero first column
+    _jpeg2000_five_three(),
+    _random_matrix(random.Random(128), 128),
+], ids=["diag(2, 1)", "zero first column", "JPEG 2000 5/3", "128 taps"])
+def test_non_unimodular_input_is_refused_before_any_division(monkeypatch, matrix):
+    want = f"matrix is not unimodular: det {matrix.describe_determinant()}"
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the reduction ran before the determinant check")
+
+    monkeypatch.setattr(LaurentPoly, "divided", fail)
+    monkeypatch.setattr(laurent, "lifted_rows", fail)
+    monkeypatch.setattr(factorization, "lifted_rows", fail)
+    with pytest.raises(FactorizationError) as info:
+        factor_lifting(matrix)
+    assert str(info.value) == want

@@ -777,6 +777,44 @@ def test_exact_products_on_both_sides_of_the_kronecker_threshold():
     assert 50 <= sum(packed) <= 250
 
 
+def test_exact_products_on_both_sides_of_the_kronecker_bits_bound(monkeypatch):
+    # numerators at the bound and one bit past it, KRONECKER_BITS at
+    # KRONECKER_TAPS taps and growing with the square of the shorter factor's
+    # taps, take the packed and the per-tap product, with the same values
+    kronecker, packed = laurent._kronecker, []
+
+    def spy(*args):
+        packed.append(kronecker(*args))
+        return packed[-1]
+
+    monkeypatch.setattr(laurent, "_kronecker", spy)
+    rng = random.Random("kronecker bits")
+    t0, b0 = laurent.KRONECKER_TAPS, laurent.KRONECKER_BITS
+    for taps, longer in ((t0, t0), (t0, 30), (20, 20), (40, 40)):
+        bound = b0 * taps**2 // t0**2
+        for bits, want in ((bound, True), (bound + 1, False)):
+            wide = {n: F(rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1)))
+                    for n in range(taps)}
+            narrow = {n: F(rng.randint(-99, 99) or 1) for n in range(-3, longer - 3)}
+            x = {n: F(1, 3) for n in range(0, taps)}
+            for y, z in ((wide, narrow), (narrow, wide)):
+                px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
+                packed.clear()
+                assert_values(py * pz, ref_mul(y, z))
+                assert_values(px.plus_product(py, pz), ref_add(x, ref_mul(y, z)))
+                assert packed == [want, want]
+
+
+def _check_division(p, d):
+    for low in (True, False):
+        q, r = p.divided(d, low)
+        assert (q, r) == _divided_oracle(p, d, low)
+        assert_canonical(q)
+        assert_canonical(r)
+        assert r == p - q * d and (r.is_zero or r.span() < d.span())
+        yield q, r
+
+
 def test_division_with_a_growing_denominator_matches_the_per_monomial_loop():
     # leading divisor numerators of primes the dividend's numerators lack make
     # each quotient monomial's denominator new to the remainder's
@@ -785,9 +823,31 @@ def test_division_with_a_growing_denominator_matches_the_per_monomial_loop():
         p = LaurentPoly(_big_taps(rng, range(-4, 5)))
         lead = rng.choice((3**7 * 11, -(7**5), 13 * 17 * 19, F(3**9, 2**11)))
         d = LaurentPoly({0: lead, rng.randint(1, 2): F(rng.getrandbits(1000) + 1, 5**9)})
-        for low in (True, False):
-            q, r = p.divided(d, low)
-            assert (q, r) == _divided_oracle(p, d, low)
-            assert_canonical(q)
-            assert_canonical(r)
-            assert r == p - q * d and (r.is_zero or r.span() < d.span())
+        list(_check_division(p, d))
+
+    def smooth(bits):  # a numerator sharing some, all or none of the leads' primes
+        return rng.choice((-1, 1)) * math.prod(rng.choice((1, 2, 3, 5, 7)) for _ in range(6)) * (
+            rng.getrandbits(bits) | 1)
+
+    # negative and composite leads whose primes recur in later kills: a kill
+    # scales by the part of the lead its tap lacks, or by nothing
+    grew = []
+    for _ in range(60):
+        lead = rng.choice((-12, -(2**5 * 3**3), 2 * 3 * 5 * 7, -(6**8), 45))
+        p = LaurentPoly({n: F(smooth(64), rng.choice((1, 4, 9, 25))) for n in range(rng.randint(3, 9))})
+        d = LaurentPoly({0: lead, rng.randint(1, 2): F(smooth(40), rng.choice((1, 7))), 3: -lead})
+        grew += [p._den % q._den != 0 for q, _ in _check_division(p, d)]
+    assert any(grew) and not all(grew)
+
+    # leads that divide every killed numerator: +-1 over any denominator, and
+    # +-3 where every numerator of the dividend and the divisor is a multiple of
+    # 3; the working denominator stays the dividend's
+    for _ in range(40):
+        if rng.random() < 0.5:
+            p = LaurentPoly(_big_taps(rng, range(-4, 5)))
+            d = LaurentPoly({0: F(rng.choice((-1, 1)), 9), 1: F(smooth(40), 3), 2: F(rng.choice((-1, 1)), 9)})
+        else:
+            p = LaurentPoly({n: F(3 * smooth(300), 5 ** rng.randint(0, 9)) for n in range(-4, 5)})
+            d = LaurentPoly({0: rng.choice((-3, 3)), 1: 3 * smooth(40), 2: rng.choice((-3, 3))})
+        for q, r in _check_division(p, d):
+            assert p._den % q._den == 0 and p._den % r._den == 0
