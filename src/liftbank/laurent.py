@@ -21,9 +21,10 @@ numerators are ints over a positive denominator, canonical (no zero
 numerator, ``gcd(den, *numerators) == 1``), so ``==`` compares structure.
 Each exact kernel makes one pass and reduces each result once: negation
 needs no gcd, a scaling by p/q divides out ``gcd(den, p) * gcd(q,
-*numerators)``, and ``plus_product`` (``x + y * z``), ``divided`` and
-``lifted_rows`` (a cascade's steps, one gcd per row per step) work on raw
-numerator maps.  An exact product of two factors of at least
+*numerators)``, and ``divided`` and ``lifted_rows`` (a cascade's steps, one
+gcd per row per step) work on raw numerator maps.  Row and column updates
+and the determinant are plain ``+`` and ``*``.  An exact product of two
+factors of at least
 ``KRONECKER_TAPS`` taps, over supports at most twice that long and with
 numerators within ``KRONECKER_BITS``, is one big-int multiply of slots
 (Kronecker substitution; ``_pack`` and ``_unpack``, the exact transform's
@@ -78,12 +79,13 @@ def clip_repr(value) -> str:
 
 
 def _echo(value, text=None) -> str:
-    # text(value), format_scalar's by default, cut by clip; past the int->str digit limit
-    # the value's size instead (an int's or Fraction's bits, else its type): no echo fails
+    # text(value), format_scalar's by default, cut by clip; for a non-scalar or a value past
+    # the int->str digit limit, its size instead (an int's or Fraction's bits, else its
+    # type): no echo fails
     try:
         return clip((text or format_scalar)(value))
-    except ValueError:
-        if not isinstance(value, (int, Fraction)):
+    except (TypeError, ValueError):
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             return f"a value of type {type(value).__name__}"
         kind = "rational" if isinstance(value, Fraction) else "integer"
         return f"a {max(abs(value.numerator), value.denominator).bit_length()}-bit {kind}"
@@ -228,20 +230,32 @@ def _parts(values: list, slots: bool = True) -> tuple[list, list]:
     return [v.numerator for v in values], [v.denominator for v in values]
 
 
+def _is_exact(x) -> bool:
+    # True for ints (not bools) and Fractions, False for floats, as as_ratio reads
+    # them; anything else is no scalar
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return True
+    if isinstance(x, float):
+        return False
+    raise TypeError(f"cannot use {type(x).__name__} as a scalar")
+
+
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: "p/q" or "n" for Fractions and ints, repr for floats.  An
-    exact value past Python's int->str digit limit is a ``ValueError`` naming its bit size."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        try:
-            return str(x)
-        except ValueError:  # str() refuses it again, so _echo names its size
-            raise ValueError(f"{_echo(x, str)} is past Python's int->str digit limit") from None
-    return repr(float(x))
+    exact value past Python's int->str digit limit is a ``ValueError`` naming its bit
+    size; a bool or a non-number is a ``TypeError``."""
+    if not _is_exact(x):
+        return repr(float(x))
+    try:
+        return str(x)
+    except ValueError:  # str() refuses it again, so _echo names its size
+        raise ValueError(f"{_echo(x, str)} is past Python's int->str digit limit") from None
 
 
 def scalar_is_dyadic(x: Scalar) -> bool:
-    """True iff ``x`` is an exact rational whose denominator is a power of 2."""
-    if not isinstance(x, Fraction):
+    """True iff ``x``, an int or a ``Fraction``, has a power-of-2 denominator.  A
+    float is a ``ModeError``; a bool or a non-number is a ``TypeError``."""
+    if not _is_exact(x):
         raise ModeError("dyadicity is undefined for float scalars")
     d = x.denominator
     return d & (d - 1) == 0
@@ -351,48 +365,36 @@ class LaurentPoly:
         return self._plus(other, -1)
 
     def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        # self + sign * other over the lcm of the denominators, self's taps first;
+        # a float c * -1 is exactly -c, so a - b keeps the bits of a + (-b)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_mode(other)
-        return self._new(*_summed(self._num, self._den, other._num, other._den, sign))
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        num = dict(self._num) if sa == 1 else {n: c * sa for n, c in self._num.items()}
+        get = num.get
+        for n, c in other._num.items():
+            num[n] = get(n, 0) + c * sb
+        return self._new(num, den)
 
     def __neg__(self) -> "LaurentPoly":  # canonical in, canonical out: no gcd
         return _restored({n: -c for n, c in self._num.items()}, self._den, self._mode)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return self._new(*self._product(other))
-        return self.scaled(other)
-
-    def _product(self, other: "LaurentPoly", num=None, s=1) -> tuple[dict, int]:
-        # the raw map of self * other, self's numerators times s, added into num (a
-        # new map by default): zero numerators kept, not reduced; two long exact
-        # factors by one big-int multiply, which adds no zero
+        # zero numerators kept until _new reduces them; two long exact factors
+        # by one big-int multiply, which adds no zero
+        if not isinstance(other, LaurentPoly):
+            return self.scaled(other)
         self._require_same_mode(other)
-        num = {} if num is None else num
-        a, b = self._num, other._num
-        if self._mode == EXACT and _kronecker(a, b, s, num):
-            return num, self._den * other._den
-        get = num.get
-        for n1, c1 in a.items():
-            c1 *= s
-            for n2, c2 in b.items():
-                n = n1 + n2
-                num[n] = get(n, 0) + c1 * c2
-        return num, self._den * other._den
-
-    def plus_product(self, y: "LaurentPoly", z: "LaurentPoly", first=False) -> "LaurentPoly":
-        """``self + y * z``, or ``y * z + self`` if ``first``, with the taps, tap
-        order and float bits of that form but without building ``y * z``."""
-        self._require_same_mode(y)
-        dp = y._den * z._den  # each y tap scaled once to den = lcm(self._den, dp)
-        den = lcm(self._den, dp)
-        if first:  # a cancelled tap of y * z must not hold a place for self's
-            p = y._product(z, {}, den // dp)[0]
-            return self._new(*_summed({n: c for n, c in p.items() if c}, den, self._num, self._den))
-        if self._mode == EXACT:  # the products go straight into self's map over den
-            return self._new(y._product(z, _summed(self._num, self._den, {}, den)[0], den // dp)[0], den)
-        return self._new(*_summed(self._num, self._den, *y._product(z)))
+        num, a, b = {}, self._num, other._num
+        if self._mode != EXACT or not _kronecker(a, b, num):
+            get = num.get
+            for n1, c1 in a.items():
+                for n2, c2 in b.items():
+                    n = n1 + n2
+                    num[n] = get(n, 0) + c1 * c2
+        return self._new(num, self._den * other._den)
 
     def divided(self, d: "LaurentPoly", low: bool = True) -> tuple["LaurentPoly", "LaurentPoly"]:
         """(q, r) with ``self == q * d + r``, r zero or shorter than ``d``: monomial
@@ -571,20 +573,8 @@ def _over_lcm(ratios: Mapping[int, tuple[Scalar, int]]) -> tuple[dict, int]:
     return {n: p * (den // q) for n, (p, q) in ratios.items() if p}, den
 
 
-def _summed(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, int]:
-    # a / da + sign * b / db over the lcm of the denominators, a's taps first;
-    # a float c * -1 is exactly -c, so a - b keeps the bits of a + (-b)
-    den = lcm(da, db)
-    sa, sb = den // da, sign * (den // db)
-    num = dict(a) if sa == 1 else {n: c * sa for n, c in a.items()}
-    get = num.get
-    for n, c in b.items():
-        num[n] = get(n, 0) + c * sb
-    return num, den
-
-
 #: Fewest taps each factor of an exact product needs, over a support at most
-#: twice that long, for ``_product``'s one-multiply Kronecker branch, and the
+#: twice that long, for the one-multiply Kronecker branch of ``*``, and the
 #: widest numerator in bits it takes at that many taps; the bits bound grows
 #: with the square of the shorter factor's taps (16 taps: 167 bits, 28: 512).
 KRONECKER_TAPS, KRONECKER_BITS = 14, 128
@@ -612,10 +602,10 @@ def _unpack(x: int, L: int, width: int, offsets: int) -> Sequence[int]:
     return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * L, w)]
 
 
-def _kronecker(a: dict, b: dict, s: int, num: dict) -> bool:
-    # num += s * a * b by one multiply of big ints, z^-1 -> 2**width (Kronecker
-    # substitution): each factor is its taps over its support in _pack's slots,
-    # less their offsets, each slot wide enough for any product tap and its
+def _kronecker(a: dict, b: dict, num: dict) -> bool:
+    # the empty num filled with a * b by one multiply of big ints, z^-1 -> 2**width
+    # (Kronecker substitution): each factor is its taps over its support in _pack's
+    # slots, less their offsets, each slot wide enough for any product tap and its
     # sign; _unpack reads the product's taps back.  False, num untouched, for
     # factors that the KRONECKER_ bounds leave to the cheaper per-tap loop
     taps = min(len(a), len(b))
@@ -624,20 +614,19 @@ def _kronecker(a: dict, b: dict, s: int, num: dict) -> bool:
     wa, wb = (max(map(int.bit_length, m.values())) for m in (a, b))
     if max(wa, wb) * KRONECKER_TAPS**2 > KRONECKER_BITS * taps**2:
         return False
-    bits = wa + wb + s.bit_length() + taps.bit_length()
+    bits = wa + wb + 1 + taps.bit_length()
     width = 8 * (bits // 8 + 1)  # every |tap| < 2**(width - 1)
     sign = bytes(width // 8 - 1) + b"\x80"
-    product = s
+    product = 1
     for m in (a, b):
         get, lo, taps = m.get, min(m), max(m) - min(m) + 1
         offsets = int.from_bytes(sign * taps, "little")
         product *= _pack([get(n, 0) for n in range(lo, lo + taps)], width, offsets) - offsets
     lo, taps = min(a) + min(b), max(a) + max(b) - min(a) - min(b) + 1
     offsets = int.from_bytes(sign * taps, "little")
-    get = num.get
     for n, c in enumerate(_unpack(product + offsets, taps, width, offsets), lo):
         if c:
-            num[n] = get(n, 0) + c
+            num[n] = c
     return True
 
 

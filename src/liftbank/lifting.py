@@ -66,14 +66,6 @@ class RoundingRule(Record):
 
     __slots__ = ("name", "halves", "below", "to_even")
 
-    def rounded(self, nums: Iterable[int], d: int) -> list[int]:
-        """Every num / 2**d of ``nums`` rounded, as a reversible step adds it to a zero sample."""
-        from .transform import analyze_signal  # transform imports this module
-        step = LiftingStep(0, LaurentPoly.from_ratios({0: (1, 1 << d)}))
-        signal = [v for num in nums for v in (0, num)]
-        cascade = LiftingCascade([step], reversible=True, rounding=self)
-        return list(analyze_signal(cascade, signal).lowpass) if signal else []
-
 
 ROUND_HALF_UP = RoundingRule("half-up", 1, 0, False)
 ROUND_HALF_DOWN = RoundingRule("half-down", 1, 1, False)

@@ -106,16 +106,16 @@ class PolyphaseMatrix(Record):
         """
         a, b, c, d = self.entries()
         if update == 0:
-            return PolyphaseMatrix(a.plus_product(g, c), b.plus_product(g, d), c, d)
-        return PolyphaseMatrix(a, b, c.plus_product(g, a, True), d.plus_product(g, b, True))
+            return PolyphaseMatrix(a + g * c, b + g * d, c, d)
+        return PolyphaseMatrix(a, b, g * a + c, g * b + d)
 
     def colifted(self, update: int, g: LaurentPoly) -> "PolyphaseMatrix":
         """``self @ LiftingStep(update, g).matrix()`` as one column update: 2
         polynomial products, in the operand order, so the float bits, of the 8."""
         a, b, c, d = self.entries()
         if update == 0:
-            return PolyphaseMatrix(a, b.plus_product(a, g, True), c, d.plus_product(c, g, True))
-        return PolyphaseMatrix(a.plus_product(b, g), b, c.plus_product(d, g), d)
+            return PolyphaseMatrix(a, a * g + b, c, c * g + d)
+        return PolyphaseMatrix(a + b * g, b, c + d * g, d)
 
     def rows_scaled(self, a, b) -> "PolyphaseMatrix":
         """``diagonal(a, b) @ self`` as four scalings, with that product's taps,
@@ -124,7 +124,7 @@ class PolyphaseMatrix(Record):
         return PolyphaseMatrix(h00.scaled(a), h01.scaled(a), h10.scaled(b), h11.scaled(b))
 
     def determinant(self) -> LaurentPoly:
-        return (self.h00 * self.h11).plus_product(-self.h01, self.h10)
+        return self.h00 * self.h11 - self.h01 * self.h10
 
     def is_unimodular(self) -> bool:
         """det = 1: exactly, or for float matrices within a scaled tolerance.

@@ -232,6 +232,41 @@ def test_dyadic_detection():
         scalar_is_dyadic(0.5)
 
 
+# -- the exact-scalar helpers read a scalar as as_ratio does: ints (not bools)
+# and Fractions are exact, floats are floats, anything else is refused
+
+
+def test_ints_are_exact_to_both_helpers():
+    assert scalar_is_dyadic(3) and scalar_is_dyadic(-(2**70)) and scalar_is_dyadic(0)
+    assert format_scalar(3) == "3" and format_scalar(-(10**30)) == str(-(10**30))
+
+
+@pytest.mark.parametrize("helper", [scalar_is_dyadic, format_scalar])
+@pytest.mark.parametrize("value", [True, False])
+def test_bools_are_no_scalars(helper, value):
+    with pytest.raises(TypeError, match="^cannot use bool as a scalar$"):
+        helper(value)
+
+
+@pytest.mark.parametrize("helper", [scalar_is_dyadic, format_scalar])
+@pytest.mark.parametrize("value", ["0.5", "3", None, [1], 1j])
+def test_non_numbers_are_no_scalars(helper, value):
+    with pytest.raises(TypeError, match=f"^cannot use {type(value).__name__} as a scalar$"):
+        helper(value)
+
+
+def test_floats_keep_their_mode_error_and_repr():
+    for x in (0.5, -0.0, 1e300, 0.1):
+        with pytest.raises(ModeError, match="^dyadicity is undefined for float scalars$"):
+            scalar_is_dyadic(x)
+        assert format_scalar(x) == repr(x)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, [10**5000], 1j])
+def test_echo_names_a_non_scalar_by_its_type(value):
+    assert laurent._echo(value) == f"a value of type {type(value).__name__}"
+
+
 @given(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6))
 def test_scalar_text_round_trip(x):
     assert parse_scalar(format_scalar(x)) == x
@@ -551,15 +586,6 @@ def test_from_ratios_builds_what_the_constructor_builds(case):
     assert p == q and list(p.taps()) == list(q.taps())
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_plus_product_is_the_two_operation_form(mode):
-    rng = random.Random(mode)
-    for _ in range(300):
-        x, y, z = (lp({n: rng.randint(-3, 3) for n in rng.sample(range(-2, 3), 3)}, mode) for _ in range(3))
-        for out, ref in ((x.plus_product(y, z), x + y * z), (x.plus_product(y, z, True), y * z + x)):
-            assert out == ref and list(out.taps().items()) == list(ref.taps().items())
-
-
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
 def test_as_ratio_under_a_lowered_int_digit_limit_refuses_as_as_scalar_does():
     limit = sys.get_int_max_str_digits()
@@ -709,14 +735,12 @@ def test_exact_negation_on_large_coefficients_agrees_with_fraction_arithmetic():
         assert (-p)._den == p._den and list((-p)._num) == list(p._num)
 
 
-def test_exact_plus_product_on_large_coefficients_is_the_two_operation_form():
+def test_exact_plus_product_on_large_coefficients_agrees_with_fraction_arithmetic():
     for _, x, y, z in _big_cases("plus_product"):
         px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
         product = ref_mul(y, z)
-        for out, ref, two_ops in ((px.plus_product(py, pz), ref_add(x, product), px + py * pz),
-                                  (px.plus_product(py, pz, True), ref_add(product, x), py * pz + px)):
-            assert_agrees(out, ref)
-            assert out == two_ops and list(out.taps()) == list(two_ops.taps())
+        assert_agrees(px + py * pz, ref_add(x, product))
+        assert_agrees(py * pz + px, ref_add(product, x))
 
 
 def test_exact_plus_product_cancels_inside_the_product():
@@ -728,8 +752,8 @@ def test_exact_plus_product_cancels_inside_the_product():
         # x also cancels tap 2, holds the cancelled tap 1, or holds it beside a tap of its own
         for x in ({2: a * b, 1: F(5, 7)}, {3: F(1, 2), 2: a * b}, {1: F(5, 7), 3: -a}):
             px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
-            assert_agrees(px.plus_product(py, pz), ref_add(x, ref_mul(y, z)))
-            assert_agrees(px.plus_product(py, pz, True), ref_add(ref_mul(y, z), x))
+            assert_agrees(px + py * pz, ref_add(x, ref_mul(y, z)))
+            assert_agrees(py * pz + px, ref_add(ref_mul(y, z), x))
 
 
 # -- long exact products: both sides of the Kronecker threshold ---------------
@@ -771,8 +795,8 @@ def test_exact_products_on_both_sides_of_the_kronecker_threshold():
                 x[n] = -c
         px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
         assert_values(py * pz, product)
-        assert_values(px.plus_product(py, pz), ref_add(x, product))
-        assert_values(px.plus_product(py, pz, True), ref_add(product, x))
+        assert_values(px + py * pz, ref_add(x, product))
+        assert_values(py * pz + px, ref_add(product, x))
         packed.append(all(len(m) >= t and max(m) - min(m) < 2 * len(m) for m in (y, z)))
     assert 50 <= sum(packed) <= 250
 
@@ -801,7 +825,7 @@ def test_exact_products_on_both_sides_of_the_kronecker_bits_bound(monkeypatch):
                 px, py, pz = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
                 packed.clear()
                 assert_values(py * pz, ref_mul(y, z))
-                assert_values(px.plus_product(py, pz), ref_add(x, ref_mul(y, z)))
+                assert_values(px + py * pz, ref_add(x, ref_mul(y, z)))
                 assert packed == [want, want]
 
 

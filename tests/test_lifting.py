@@ -166,7 +166,7 @@ def _long_cascade(rng, base=None):
 def _fraction_evaluate(c):
     """The entries of ``c.evaluate()`` as Fraction tap maps, each step's row
     update by the plain loops on ``taps()``: no Laurent product."""
-    def plus_product(x, g, y):
+    def updated(x, g, y):
         t = dict(x)
         for n1, c1 in g.items():
             for n2, c2 in y.items():
@@ -177,7 +177,7 @@ def _fraction_evaluate(c):
     rows = [[base.h00.taps(), base.h01.taps()], [base.h10.taps(), base.h11.taps()]]
     for s in c.steps:
         g, src = s.filter.taps(), rows[1 - s.update]
-        rows[s.update] = [plus_product(x, g, y) for x, y in zip(rows[s.update], src)]
+        rows[s.update] = [updated(x, g, y) for x, y in zip(rows[s.update], src)]
     return [{n: v * f for n, v in e.items()} for row, f in zip(rows, (1 / c.k, c.k)) for e in row]
 
 
@@ -610,8 +610,14 @@ def test_api_cascades_survive_spec_pickle_and_deepcopy(kind, steps, k, with_base
 @pytest.mark.parametrize("name", sorted(ROUNDING_RULES))
 def test_rounding_kernel_matches_fraction_reference(name):
     assert set(REFERENCE_ROUNDING) == set(ROUNDING_RULES)
-    rounded = ROUNDING_RULES[name].rounded
-    ref = REFERENCE_ROUNDING[name]
+    rule, ref = ROUNDING_RULES[name], REFERENCE_ROUNDING[name]
+
+    def rounded(nums, shift):
+        # every num / 2**shift rounded as one reversible step adds it to a zero sample
+        step = LiftingStep(0, LaurentPoly({0: F(1, 1 << shift)}))
+        cascade = LiftingCascade([step], reversible=True, rounding=rule)
+        return list(analyze_signal(cascade, [v for num in nums for v in (0, num)]).lowpass)
+
     for shift in range(6):
         # every residue, ties (num = odd * 2**(shift-1)) and negatives included
         nums = range(-(3 << shift) - 1, (3 << shift) + 2)

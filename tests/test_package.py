@@ -7,6 +7,7 @@ repr, immutability and refusals are pinned to the values they had when the
 records were frozen dataclasses.
 """
 
+import ast
 import copy
 import importlib
 import json
@@ -503,3 +504,17 @@ def test_only_laurent_reads_the_stored_numerators():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 text = fh.read()
             assert "._num" not in text and "._den" not in text, name
+
+
+def test_only_cli_imports_a_sibling_module_inside_a_function():
+    # the CLI imports each subcommand's modules on first use; every other module
+    # imports its siblings, relatively, at the top
+    src = os.path.join(ROOT, "src", "liftbank")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "cli.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            inner = [ast.unparse(node) for f in ast.walk(tree)
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(f) if isinstance(node, ast.ImportFrom) and node.level]
+            assert not inner, name
