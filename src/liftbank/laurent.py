@@ -470,11 +470,14 @@ class LaurentPoly:
         """Value of S at z = point: sum of s(n) * point**(-n).
 
         point = 0 is only legal when no tap needs a negative exponent there,
-        i.e. when every tap index is <= 0.  At point = p/q an exact value is
+        i.e. when every tap index is <= 0.  An exact value at z = 1 is the
+        sum of the numerators over the denominator, at z = -1 the same sum
+        with odd taps negated.  Elsewhere, at point = p/q, it is
         sum(num(n) * p**(hi - n) * q**(n - lo)) * q**lo / (den * p**hi), for
-        taps in [lo, hi], summed over integers.  Away from z = +-1 an exact
-        evaluation whose powers need more than :data:`MAX_EVAL_BITS` bits,
-        and a float one that overflows, raise ``ValueError``.
+        taps in [lo, hi], summed over integers.  There an exact evaluation
+        whose powers need more than :data:`MAX_EVAL_BITS` bits, and a float
+        one that overflows, raise ``ValueError``.  Floats take the per-tap sum
+        at every point.
         """
         p, q = as_ratio(point, self._mode)
         if p == 0:
@@ -483,6 +486,9 @@ class LaurentPoly:
                     "evaluation at 0 with delay taps (negative exponents)"
                 )
             return self.coeff(0)
+        if self._mode == EXACT and q == 1 and p * p == 1:  # the DC and Nyquist values
+            odd = 0 if p == 1 else sum(c for n, c in self._num.items() if n & 1)
+            return _fractions((sum(self._num.values()) - 2 * odd,), self._den)[0]
         if self._mode != EXACT:
             total = 0.0
             try:
@@ -493,7 +499,7 @@ class LaurentPoly:
             return total
         lo, hi = min(self._num, default=0), max(self._num, default=0)
         bits = (hi - lo + max(-lo, hi)) * (abs(p).bit_length() + q.bit_length())
-        if (abs(p) != 1 or q != 1) and bits > MAX_EVAL_BITS:  # +-1 powers stay small
+        if bits > MAX_EVAL_BITS:
             raise ValueError(
                 f"exact evaluation at {clip_repr(point)} needs over {MAX_EVAL_BITS} bits")
         t = sum(c * p ** (hi - n) * q ** (n - lo) for n, c in self._num.items())

@@ -182,14 +182,17 @@ class AnalysisReport(Record):
 
 def analyze(cascade: LiftingCascade) -> AnalysisReport:
     """Evaluate, extract filters, run the DC recursion and classify: each band once,
-    the linear phase from those two classes, and WS-group, else HS-group, else neither."""
+    the linear phase from those two classes, and WS-group, else HS-group, else neither,
+    each group test stopping at its first failure.  Exact band values at z = +-1
+    are numerator sums."""
     matrix = cascade.evaluate()
     pair = matrix.to_filters()
     trace = cascade.dc_trace()
     compliance = _compliance(cascade, trace)
     lo_sym, hi_sym, linear_phase = symmetry._classify_bands(pair)
-    ws = symmetry.classify_ws_group(cascade)
-    group = ws.kind if ws.kind == symmetry.WS_GROUP else symmetry.classify_hs_group(cascade).kind
+    group = (symmetry.WS_GROUP if next(symmetry._ws_failures(cascade), None) is None
+             else symmetry.HS_GROUP if next(symmetry._hs_failures(cascade), None) is None
+             else symmetry.NEITHER)
 
     return AnalysisReport(
         filters=pair,

@@ -20,7 +20,7 @@ test the reflection through (lo + hi) / 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from ._record import Record
 from .laurent import DEFAULT_FLOAT_TOL, EXACT, LaurentPoly
@@ -78,23 +78,25 @@ def classify_ws_group(cascade) -> GroupLiftingClass:
 
     Requires an absent base and, per step, an HS-symmetric filter centered
     on +1/2 for lowpass updates and -1/2 for highpass updates.  The empty
-    step list passes vacuously (the identity bank is WS).
+    step list passes vacuously (the identity bank is WS).  ``detail`` lists
+    every failure: the base, then each failing step in order.
     """
-    detail: list[str] = []
+    detail = tuple(_ws_failures(cascade))
+    return GroupLiftingClass(NEITHER, detail) if detail else GroupLiftingClass(WS_GROUP, ())
+
+
+def _ws_failures(cascade) -> Iterator[str]:
+    # classify_ws_group's reasons, one at a time: a caller that wants only the
+    # kind stops at the first, before the steps after it are classified
     if cascade.base is not None:
-        detail.append("cascade carries a base matrix")
+        yield "cascade carries a base matrix"
     for i, step in enumerate(cascade.steps):
         cls = classify_filter(step.filter)
         want = 1 - 2 * step.update  # twice the center: +1/2 or -1/2
         if cls.kind != SYMMETRIC or sum(step.filter.support()) != want:
             got = f"{cls.kind} about {cls.center}" if cls.kind != NONE else "not symmetric"
-            detail.append(
-                f"step {i} (update {step.update}): filter is {got}, "
-                f"needs symmetric about {want}/2"
-            )
-    if detail:
-        return GroupLiftingClass(NEITHER, tuple(detail))
-    return GroupLiftingClass(WS_GROUP, ())
+            yield (f"step {i} (update {step.update}): filter is {got}, "
+                   f"needs symmetric about {want}/2")
 
 
 def classify_hs_group(cascade) -> GroupLiftingClass:
@@ -102,37 +104,34 @@ def classify_hs_group(cascade) -> GroupLiftingClass:
 
     The base must be present and extract to equal-length concentric scalar
     filters, HS symmetric (lowpass) and HS antisymmetric (highpass); every
-    lifting filter must be whole-sample antisymmetric about 0.
+    lifting filter must be whole-sample antisymmetric about 0.  ``detail``
+    lists every failure: the base's, then each failing step in order.
     """
-    detail: list[str] = []
-    if cascade.base is None:
-        return GroupLiftingClass(NEITHER, ("cascade has no base matrix",))
+    detail = tuple(_hs_failures(cascade))
+    return GroupLiftingClass(NEITHER, detail) if detail else GroupLiftingClass(HS_GROUP, ())
 
+
+def _hs_failures(cascade) -> Iterator[str]:
+    # classify_hs_group's reasons, one at a time, as _ws_failures gives its own
+    if cascade.base is None:
+        yield "cascade has no base matrix"
+        return
     pair = cascade.base.to_filters()
     # det 1 (within tolerance, for floats) gives each base row a nonzero entry,
     # so neither filter is zero and both have a support
     lo_sup = pair.lowpass.support()
     hi_sup = pair.highpass.support()
     if (lo_sup[1] - lo_sup[0]) != (hi_sup[1] - hi_sup[0]):
-        detail.append(f"base filters differ in length: supports {lo_sup} vs {hi_sup}")
+        yield f"base filters differ in length: supports {lo_sup} vs {hi_sup}"
     if sum(lo_sup) != sum(hi_sup):
-        detail.append(f"base filters are not concentric: supports {lo_sup} vs {hi_sup}")
-    lo_cls = classify_filter(pair.lowpass)
-    hi_cls = classify_filter(pair.highpass)
-    if lo_cls.kind != SYMMETRIC or sum(lo_sup) % 2 == 0:
-        detail.append("base lowpass is not half-sample symmetric")
-    if hi_cls.kind != ANTISYMMETRIC or sum(hi_sup) % 2 == 0:
-        detail.append("base highpass is not half-sample antisymmetric")
-
+        yield f"base filters are not concentric: supports {lo_sup} vs {hi_sup}"
+    if sum(lo_sup) % 2 == 0 or classify_filter(pair.lowpass).kind != SYMMETRIC:
+        yield "base lowpass is not half-sample symmetric"
+    if sum(hi_sup) % 2 == 0 or classify_filter(pair.highpass).kind != ANTISYMMETRIC:
+        yield "base highpass is not half-sample antisymmetric"
     for i, step in enumerate(cascade.steps):
         if classify_filter(step.filter) != SymmetryClass(ANTISYMMETRIC, 0):
-            detail.append(
-                f"step {i}: filter is not whole-sample antisymmetric about 0"
-            )
-
-    if detail:
-        return GroupLiftingClass(NEITHER, tuple(detail))
-    return GroupLiftingClass(HS_GROUP, ())
+            yield f"step {i}: filter is not whole-sample antisymmetric about 0"
 
 
 def classify_linear_phase(pair: FilterPair) -> str:

@@ -174,6 +174,45 @@ def test_exact_evaluation_refuses_unbounded_powers_away_from_plus_minus_one():
     assert huge.evaluate(1) == 2 and huge.evaluate(-1) == 4
 
 
+def _plus_minus_one_cases(seed, count=200):
+    # seeded exact tap maps of 1-40 taps on negative and odd indices, with the
+    # extreme indices +-(2**63 - 1) and numerators past the int->str digit limit
+    rng = random.Random(seed)
+    far = (2**63 - 1, -(2**63 - 1), 2**63 - 2, -(2**63 - 2))
+    cases = [{}]
+    for i in range(count):
+        taps = rng.randrange(1, 41)
+        indices = rng.sample(range(-60, 61), taps)
+        if i % 4 == 0:
+            indices[: rng.randrange(1, 5)] = rng.sample(far, rng.randrange(1, 5))
+        coeffs = [
+            F(rng.randrange(-9, 10) or 1) if r < 0.5
+            else F(rng.randrange(-(2**70), 2**70) or 1, rng.choice([2, 3, 12, 7**9, 2**64]))
+            if r < 0.95
+            else F(rng.choice([-1, 1]) * 10**4400 + rng.randrange(10**6), rng.choice([1, 3, 10**4500]))
+            for r in (rng.random() for _ in indices)
+        ]
+        cases.append(dict(zip(indices, coeffs)))
+    return cases
+
+
+def test_values_at_plus_minus_one_are_signed_numerator_sums():
+    for taps in _plus_minus_one_cases("plus-minus-one"):
+        p = LaurentPoly(taps)
+        for x, points in ((1, (1, F(1), "1")), (-1, (-1, F(-1), "-1"))):
+            want = sum((c * x ** abs(n) for n, c in taps.items()), F(0))
+            for point in points:
+                got = p.evaluate(point)
+                assert type(got) is F and got == want
+                assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+        small = {n: float(c) for n, c in taps.items() if abs(c) < 2**80}
+        f = LaurentPoly(small, FLOAT)
+        for x in (1.0, -1.0, 1, -1):
+            # the per-tap loop over the stored map's order, the float exponent's
+            # rounding at the far indices included
+            assert repr(f.evaluate(x)) == repr(ref_evaluate(f.taps(), float(x), 0.0))
+
+
 def _divided_oracle(p, d, low):
     """Kill p's extreme tap by a monomial multiple of d until p is shorter than d,
     one whole-polynomial update per monomial."""

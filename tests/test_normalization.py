@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from liftbank import (
     COMPLIANT,
+    EXACT,
     FLOAT,
     NON_COMPLIANT,
     NOT_APPLICABLE,
@@ -16,6 +18,7 @@ from liftbank import (
     check_part2,
     classify_filter,
     classify_linear_phase,
+    load_spec,
 )
 from liftbank import symmetry
 from liftbank.banks import (
@@ -193,6 +196,64 @@ def test_analyze_counterexample_dc():
     assert not rep.compliance.compliant
 
 
+def _group_cascades(rng, mode, count=40):
+    # cascades over every base case (none, the identity, the Haar base) with
+    # 0-5 steps, drawn at random or WS (symmetric about +-1/2) or WA
+    # (antisymmetric about 0) with at most one step broken, so that either
+    # group test can fail at its base, at any step or nowhere
+    def taps(t):
+        return LaurentPoly({n: c if mode == EXACT else float(c) for n, c in t.items()}, mode)
+
+    out = []
+    for i in range(count):
+        base = (None, PolyphaseMatrix.identity(mode), haar_base(mode))[i % 3]
+        kind, steps = i // 3 % 3, []
+        n = rng.randrange(6)
+        broken = rng.randrange(n + 1)
+        for j in range(n):
+            u, a = rng.randrange(2), random_filter(rng).coeff(0) or F(1, 4)
+            if kind == 0 or j == broken:
+                steps.append(LiftingStep(u, random_filter(rng, mode=mode)))
+            elif kind == 1:
+                steps.append(LiftingStep(u, taps({-u: a, 1 - u: a})))
+            else:
+                k = rng.randrange(1, 3)
+                steps.append(LiftingStep(u, taps({-k: a, k: -a})))
+        out.append(LiftingCascade(steps, k=1 if mode == EXACT else 1.0, base=base, mode=mode))
+    return out
+
+
+def _specs():
+    here = os.path.join(os.path.dirname(__file__), "..", "specs")
+    for name in sorted(os.listdir(here)):
+        if name != "haar_matrix.json":  # a matrix, not a cascade
+            yield load_spec(os.path.join(here, name))
+
+
+def test_group_kind_is_the_one_the_public_classifiers_give():
+    rng = random.Random("group kinds")
+    cascades = [haar(), five_three(), five_three(False), cdf97(), wa_lifted_haar(), *_specs()]
+    cascades += _group_cascades(rng, EXACT, 90) + _group_cascades(rng, FLOAT, 45)
+    cascades += [LiftingCascade([], k=k, base=base, mode=mode) for mode, k in ((EXACT, 1), (FLOAT, 1.0))
+                 for base in (None, PolyphaseMatrix.identity(mode), haar_base(mode))]
+    kinds = []
+    for c in cascades:
+        ws, hs = symmetry.classify_ws_group(c), symmetry.classify_hs_group(c)
+        want = ws.kind if ws.kind != symmetry.NEITHER else hs.kind
+        kinds.append(want)
+        assert analyze(c).group_lifting == want
+    assert {*kinds} == {symmetry.WS_GROUP, symmetry.HS_GROUP, symmetry.NEITHER}
+
+
+def _first_failing_step(detail, n_steps):
+    # how many steps a test that stops at its first failure classifies: none
+    # when a base line comes first, up to the first failing step, else all
+    if not detail:
+        return n_steps
+    line = detail[0]
+    return int(line.split()[1].rstrip(":")) + 1 if line.startswith("step ") else 0
+
+
 def test_analyze_classifies_each_band_once(monkeypatch):
     seen = []
 
@@ -200,16 +261,51 @@ def test_analyze_classifies_each_band_once(monkeypatch):
         seen.append(p)
         return classify_filter(p, *args)
 
-    monkeypatch.setattr(symmetry, "classify_filter", counted)
     rng = random.Random("bands")
     cascades = [haar(), five_three(), five_three(False), cdf97(), wa_lifted_haar()]
     cascades += [random_alternating_cascade(rng).replace(base=base)
                  for base in (None, haar_base(), PolyphaseMatrix.identity()) for _ in range(10)]
+    cascades += _group_cascades(rng, EXACT) + _group_cascades(rng, FLOAT, 15)
+    cascades.append(LiftingCascade([*five_three(False).steps, step(0, {0: 1}), *five_three(False).steps]))
+    stops = set()
     for c in cascades:
+        # WS stops at a base, else at its first failing step; over a base, HS
+        # stops at its first failing base test or step
+        ws, hs = symmetry.classify_ws_group(c), symmetry.classify_hs_group(c)
+        steps = _first_failing_step(ws.detail if c.base is None else hs.detail, c.n_steps)
+        stops.add((c.base is None, steps == 0, steps == c.n_steps))
+        monkeypatch.setattr(symmetry, "classify_filter", counted)
         seen.clear()
         report = analyze(c)
+        monkeypatch.undo()
         bands = (report.filters.lowpass, report.filters.highpass)
         assert [sum(p is band for p in seen) for band in bands] == [1, 1]
+        assert [sum(p is s.filter for p in seen) for s in c.steps] == (
+            [1] * steps + [0] * (c.n_steps - steps))
         # the classes and the verdict are the ones the public classifiers give
         assert [report.lowpass_symmetry, report.highpass_symmetry] == [*map(classify_filter, bands)]
         assert report.linear_phase == classify_linear_phase(report.filters)
+    # a base that fails HS, a WS or HS test failing at a later step, and a pass
+    assert {(False, True, False), (True, False, False), (False, False, False)} <= stops
+    assert {(True, False, True), (False, False, True)} <= stops
+
+
+def test_group_details_list_the_base_then_every_failing_step():
+    steps = [step(0, {0: 1, 1: 1}), step(1, {0: 1, 1: 2}), step(0, {-1: 1, 1: -1}),
+             step(1, {-1: 1, 0: 1}), step(0, {-2: 1, 2: 1})]
+    c = LiftingCascade(steps, base=PolyphaseMatrix.identity())
+    assert symmetry.classify_ws_group(c).detail == (
+        "cascade carries a base matrix",
+        "step 1 (update 1): filter is not symmetric, needs symmetric about -1/2",
+        "step 2 (update 0): filter is antisymmetric about 0, needs symmetric about 1/2",
+        "step 4 (update 0): filter is symmetric about 0, needs symmetric about 1/2",
+    )
+    assert symmetry.classify_hs_group(c).detail == (
+        "base filters are not concentric: supports (0, 0) vs (-1, -1)",
+        "base lowpass is not half-sample symmetric",
+        "base highpass is not half-sample antisymmetric",
+        "step 0: filter is not whole-sample antisymmetric about 0",
+        "step 1: filter is not whole-sample antisymmetric about 0",
+        "step 3: filter is not whole-sample antisymmetric about 0",
+        "step 4: filter is not whole-sample antisymmetric about 0",
+    )
