@@ -21,17 +21,17 @@ numerators are ints over a positive denominator, canonical (no zero
 numerator, ``gcd(den, *numerators) == 1``), so ``==`` compares structure.
 Each exact kernel makes one pass and reduces each result once: negation
 needs no gcd, a scaling by p/q divides out ``gcd(den, p) * gcd(q,
-*numerators)``, and ``divided`` and ``lifted_rows`` (a cascade's steps, one
-gcd per row per step) work on raw numerator maps.  Row and column updates
-and the determinant are plain ``+`` and ``*``.  An exact product of two
-factors of at least
-``KRONECKER_TAPS`` taps, over supports at most twice that long and with
-numerators within ``KRONECKER_BITS``, is one big-int multiply of slots
-(Kronecker substitution; ``_pack`` and ``_unpack``, the exact transform's
-slots); elsewhere the per-tap loop costs less.  Float numerators are doubles
-over 1, never reduced, and summed in the plain loops' order, so float
-results keep their bits.  Only the transform kernels read the numerators,
-through ``numerators()``; other modules build from (p, q) pairs through
+*numerators)``, ``divided`` works on raw numerator maps, and
+``lifted_rows`` (a cascade's steps) on rows of primitive maps times p/q.
+Row and column updates and the determinant are plain ``+`` and ``*``.  An
+exact product of two factors of at least ``KRONECKER_TAPS`` taps, over
+supports at most twice that long and with numerators within
+``KRONECKER_BITS``, is one big-int multiply of slots (Kronecker
+substitution; ``_pack`` and ``_unpack``, the exact transform's slots);
+elsewhere the per-tap loop costs less.  Float numerators are doubles over
+1, never reduced, and summed in the plain loops' order, so float results
+keep their bits.  Only the transform kernels read the numerators, through
+``numerators()``; other modules build from (p, q) pairs through
 ``from_ratios``.  Exact scalars have one reader, ``as_ratio``, one builder,
 ``_fractions`` (one gcd each), and one writer, ``format_scalar``, which
 alone knows Python's int->str digit limit.
@@ -639,40 +639,61 @@ def _kronecker(a: dict, b: dict, num: dict) -> bool:
 def lifted_rows(entries, steps) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
     """h00, h01, h10, h11 of ``M(S_k) ... M(S_0) [[h00, h01], [h10, h11]]`` for
     the exact ``entries`` and ``(update, filter)`` steps, first-applied-first:
-    each adds its filter times the other row to row ``update``.  Each row is
-    two numerator maps over one denominator, updated in place and reduced by
-    one gcd per row per step: reduced only at the end, a factorization's
-    thousand-bit steps took about six times as long to evaluate."""
-    work = []
+    each adds its filter times the other row to row ``update``.  A row is two
+    numerator maps, updated in place, times p/q in lowest terms (1/den at the
+    start); a step leaves its row's maps jointly primitive (gcd 1 over all
+    numerators), so by Gauss's lemma g * src is content(g) * p_src / (g's den *
+    q_src) times primitive maps.  A step lifts its row to the lcm of q and that
+    reduced denominator before it multiplies, not to the product of the two
+    (4x slower on 16-step factorizations); one gcd moves the content into p."""
+    rows = []
     for x, y in (entries[:2], entries[2:]):
         den = lcm(x._den, y._den)
-        work.append([[{n: c * (den // p._den) for n, c in p._num.items()} for p in (x, y)], den])
+        maps = [{n: c * (den // e._den) for n, c in e._num.items()} for e in (x, y)]
+        rows.append((maps, 1 if maps[0] or maps[1] else 0, den))
     for u, g in steps:
-        (dst, den), (src, sden) = work[u], work[1 - u]
-        gnum, gden = g._num, g._den * sden
-        new = lcm(den, gden)
-        if new != den:
-            k = new // den
+        dst, p, q = rows[u]
+        src, ps, qs = rows[1 - u]
+        gnum, gden = g._num, g._den
+        if not ps or not gnum:  # g * src is zero
+            continue
+        # g * src = a/b times integer maps, lowest terms once src was stepped: g and
+        # ps/qs are canonical, so gcd(content(g) * ps, gden * qs) splits in two
+        e1, e2 = gcd(qs, *gnum.values()), gcd(ps, gden)
+        b = gden * qs // (e1 * e2)
+        den = lcm(q, b)
+        if (k := p * (den // q)) != 1:
             for m in dst:
                 for n, c in m.items():
                     m[n] = c * k
-        k = new // gden
+        k = ps // e2 * (den // b)
+        if e1 != 1:
+            gnum = {n: c // e1 * k for n, c in gnum.items()}
+        elif k != 1:
+            gnum = {n: c * k for n, c in gnum.items()}
         for m, o in zip(dst, src):
             get = m.get
             for n1, c1 in gnum.items():
-                c1 *= k
                 for n2, c2 in o.items():
                     n = n1 + n2
                     m[n] = get(n, 0) + c1 * c2
             if 0 in m.values():
                 for n in [n for n, c in m.items() if not c]:
                     del m[n]
-        if (d := gcd(new, *dst[0].values(), *dst[1].values())) != 1:
+        d = gcd(*dst[0].values(), *dst[1].values())
+        if d > 1:
             for m in dst:
                 for n, c in m.items():
                     m[n] = c // d
-        work[u][1] = new // d
-    return tuple(_restored(*_reduced(m, den), EXACT) for maps, den in work for m in maps)
+        e = gcd(d, den)  # the zero row is 0/1
+        rows[u] = dst, d // e, den // e
+    out = []
+    for maps, p, q in rows:
+        for m in maps:  # m * p / q, canonical since p/q is
+            if (h := gcd(q, *m.values())) != 1 or p != 1:
+                m = {n: c // h * p for n, c in m.items()}
+            out.append(_restored(m, q // h, EXACT))
+    return tuple(out)
 
 
 def _restored(num: dict, den: int, mode: str) -> LaurentPoly:

@@ -255,12 +255,11 @@ class LiftingCascade(Record):
 
         n = -1 gives the base alone (or the identity when there is none);
         n = n_steps - 1 gives the full unnormalized cascade E(z).  Exact steps
-        run in one row kernel, :func:`~liftbank.laurent.lifted_rows`, with one
-        gcd per row per step: reduced only at the end, the numerators of a
-        factorization's thousand-bit steps grow through the cascade, and
-        evaluating one took about six times as long.  Float steps are row
-        updates, ``lifted``, in that order, so their bits stay those of the
-        step matrix product.
+        run in one row kernel, :func:`~liftbank.laurent.lifted_rows`, which
+        keeps each row as jointly primitive numerator maps times a reduced
+        p/q, so each step's denominator is known from the contents before it
+        multiplies.  Float steps are row updates, ``lifted``, in that order,
+        so their bits stay those of the step matrix product.
         """
         if not -1 <= n < len(self.steps):
             raise IndexError(f"partial product index {n} out of range")
@@ -275,9 +274,8 @@ class LiftingCascade(Record):
     def evaluate(self) -> PolyphaseMatrix:
         """The analysis polyphase matrix diag(1/K, K) * steps * base.
 
-        The steps run as in :meth:`partial_product`, exact ones with one gcd
-        per row per step: deferred to the end, the reduction made a
-        factorization's thousand-bit steps about six times slower to evaluate.
+        The steps run as in :meth:`partial_product`, exact ones in the row
+        kernel over primitive numerator maps times a reduced p/q per row.
         A non-finite float coefficient raises :class:`CascadeError`: at
         ``("k",)`` when only the gain scaling overflows, else at ``("steps",)``.
         """

@@ -914,3 +914,72 @@ def test_division_with_a_growing_denominator_matches_the_per_monomial_loop():
             d = LaurentPoly({0: rng.choice((-3, 3)), 1: 3 * smooth(40), 2: rng.choice((-3, 3))})
         for q, r in _check_division(p, d):
             assert p._den % q._den == 0 and p._den % r._den == 0
+
+
+# -- the row kernel against step-matrix products ------------------------------
+#
+# lifted_rows keeps each row as primitive numerator maps times p/q and
+# predicts each step's denominator from the contents of the filter and the
+# source row.  Its entries must be those of the product of full step matrices,
+# each canonical.
+
+
+def _step_matrix(u, g):
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return PolyphaseMatrix(one, g, zero, one) if u == 0 else PolyphaseMatrix(one, zero, g, one)
+
+
+def _kernel_filter(rng):
+    # dyadic, /3 and /5 taps; a single tap with a content (6/5, -9/4, 12); or zero
+    kind = rng.random()
+    if kind < 0.2:
+        return LaurentPoly({rng.randint(-2, 2): rng.choice((F(6, 5), F(-9, 4), F(12), F(-10, 3)))})
+    if kind < 0.25:
+        return LaurentPoly()
+    return LaurentPoly({n: F(rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice((1, 2, 4, 8, 3, 5, 15)))
+                        for n in range(rng.randint(-2, 1), rng.randint(2, 4))})
+
+
+def _kernel_bases(rng):
+    return [
+        PolyphaseMatrix.identity(),
+        PolyphaseMatrix.diagonal(6, F(1, 6)),
+        PolyphaseMatrix(lp({0: 3}), lp({-1: 6}), lp({0: F(-4, 5)}), lp({0: F(2, 5), 1: F(-6, 5)})),
+        PolyphaseMatrix(lp({0: -12, 1: 18}), lp({0: 30}), lp({0: F(1, 3)}), lp({1: F(-2, 9)})),
+        PolyphaseMatrix(lp({}), lp({}), lp({-1: 1}), lp({0: F(7, 2)})),  # a zero row
+        PolyphaseMatrix(lp({}), lp({0: 1}), lp({}), lp({0: F(-5, 4), 2: F(3, 8)})),  # factor's right column
+        PolyphaseMatrix(*(_kernel_filter(rng) for _ in range(4))),
+    ]
+
+
+def _nonzero_rows(m):
+    return bool(m.h00 or m.h01), bool(m.h10 or m.h11)
+
+
+def test_lifted_rows_matches_step_products():
+    rng = random.Random("lifted rows")
+    seen = {"zero source": 0, "cancelled": 0}
+    for _ in range(40):
+        for base in _kernel_bases(rng):
+            steps = []
+            for _ in range(rng.randint(0, 9)):
+                u, g = rng.randrange(2), _kernel_filter(rng)
+                steps.append((u, g))
+                if rng.random() < 0.15:
+                    steps.append((u, -g))  # undone: a row that was zero cancels back to zero
+            if rng.random() < 0.2:
+                # row 0 = h * row 1, so the first step cancels it to zero
+                h = _kernel_filter(rng)
+                base = PolyphaseMatrix(h * base.h10, h * base.h11, base.h10, base.h11)
+                steps.insert(0, (0, -h))
+            want = base
+            for u, g in steps:
+                before = _nonzero_rows(want)
+                want = _step_matrix(u, g) @ want
+                seen["zero source"] += not before[1 - u]
+                seen["cancelled"] += before[u] and not _nonzero_rows(want)[u]
+            got = laurent.lifted_rows(base.entries(), steps)
+            assert got == want.entries()
+            for e in got:
+                assert_canonical(e)
+    assert min(seen.values()) >= 20
