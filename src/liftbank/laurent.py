@@ -586,26 +586,47 @@ def _over_lcm(ratios: Mapping[int, tuple[Scalar, int]]) -> tuple[dict, int]:
 KRONECKER_TAPS, KRONECKER_BITS = 14, 128
 
 
-#: Whether 64-bit slots can go through ``array('q')``: 8-byte little-endian words.
-_QWORDS = array("q").itemsize == 8 and sys.byteorder == "little"
+#: Whether ``array`` words of type b, h, i and q are 1, 2, 4 and 8 bytes,
+#: little-endian: byte j of word i sits at byte ``size * i + j``.
+_WORDS = [array(t).itemsize for t in "bhiq"] == [1, 2, 4, 8] and sys.byteorder == "little"
+
+#: ``bytes.translate`` table of a two's complement top byte to its sign byte.
+_SIGN = bytes(128) + b"\xff" * 128
 
 
 def _pack(nums: Sequence[int], width: int, offsets: int) -> int:
     """One int holding nums[i] + 2**(width-1) in bits [i*width, (i+1)*width);
-    ``offsets`` has bit width-1 of every slot set."""
-    if width == 64 and isinstance(nums, array):
-        return int.from_bytes(nums.tobytes(), "little") ^ offsets
-    w, half = width // 8, 1 << (width - 1)
-    return int.from_bytes(b"".join((v + half).to_bytes(w, "little") for v in nums), "little")
+    ``offsets`` has bit width-1 of every slot set, and every |nums[i]| is below
+    2**(width-1).  An ``array('q')`` is copied a byte column at a time: the
+    low width/8 bytes of each word, or all 8 and then its sign byte."""
+    w = width // 8
+    if not isinstance(nums, array):
+        half = 1 << (width - 1)
+        return int.from_bytes(b"".join((v + half).to_bytes(w, "little") for v in nums), "little")
+    data = nums.tobytes()
+    if w != 8:
+        cols, sign = bytearray(w * len(nums)), data[7::8].translate(_SIGN) if w > 8 else b""
+        for j in range(w):
+            cols[j::w] = data[j::8] if j < 8 else sign
+        data = cols
+    return int.from_bytes(data, "little") ^ offsets
 
 
 def _unpack(x: int, L: int, width: int, offsets: int) -> Sequence[int]:
-    """The L values of :func:`_pack`'s slots, as an ``array('q')`` or a list."""
-    if width == 64 and _QWORDS:
-        return array("q", (x ^ offsets).to_bytes(8 * L, "little"))
-    w, half = width // 8, 1 << (width - 1)
-    data = x.to_bytes(w * L, "little")
-    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * L, w)]
+    """The L values of :func:`_pack`'s slots: up to 64 bits, an ``array`` of
+    the narrowest 1, 2, 4 or 8-byte words that holds a slot, the higher bytes
+    filled with the sign of its top byte; else a list."""
+    w = width // 8
+    data = (x ^ offsets).to_bytes(w * L, "little")
+    size = 1 << (w - 1).bit_length()
+    if size > 8 or not _WORDS:
+        return [int.from_bytes(data[i:i + w], "little", signed=True) for i in range(0, w * L, w)]
+    if size > w:
+        words, sign = bytearray(size * L), data[w - 1::w].translate(_SIGN)
+        for j in range(size):
+            words[j::size] = data[j::w] if j < w else sign
+        data = words
+    return array("bhiq"[size.bit_length() - 1], data)
 
 
 def _kronecker(a: dict, b: dict, num: dict) -> bool:

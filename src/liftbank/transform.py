@@ -11,8 +11,9 @@ by ``laurent._pack`` and read back by ``laurent._unpack``.
 A tap rotates the source by whole slots, so a step is a few big-int
 operations; a reversible one rounds ``(u + bias) >> d`` in every slot at
 once, an irreversible one folds both denominators onto their lcm.  W is
-64, through ``array('q')``, while a bound walk of the stages stays below
-2**61, else the next multiple of 64 with as much room; each output v / den
+the fewest whole bytes, 8 to 64 bits, that keep a bound walk of the stages
+below 2**(W-3), else the next multiple of 64 with as much room; channels
+go in and out as byte columns of machine words.  Each output v / den
 becomes a ``Fraction`` by one gcd.  A float update is one comprehension of
 ``dst[i] + (0.0 + c0*x0[i] + ...)`` over lists of doubles rotated by each
 tap, summed left to right so results keep their bits and signed zeros.  The
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .laurent import (
-    EXACT, FLOAT, LaurentPoly, _QWORDS, _fractions, _pack, _parts, _unpack, as_ratio, clip_repr)
+    EXACT, FLOAT, LaurentPoly, _WORDS, _fractions, _pack, _parts, _unpack, as_ratio, clip_repr)
 from .lifting import LiftingCascade
 from .polyphase import PolyphaseMatrix
 
@@ -126,9 +127,10 @@ def _lifting_update(dst: list, filt: LaurentPoly, src: list, sign: int) -> list:
 def _bounded(nums: list) -> tuple:
     """(samples, bound on their magnitudes): an ``array('q')`` where they fit,
     bounded by 2**(8k) where the high 8 - k bytes of every word just repeat
-    its sign byte, 0x00 or 0xff, and exactly from 2**48 up; else the list."""
+    its sign byte, 0x00 or 0xff, and exactly from 2**48 up; else the list.
+    ``_pack`` copies the array's low bytes, as many as a slot has, into slots."""
     try:
-        words = array("q", nums) if _QWORDS else None
+        words = array("q", nums) if _WORDS else None
     except OverflowError:
         words = None
     if words is None:
@@ -238,7 +240,8 @@ def _lift(cascade: LiftingCascade, coerced: Callable[[], tuple], inverse: bool,
 
     run((b0, den), (b1, den), bound, lambda x, divide: (abs(ratios[divide][0]) * x[0],
         x[1] * ratios[divide][1]), lambda: (0, 1), seen)
-    width = 64 * ((max(top).bit_length() + 66) // 64)  # every bound below 2**(width-3)
+    w = (max(top).bit_length() + 10) // 8  # whole bytes: every bound below 2**(width-3)
+    width = 8 * w if w <= 8 else 64 * ((w + 7) // 8)
     ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * L, "little")
     full, offsets = (1 << L * width) - 1, ones << (width - 1)
     slots = (width, ones, full, offsets)

@@ -2,6 +2,7 @@
 and agreement with direct filtering."""
 
 import functools
+import hashlib
 import operator
 import random
 import re
@@ -458,7 +459,8 @@ def test_packed_update_matches_the_per_sample_reference(rule, L, slot_widths):
             cascade = LiftingCascade(steps, reversible=True, rounding=ROUNDING_RULES[rule])
             x0, x1 = ([rng.randint(-(1 << bits), 1 << bits) for _ in range(L)] for _ in range(2))
             _check_per_sample(cascade, x0, x1)
-    assert slot_widths >= {64, 128}
+    # both sides of the array route: words within 64 bits, and wide slots
+    assert min(slot_widths) < 64 < max(slot_widths)
 
 
 @pytest.mark.parametrize("rule", sorted(ROUNDING_RULES))
@@ -523,6 +525,65 @@ def test_exact_slots_widen_where_a_scaled_channel_outgrows_64_bits(k, steps, bit
     cascade = LiftingCascade([LiftingStep(m, lp(taps)) for m, taps in steps], k=F(k))
     _check_per_sample(cascade, x0, x1)
     assert 128 in slot_widths
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4097])
+@pytest.mark.parametrize("rule", [*sorted(ROUNDING_RULES), None])
+def test_every_byte_width_round_trips_at_its_edge(rule, L, slot_widths):
+    # Samples of k bytes (the bytes above repeat the sign byte): |v| <= 2**(8k),
+    # -2**(8k) the most negative, which sign extension must restore.  The bound
+    # walk of one reversible step, tap c/2 (c odd), reads c * 2**(8k) + 4; of
+    # one exact step, tap 1, then the gain -31/q, max(2q, 31) * 2**(8k).  Just
+    # below 2**(W-3) the analysis packs at W bits, from 2**(W-3) on at W + 8
+    # (128 after 64).
+    rng = random.Random(f"edge/{rule}/{L}")
+    for width in range(8, 72, 8):
+        k = width // 8 - 1
+        lo = -(1 << 8 * k)
+        for above in (False, True):
+            x0, x1 = ([lo, -lo - 1, *(rng.randint(lo, -lo - 1) for _ in range(L - 2))][:L]
+                      for _ in range(2))
+            n = rng.randint(-2 * L, 2 * L)
+            if rule is None:
+                cascade = LiftingCascade([LiftingStep(0, lp({n: 1}))], k=F(-31, 15 + above))
+            else:
+                c = ((1 << width - 3) - 5 >> 8 * k) + 2 * above
+                step = LiftingStep(rng.randrange(2), lp({n: F(rng.choice((-1, 1)) * c, 2)}))
+                cascade = LiftingCascade([step], reversible=True, rounding=ROUNDING_RULES[rule])
+            slot_widths.clear()
+            analyze_signal(cascade, [v for pair in zip(x0, x1) for v in pair])
+            assert slot_widths == {width + 8 if above and width < 64 else 128 if above else width}
+            _check_per_sample(cascade, x0, x1)
+
+
+# A digest of seeded reversible and exact analyses, and syntheses of the same
+# samples taken as bands, whose channels pack at every byte width from 8 to 64
+# bits and at 128: a slot codec or kernel change that alters any band or
+# synthesized sample changes it.
+
+TRANSFORM_DIGEST = "6f46c2abe35a6f3b3c92c19d02017a1a1f2c72acc33f206bddcf51341e2a2253"
+
+
+def test_round_trips_are_bit_identical_to_the_pinned_digest(slot_widths):
+    rng = random.Random("transform digest")
+    digest, rules = hashlib.sha256(), sorted(ROUNDING_RULES)
+    for i in range(300):
+        bits, L = i % 14 * 5, rng.randint(1, 60)  # bits 0: samples -1 and 0
+        if i % 3:
+            cascade = random_reversible_cascade(rng, max_steps=3, max_taps=2,
+                                                rounding=ROUNDING_RULES[rules[i % 5]])
+            sig = [rng.randint(-(1 << bits), (1 << bits) - 1) for _ in range(2 * L)]
+        else:
+            cascade = random_alternating_cascade(rng, max_steps=3, max_taps=2,
+                                                 k_pool=(F(-3, 5), F(7, 3), F(-1, 2), 1))
+            sig = [F(rng.randint(-(1 << bits), 1 << bits), rng.choice((1, 3, 4)))
+                   for _ in range(2 * L)]
+        bands = analyze_signal(cascade, sig)
+        assert synthesize_signal(cascade, bands) == sig
+        out = synthesize_signal(cascade, SubbandPair(tuple(sig[0::2]), tuple(sig[1::2])))
+        digest.update(repr((bands.lowpass, bands.highpass, out)).encode())
+    assert slot_widths == {*range(8, 72, 8), 128}
+    assert digest.hexdigest() == TRANSFORM_DIGEST
 
 
 # -- properties over random cascades -------------------------------------------
